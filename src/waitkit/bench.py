@@ -8,6 +8,8 @@ matrix-product MACs are counted (the dominant term).
 from __future__ import annotations
 
 import csv
+import functools
+import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -34,10 +36,32 @@ except ImportError:  # pragma: no cover
     threadpool_limits = None
 
 
+MIN_SAMPLE_SECS = 0.02
+
+
+@functools.cache
+def _note_unpinned():
+    print("waitkit bench: threadpoolctl is not installed, so BLAS threads "
+          "are not pinned", file=sys.stderr)
+
+
 def _single_thread():
     if threadpool_limits is None:
+        _note_unpinned()
         return nullcontext()
     return threadpool_limits(limits=1)
+
+
+def _timed_sample(run):
+    """Mean seconds per run over as many runs as fill MIN_SAMPLE_SECS."""
+    runs = 0
+    start = time.perf_counter()
+    while True:
+        run()
+        runs += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= MIN_SAMPLE_SECS:
+            return elapsed / runs
 
 
 @dataclass
@@ -75,10 +99,9 @@ def _make_runner(variant, cfg, n, k, t_steps, batch, seed):
         def run():
             for row in tokens:
                 z, e = model.encoder.forward(row[None, :], causal=True)
-                states = average_embedding_states(
+                average_embedding_states(
                     T.tslice(e, (0,)), T.tslice(z, (0,)), model.bridge_w
                 )
-                states.full_h()
 
     else:
         raise ConfigError(
@@ -91,24 +114,21 @@ def bench_forward(variant, n, k, cfg, t_steps=None, batch=1, trials=5,
                   seed=0):
     """Median wall time over trials plus the MAC count of one forward pass.
 
-    One warm-up run precedes timing; timing runs are pinned to a single
-    BLAS thread when thread control is available.
+    A warm-up run, whose MACs are counted, precedes timing. Each trial is
+    the mean of repeated runs lasting at least MIN_SAMPLE_SECS, in the
+    manner of timeit's autorange; timing runs are pinned to a single BLAS
+    thread when thread control is available.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     t_steps = n if t_steps is None else t_steps
     run = _make_runner(variant, cfg, n, k, t_steps, batch, seed)
     with no_grad():
-        run()  # warm-up
-        T.mac_counter.reset()
+        macs0 = T.mac_counter.count
         run()
-        macs = T.mac_counter.count
-        times = []
+        macs = T.mac_counter.count - macs0
         with _single_thread():
-            for _ in range(trials):
-                start = time.perf_counter()
-                run()
-                times.append(time.perf_counter() - start)
+            times = [_timed_sample(run) for _ in range(trials)]
     return BenchResult(
         variant=variant,
         n=n,

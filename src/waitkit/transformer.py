@@ -130,6 +130,24 @@ def _merge_heads(x):
     return T.reshape(x, (*lead, t, h * dk))
 
 
+class KVCache:
+    """Keys and values [b, heads, c, d_k] of every memory row attended so
+    far; an attention call given the cache appends the rows it projects."""
+
+    def __init__(self):
+        self.keys = self.values = None
+
+    def __len__(self):
+        return 0 if self.keys is None else self.keys.shape[-2]
+
+    def append(self, keys, values):
+        if self.keys is not None:
+            keys = T.concat([self.keys, keys], axis=-2)
+            values = T.concat([self.values, values], axis=-2)
+        self.keys, self.values = keys, values
+        return keys, values
+
+
 class MultiHeadAttention:
     """Scaled dot-product attention with head split/merge and output proj."""
 
@@ -142,37 +160,33 @@ class MultiHeadAttention:
         self.wv = Linear(rng, cfg.d_model, cfg.d_model, bound)
         self.wo = Linear(rng, cfg.d_model, cfg.d_model, bound)
 
-    def __call__(self, queries, memory, mask=None):
+    def __call__(self, queries, memory, mask=None, cache=None):
         """Attend queries [..., tq, d] over a shared memory [..., tk, d].
 
-        mask broadcasts to the score shape [..., heads, tq, tk]; True keeps.
+        With a KVCache, memory holds only the rows not yet attended: their
+        keys and values join the cache and the queries attend over every
+        cached row. mask broadcasts to the score shape [..., heads, tq, c]
+        over all c rows attended; True keeps.
         """
         qh = _split_heads(self.wq(queries), self.n_heads)
         kh = _split_heads(self.wk(memory), self.n_heads)
         vh = _split_heads(self.wv(memory), self.n_heads)
+        if cache is not None:
+            kh, vh = cache.append(kh, vh)
         scores = T.scale(T.matmul(qh, T.transpose_last(kh)), self.scale)
         att = T.masked_softmax(scores, mask)
         return self.wo(_merge_heads(T.matmul(att, vh)))
 
-    def attend_rows(self, queries, row_memory, mask=None):
-        """Attention where every query row has its own memory.
+    def attend_rows(self, queries, memory, mask, bridge, cache=None):
+        """Attention where query row t attends over bridge[t] + memory[j].
 
-        queries [b, t, d], row_memory [b, t, n, d]; row i attends only over
-        row_memory[:, i]. mask broadcasts to [b, heads, t, 1, n].
+        bridge [..., tq, d] adds the same key term to every score of its
+        row, which softmax cancels, and the weights of a row sum to one; so
+        this is plain attention over memory plus Wo.w Wv.w bridge[t]. Every
+        row must keep at least one memory row.
         """
-        b, t, d = queries.shape
-        n = row_memory.shape[-2]
-        h, dk = self.n_heads, d // self.n_heads
-        q = _split_heads(self.wq(queries), h)                  # [b, h, t, dk]
-        q = T.reshape(q, (b, h, t, 1, dk))
-        k = T.reshape(self.wk(row_memory), (b, t, n, h, dk))
-        k = T.transpose(k, (0, 3, 1, 2, 4))                    # [b, h, t, n, dk]
-        v = T.reshape(self.wv(row_memory), (b, t, n, h, dk))
-        v = T.transpose(v, (0, 3, 1, 2, 4))
-        scores = T.scale(T.matmul(q, T.transpose_last(k)), self.scale)
-        att = T.masked_softmax(scores, mask)                   # [b, h, t, 1, n]
-        out = T.reshape(T.matmul(att, v), (b, h, t, dk))
-        return self.wo(_merge_heads(out))
+        shift = T.linear(T.linear(bridge, self.wv.w), self.wo.w)
+        return T.add(self(queries, memory, mask, cache), shift)
 
     def parameters(self):
         return (self.wq.parameters() + self.wk.parameters()
@@ -201,9 +215,9 @@ class EncoderLayer:
         self.ln2 = LayerNorm(cfg.d_model)
         self.ff = FeedForward(rng, cfg)
 
-    def __call__(self, x, mask=None):
+    def __call__(self, x, mask=None, cache=None):
         h = self.ln1(x)
-        x = T.add(x, self.attn(h, h, mask))
+        x = T.add(x, self.attn(h, h, mask, cache))
         return T.add(x, self.ff(self.ln2(x)))
 
     def parameters(self):
@@ -211,24 +225,38 @@ class EncoderLayer:
                 + self.ln2.parameters() + self.ff.parameters())
 
 
-class Encoder:
-    def __init__(self, rng, cfg, vocab):
+class _Stack:
+    """Scaled token embedding plus fixed positions, under a layer stack."""
+
+    def __init__(self, rng, cfg, vocab, layer):
         bound = 1.0 / math.sqrt(cfg.d_model)
         self.cfg = cfg
         self.embed = uniform_init(rng, (vocab, cfg.d_model), bound)
         self.pe = sinusoidal_positions(cfg.max_len, cfg.d_model)
         self.emb_scale = math.sqrt(cfg.d_model)
-        self.layers = [EncoderLayer(rng, cfg) for _ in range(cfg.n_layers)]
+        self.layers = [layer(rng, cfg) for _ in range(cfg.n_layers)]
         self.final_ln = LayerNorm(cfg.d_model)
 
-    def embed_positions(self, ids):
-        n = ids.shape[-1]
-        if n > self.cfg.max_len:
+    def embed_positions(self, ids, start=0):
+        """Inputs for ids [b, n] at positions start .. start+n-1."""
+        end = start + ids.shape[-1]
+        if end > self.cfg.max_len:
             raise LengthError(
-                f"sequence length {n} exceeds maximum {self.cfg.max_len}"
+                f"sequence length {end} exceeds maximum {self.cfg.max_len}"
             )
         e = T.scale(T.embedding(self.embed, ids), self.emb_scale)
-        return T.add(e, Tensor(self.pe[:n]))
+        return T.add(e, Tensor(self.pe[start:end]))
+
+    def parameters(self):
+        params = [self.embed]
+        for layer in self.layers:
+            params += layer.parameters()
+        return params + self.final_ln.parameters()
+
+
+class Encoder(_Stack):
+    def __init__(self, rng, cfg, vocab):
+        super().__init__(rng, cfg, vocab, EncoderLayer)
 
     def forward(self, ids, causal, mask=None):
         """Encode ids [b, n]; returns (states [b, n, d], inputs [b, n, d]).
@@ -245,12 +273,6 @@ class Encoder:
             x = layer(x, mask)
         return self.final_ln(x), e
 
-    def parameters(self):
-        params = [self.embed]
-        for layer in self.layers:
-            params += layer.parameters()
-        return params + self.final_ln.parameters()
-
 
 class DecoderLayer:
     def __init__(self, rng, cfg):
@@ -261,15 +283,16 @@ class DecoderLayer:
         self.ln3 = LayerNorm(cfg.d_model)
         self.ff = FeedForward(rng, cfg)
 
-    def __call__(self, x, memory, self_mask, cross_mask=None, row_memory=None,
-                 row_mask=None):
+    def __call__(self, x, memory, self_mask, cross_mask=None, bridge=None,
+                 cache=(None, None)):
         h = self.ln1(x)
-        x = T.add(x, self.self_attn(h, h, self_mask))
+        x = T.add(x, self.self_attn(h, h, self_mask, cache[0]))
         h = self.ln2(x)
-        if row_memory is not None:
-            x = T.add(x, self.cross_attn.attend_rows(h, row_memory, row_mask))
+        if bridge is None:
+            x = T.add(x, self.cross_attn(h, memory, cross_mask, cache[1]))
         else:
-            x = T.add(x, self.cross_attn(h, memory, cross_mask))
+            x = T.add(x, self.cross_attn.attend_rows(h, memory, cross_mask,
+                                                     bridge, cache[1]))
         return T.add(x, self.ff(self.ln3(x)))
 
     def parameters(self):
@@ -278,79 +301,69 @@ class DecoderLayer:
                 + self.ln3.parameters() + self.ff.parameters())
 
 
-class Decoder:
-    """Causal decoder; optionally feeds per-row memory to its last layer."""
+class Decoder(_Stack):
+    """Causal decoder; its last layer can add the averaging bridge."""
 
     def __init__(self, rng, cfg):
+        super().__init__(rng, cfg, cfg.tgt_vocab, DecoderLayer)
         bound = 1.0 / math.sqrt(cfg.d_model)
-        self.cfg = cfg
-        self.embed = uniform_init(rng, (cfg.tgt_vocab, cfg.d_model), bound)
-        self.pe = sinusoidal_positions(cfg.max_len, cfg.d_model)
-        self.emb_scale = math.sqrt(cfg.d_model)
-        self.layers = [DecoderLayer(rng, cfg) for _ in range(cfg.n_layers)]
-        self.final_ln = LayerNorm(cfg.d_model)
         self.out = Linear(rng, cfg.tgt_vocab, cfg.d_model, bound)
 
-    def forward(self, ids, memory, cross_mask=None, row_memory=None,
-                row_mask=None):
+    def forward(self, ids, memory, cross_mask=None, bridge=None, cache=None):
+        """Logits [b, t, vocab] for target ids [b, t] over memory [b, n, d].
+
+        bridge [b, t, d] goes to the last layer's attend_rows. With a
+        DecoderCache, ids are the rows after the cached ones, memory holds
+        only the encoder rows not yet cached, and cross_mask spans them all.
+        """
+        if cache is None:
+            start, caches = 0, [(None, None)] * len(self.layers)
+        else:
+            start, caches = len(cache.layers[0][0]), cache.layers
         t = ids.shape[-1]
-        if t > self.cfg.max_len:
-            raise LengthError(
-                f"target length {t} exceeds maximum {self.cfg.max_len}"
-            )
-        x = T.add(
-            T.scale(T.embedding(self.embed, ids), self.emb_scale),
-            Tensor(self.pe[:t]),
-        )
-        self_mask = np.tril(np.ones((t, t), dtype=bool))
+        x = self.embed_positions(ids, start)
+        self_mask = np.tril(np.ones((t, start + t), dtype=bool), k=start)
         last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            if row_memory is not None and i == last:
-                x = layer(x, memory, self_mask, row_memory=row_memory,
-                          row_mask=row_mask)
-            else:
-                x = layer(x, memory, self_mask, cross_mask)
+        for i, (layer, kv) in enumerate(zip(self.layers, caches)):
+            x = layer(x, memory, self_mask, cross_mask,
+                      bridge if i == last else None, kv)
         return self.out(self.final_ln(x))
 
     def parameters(self):
-        params = [self.embed]
-        for layer in self.layers:
-            params += layer.parameters()
-        return params + self.final_ln.parameters() + self.out.parameters()
+        return super().parameters() + self.out.parameters()
 
 
 # ----------------------------------------------------------------------
 # Incremental hidden states (causal states plus averaged-input bridge)
 
 
+class DecoderCache:
+    """What decode_step computed over one source: per decoder layer, a
+    (self-attention, cross-attention) KVCache pair, plus the target id and
+    the read count of each cached row."""
+
+    def __init__(self):
+        self.reset(0)
+
+    def reset(self, n_layers):
+        self.ids, self.gs = [], []
+        self.layers = [(KVCache(), KVCache()) for _ in range(n_layers)]
+
+
 class IncrementalStates:
     """Causal encoder states z plus the per-prefix bridge rows f.
 
-    f[i] is a linear map of the mean of the first i+1 encoder inputs. The
-    combined state for a prefix of length g is f[g-1] + z[j] for j < g and
-    the zero vector beyond, materialized on demand.
+    f[i] is a linear map of the mean of the first i+1 encoder inputs; a
+    decoder row that has read g tokens attends over f[g-1] + z[j], j < g
+    (MultiHeadAttention.attend_rows). cache holds the decoder rows already
+    computed over these states.
     """
 
-    def __init__(self, z, f):
+    def __init__(self, z, f, cache=None):
         self.z = z            # Tensor [n, d]
         self.f = f            # Tensor [n, d]
         self.n = z.shape[0]
-
-    def h_slice(self, i):
-        """Rows f_i + z_1..z_i for a prefix of i consumed tokens."""
-        if not 1 <= i <= self.n:
-            raise ScheduleError(f"prefix length {i} outside 1..{self.n}")
-        f_row = T.tslice(self.f, (slice(i - 1, i), slice(None)))
-        z_rows = T.tslice(self.z, (slice(0, i), slice(None)))
-        return T.add(z_rows, f_row)
-
-    def full_h(self):
-        """Dense [n, n, d] tensor; entry [i, j] is zero for j > i."""
-        n, d = self.z.shape
-        f3 = T.reshape(self.f, (n, 1, d))
-        z3 = T.reshape(self.z, (1, n, d))
-        keep = np.tril(np.ones((n, n)))[:, :, None]
-        return T.mul(T.add(f3, z3), Tensor(keep))
+        self.cache = DecoderCache() if cache is None else cache
 
 
 def average_embedding_states(inputs, states, weight):
@@ -425,7 +438,7 @@ class IncrementalModel:
         src_ids = np.asarray(src_ids)
         tgt_ids = np.asarray(tgt_ids)
         k = self.cfg.k if k is None else k
-        b, n = src_ids.shape
+        n = src_ids.shape[-1]
         t = tgt_ids.shape[-1]
         schedule = WaitKSchedule(k, n)
         _, cross = build_masks(schedule, t)
@@ -434,18 +447,8 @@ class IncrementalModel:
         means = T.masked_cumulative_mean(e)
         f = T.matmul(means, T.transpose_last(self.bridge_w))   # [b, n, d]
         g_idx = np.array([schedule.read_count(s) - 1 for s in range(1, t + 1)])
-        f_rows = T.gather_rows(f, g_idx, axis=1)               # [b, t, d]
-        rows = T.add(
-            T.reshape(f_rows, (b, t, 1, self.cfg.d_model)),
-            T.reshape(z, (b, 1, n, self.cfg.d_model)),
-        )
-        rows = T.mul(rows, Tensor(cross.astype(float)[None, :, :, None]))
-        logits = self.decoder.forward(
-            tgt_ids, z,
-            cross_mask=cross,
-            row_memory=rows,
-            row_mask=cross[None, None, :, None, :],
-        )
+        bridge = T.gather_rows(f, g_idx, axis=1)               # [b, t, d]
+        logits = self.decoder.forward(tgt_ids, z, cross, bridge)
         return logits, z
 
     def encode(self, ids):
@@ -466,34 +469,35 @@ class IncrementalModel:
         """Next-token logits for one sentence given a decoder prefix.
 
         states covers the consumed source (IncrementalStates); row s of the
-        rebuilt prefix uses the wait-k coverage for step s, and the current
-        step uses g_t consumed tokens.
+        prefix uses the wait-k coverage for step s, and the current step
+        uses g_t consumed tokens. Only the rows states.cache lacks are
+        computed: the cache is kept while the prefix and its read counts
+        extend the cached ones, and rebuilt from row 0 otherwise.
         """
         k = self.cfg.k if k is None else k
         c = states.n
         if not 1 <= g_t <= c:
             raise ScheduleError(f"g_t {g_t} outside 1..{c}")
-        prefix = np.asarray(prefix_ids)
-        t = prefix.shape[-1]
-        gs = [min(k + s - 1, g_t) for s in range(1, t + 1)]
-        gs[-1] = g_t
-        cross = np.zeros((t, c), dtype=bool)
-        for s, g in enumerate(gs):
-            cross[s, :g] = True
-        f_rows = T.gather_rows(states.f, np.array(gs) - 1, axis=0)
-        rows = T.add(
-            T.reshape(f_rows, (1, t, 1, self.cfg.d_model)),
-            T.reshape(states.z, (1, 1, c, self.cfg.d_model)),
-        )
-        rows = T.mul(rows, Tensor(cross.astype(float)[None, :, :, None]))
-        z_b = T.reshape(states.z, (1, c, self.cfg.d_model))
+        prefix = [int(i) for i in prefix_ids]
+        t = len(prefix)
+        gs = [min(k + s - 1, g_t) for s in range(1, t)] + [g_t]
+        cache = states.cache
+        r = len(cache.ids)
+        if (len(cache.layers) != self.cfg.n_layers or r >= t
+                or cache.ids != prefix[:r] or cache.gs != gs[:r]):
+            cache.reset(self.cfg.n_layers)
+            r = 0
+        d = self.cfg.d_model
+        new_gs = np.array(gs[r:])
+        cross = np.arange(c) < new_gs[:, None]                # [t - r, c]
+        bridge = T.gather_rows(states.f, new_gs - 1, axis=0)
+        read = len(cache.layers[0][1])
+        z_new = T.tslice(states.z, (slice(read, None),))
         logits = self.decoder.forward(
-            prefix[None, :], z_b,
-            cross_mask=cross,
-            row_memory=rows,
-            row_mask=cross[None, None, :, None, :],
-        )
-        return T.tslice(logits, (0, t - 1))
+            np.array([prefix[r:]]), T.reshape(z_new, (1, c - read, d)),
+            cross, T.reshape(bridge, (1, t - r, d)), cache)
+        cache.ids, cache.gs = prefix, gs
+        return T.tslice(logits, (0, -1))
 
     def start_stream(self):
         return StreamingEncoder(self)
@@ -512,7 +516,8 @@ class StreamingEncoder:
     """Key/value-cached causal encoder consuming one token at a time.
 
     Appending a token never changes earlier states; concatenating the
-    returned rows reproduces the batch encoding of the same prefix.
+    returned rows reproduces the batch encoding of the same prefix. The
+    stream also owns the DecoderCache its states hand to decode_step.
     """
 
     def __init__(self, model):
@@ -520,58 +525,27 @@ class StreamingEncoder:
         cfg = model.cfg
         self.count = 0
         self.running_sum = np.zeros(cfg.d_model)
-        self._keys = [None] * cfg.n_layers    # per layer [heads, c, d_k]
-        self._vals = [None] * cfg.n_layers
-        self._z_rows = []
-        self._f_rows = []
+        self._caches = [KVCache() for _ in range(cfg.n_layers)]
+        self._z = np.zeros((cfg.max_len, cfg.d_model))
+        self._f = np.zeros((cfg.max_len, cfg.d_model))
+        self._decoder_cache = DecoderCache()
 
     def push(self, token_id):
         """Consume one source token; returns its encoder state row [d]."""
-        cfg = self.model.cfg
         enc = self.model.encoder
-        pos = self.count
-        if pos >= cfg.max_len:
-            raise LengthError(
-                f"stream length {pos + 1} exceeds maximum {cfg.max_len}"
-            )
         with T.no_grad():
-            ids = np.array([[token_id]])
-            e = T.add(
-                T.scale(T.embedding(enc.embed, ids), enc.emb_scale),
-                Tensor(enc.pe[pos:pos + 1]),
-            )                                                  # [1, 1, d]
-            x = e
-            for i, layer in enumerate(self.model.encoder.layers):
-                h = layer.ln1(x)
-                att = layer.attn
-                q = _split_heads(att.wq(h), att.n_heads)       # [1, h, 1, dk]
-                k_new = _split_heads(att.wk(h), att.n_heads)
-                v_new = _split_heads(att.wv(h), att.n_heads)
-                if self._keys[i] is None:
-                    k_all = k_new.values[0]
-                    v_all = v_new.values[0]
-                else:
-                    k_all = np.concatenate([self._keys[i], k_new.values[0]], axis=1)
-                    v_all = np.concatenate([self._vals[i], v_new.values[0]], axis=1)
-                self._keys[i] = k_all
-                self._vals[i] = v_all
-                scores = T.scale(
-                    T.matmul(q, T.transpose_last(Tensor(k_all[None]))),
-                    att.scale,
-                )
-                weights = T.masked_softmax(scores)             # [1, h, 1, c]
-                ctx = T.matmul(weights, Tensor(v_all[None]))
-                x = T.add(x, att.wo(_merge_heads(ctx)))
-                x = T.add(x, layer.ff(layer.ln2(x)))
-            z_row = enc.final_ln(x)                            # [1, 1, d]
-
+            e = enc.embed_positions(np.array([[token_id]]), self.count)
+            x = e                                              # [1, 1, d]
+            for layer, cache in zip(enc.layers, self._caches):
+                x = layer(x, cache=cache)
+            z_row = enc.final_ln(x)
             self.running_sum = self.running_sum + e.values[0, 0]
             self.count += 1
             mean = Tensor((self.running_sum / self.count)[None, :])
             f_row = T.matmul(mean, T.transpose_last(self.model.bridge_w))
-        self._z_rows.append(z_row.values[0, 0])
-        self._f_rows.append(f_row.values[0])
-        return self._z_rows[-1]
+        self._z[self.count - 1] = z_row.values[0, 0]
+        self._f[self.count - 1] = f_row.values[0]
+        return z_row.values[0, 0]
 
     def mean_embedding(self):
         """Running mean of the consumed, position-augmented inputs."""
@@ -582,10 +556,9 @@ class StreamingEncoder:
     @property
     def states(self):
         """IncrementalStates view over everything consumed so far."""
-        return IncrementalStates(
-            Tensor(np.array(self._z_rows)),
-            Tensor(np.array(self._f_rows)),
-        )
+        return IncrementalStates(Tensor(self._z[:self.count]),
+                                 Tensor(self._f[:self.count]),
+                                 self._decoder_cache)
 
 
 def _name_params(**groups):

@@ -111,8 +111,9 @@ def streaming_decode(model, source, k, max_len=None, bos_id=BOS_ID,
     source may be any iterable of token ids; tokens are pulled lazily, so
     the decoder never touches a position the schedule has not read. Once the
     stream is exhausted, decoding continues on the full consumed source until
-    eos or the cap (max_len, default 2 * src_len + 5). on_emit, when given,
-    is called with each token the moment it is emitted.
+    eos or the cap (max_len, default 2 * src_len + 5). The cap never exceeds
+    the model's max_len, the longest prefix its decoder takes. on_emit, when
+    given, is called with each token the moment it is emitted.
 
     Returns (emitted token ids, DecodeTrace); eos is not part of either.
     """
@@ -153,9 +154,9 @@ def streaming_decode(model, source, k, max_len=None, bos_id=BOS_ID,
             if on_emit is not None:
                 on_emit(next_id)
             cap = max_len if max_len is not None else (
-                2 * consumed + 5 if exhausted else None
+                2 * consumed + 5 if exhausted else model.cfg.max_len
             )
-            if cap is not None and len(tokens) >= cap:
+            if len(tokens) >= min(cap, model.cfg.max_len):
                 break
             t += 1
     return tokens, DecodeTrace(g_values, consumed, tokens)

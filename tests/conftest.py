@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from waitkit import tensor as T
+from waitkit.tensor import Tensor
 from waitkit.transformer import ModelConfig
+from waitkit.waitk import ScheduleError
 
 
 def central_difference(fn, tensors, step=1e-5):
@@ -74,6 +76,26 @@ def sign_test(challenger_right, champion_right):
     n = wins + losses
     p = sum(math.comb(n, i) for i in range(wins, n + 1)) / 2 ** n
     return wins, losses, p
+
+
+def h_slice(inc, i):
+    """Oracle: the bridge memory rows f[i-1] + z[0..i-1] for a prefix of i
+    consumed tokens of IncrementalStates inc."""
+    if not 1 <= i <= inc.n:
+        raise ScheduleError(f"prefix length {i} outside 1..{inc.n}")
+    f_row = T.tslice(inc.f, (slice(i - 1, i), slice(None)))
+    z_rows = T.tslice(inc.z, (slice(0, i), slice(None)))
+    return T.add(z_rows, f_row)
+
+
+def full_h(inc):
+    """Oracle: dense [n, n, d] bridge memory of IncrementalStates inc;
+    entry [i, j] is f[i] + z[j], and zero for j > i."""
+    n, d = inc.z.shape
+    f3 = T.reshape(inc.f, (n, 1, d))
+    z3 = T.reshape(inc.z, (1, n, d))
+    keep = np.tril(np.ones((n, n)))[:, :, None]
+    return T.mul(T.add(f3, z3), Tensor(keep))
 
 
 @pytest.fixture

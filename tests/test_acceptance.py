@@ -42,7 +42,7 @@ from waitkit.waitk import (
     streaming_decode,
 )
 
-from conftest import check_gradients, sign_test
+from conftest import check_gradients, full_h, sign_test
 
 
 def report(number, name, passed, detail=""):
@@ -394,7 +394,7 @@ def test_criterion_5_averaging_bridge_oracle():
             mean = inputs[: i + 1].mean(axis=0)
             worst = max(worst,
                         float(np.abs(inc.f.values[i] - mean @ weight.T).max()))
-        h = inc.full_h().values
+        h = full_h(inc).values
         for i in range(n):
             assert np.all(h[i, i + 1:] == 0.0)
     report(5, "parallel prefix means equal sequential loop; zero branch exact",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from waitkit import tensor as T
-from waitkit.transformer import IncrementalModel
+from waitkit.transformer import IncrementalModel, ModelConfig
 from waitkit.waitk import (
     DecodeTrace,
     ScheduleError,
@@ -176,6 +176,17 @@ class TestStreamingDecode:
     def test_tail_cap(self, model):
         tokens, trace = streaming_decode(model, [4, 5, 6], k=1)
         assert len(tokens) <= 2 * 3 + 5
+
+    @pytest.mark.parametrize("n", [30, 64])
+    def test_cap_clamped_to_model_max_len(self, n):
+        # The default cap 2n+5 passes max_len 64 once n >= 30; a decode
+        # that never emits eos must stop at the decoder's longest prefix.
+        cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, d_ff=8,
+                          src_vocab=20, tgt_vocab=20, max_len=64, k=1)
+        model = IncrementalModel(cfg, seed=0)
+        tokens, trace = streaming_decode(model, [5] * n, k=1, eos_id=-1)
+        assert len(tokens) == 64
+        assert trace.src_len == n
 
     def test_matches_batched_greedy(self, tiny_cfg, rng):
         def batched_greedy(m, src, k, cap):
