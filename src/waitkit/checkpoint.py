@@ -57,7 +57,8 @@ def load_checkpoint(path):
     tgt_vocab, {name: ndarray})."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    marker = b"end_header\n"
+    # A whole line: a vocabulary line may end in the token end_header.
+    marker = b"\nend_header\n"
     cut = blob.find(marker)
     if cut < 0:
         raise CheckpointError(f"{path}: missing end_header marker")

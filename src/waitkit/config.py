@@ -109,21 +109,28 @@ def load_config(path=None, overrides=()):
         cfg[key] = parse_value(key, text)
     if cfg["mode"] not in MODES:
         raise ConfigError(f"mode must be one of {MODES}")
+    if cfg["test_k"] < 0:
+        raise ConfigError("test_k must be >= 0 (0 means the training k)")
+    if any(k < 1 for k in cfg["train_ks"] + cfg["test_ks"]):
+        raise ConfigError("train_ks and test_ks must hold positive k values")
     return cfg
 
 
 def model_config(cfg, src_vocab_size=None, tgt_vocab_size=None):
     size = cfg["vocab_size"]
-    return ModelConfig(
-        n_layers=cfg["n_layers"],
-        d_model=cfg["d_model"],
-        n_heads=cfg["n_heads"],
-        d_ff=cfg["d_ff"],
-        src_vocab=src_vocab_size or size,
-        tgt_vocab=tgt_vocab_size or size,
-        max_len=cfg["max_seq_len"],
-        k=cfg["k"],
-    )
+    try:
+        return ModelConfig(
+            n_layers=cfg["n_layers"],
+            d_model=cfg["d_model"],
+            n_heads=cfg["n_heads"],
+            d_ff=cfg["d_ff"],
+            src_vocab=src_vocab_size or size,
+            tgt_vocab=tgt_vocab_size or size,
+            max_len=cfg["max_seq_len"],
+            k=cfg["k"],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"model config: {exc}") from None
 
 
 def train_config(cfg, k=None, seed=None, lam=None, mode=None):

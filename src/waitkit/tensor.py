@@ -2,9 +2,9 @@
 
 Eager tensor library: every operation computes its result immediately and,
 when a Tape is active, appends a backward rule to it. Replaying the tape in
-reverse accumulates gradients additively into every requires_grad ancestor
-of the loss. Matrix products also feed a global multiply-accumulate counter
-so the benchmark harness can report hardware-independent costs.
+reverse sums one delta per tensor and adds only the leaves' into .grad.
+Matrix products also feed a global multiply-accumulate counter so the
+benchmark harness can report hardware-independent costs.
 """
 
 from __future__ import annotations
@@ -73,17 +73,27 @@ mac_counter = _MacCounter()
 class Tensor:
     """Dense float64 array paired with a gradient buffer of the same shape.
 
-    The gradient buffer is zero on creation and only ever written by the
-    tape's backward pass (or an explicit zero_grad). Tensors created while
-    no tape is active are plain values.
+    The gradient buffer is allocated on first read, as zeros; backward writes
+    it only on leaves (tensors no recorded operation produced). Tensors
+    created while no tape is active are plain values.
     """
 
-    __slots__ = ("values", "grad", "requires_grad")
+    __slots__ = ("values", "_grad", "requires_grad")
 
     def __init__(self, values, requires_grad=False):
         self.values = np.asarray(values, dtype=np.float64)
-        self.grad = np.zeros_like(self.values)
+        self._grad = None
         self.requires_grad = bool(requires_grad)
+
+    @property
+    def grad(self):
+        if self._grad is None:
+            self._grad = np.zeros_like(self.values)
+        return self._grad
+
+    @grad.setter
+    def grad(self, buffer):
+        self._grad = buffer
 
     @property
     def shape(self):
@@ -144,8 +154,8 @@ class Tape:
     """Ordered record of differentiable operations.
 
     Entries are appended in execution order; backward() replays them in
-    reverse, visiting every recorded operation exactly once. Gradient
-    contributions add into .grad, so repeated backward calls accumulate.
+    reverse, visiting every recorded operation exactly once. Leaf gradients
+    add into .grad, so repeated backward calls accumulate.
     """
 
     def __init__(self):
@@ -167,24 +177,23 @@ class Tape:
             raise GradientError(
                 f"backward target must be a scalar, got shape {loss.shape}"
             )
-        # Per-call deltas keep propagation independent of whatever is
-        # already sitting in .grad from earlier calls.
-        deltas = {id(loss): np.ones_like(loss.values)}
+        # An intermediate's summed delta is complete when its own entry is
+        # replayed; what is left belongs to leaves (0 + delta is exact).
+        deltas = {}
         if loss.requires_grad:
-            loss.grad += 1.0
+            deltas[id(loss)] = (loss, np.ones_like(loss.values))
         for out, rule in reversed(self._entries):
-            d = deltas.pop(id(out), None)
-            if d is None:
+            entry = deltas.pop(id(out), None)
+            if entry is None:
                 continue
-            for t, dt in rule(d):
+            for t, dt in rule(entry[1]):
                 if not t.requires_grad:
                     continue
-                t.grad += dt
                 key = id(t)
-                if key in deltas:
-                    deltas[key] = deltas[key] + dt
-                else:
-                    deltas[key] = dt
+                prev = deltas.get(key)
+                deltas[key] = (t, dt if prev is None else prev[1] + dt)
+        for t, d in deltas.values():
+            t.grad += d
 
 
 @contextmanager

@@ -19,12 +19,11 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tape, no_grad
 from .transformer import IncrementalModel, TeacherModel
+from .waitk import BOS_ID, EOS_ID
 
 logger = logging.getLogger(__name__)
 
-PAD_ID = 0
-BOS_ID = 1
-EOS_ID = 2
+PAD_ID = 0                      # BOS_ID = 1 and EOS_ID = 2 come from waitk
 UNK_ID = 3
 FILLER_ID = 3
 N_RESERVED = 4
@@ -232,6 +231,10 @@ def total_loss(student_logits, teacher_logits, targets, z_incr, z_full,
 
 
 class Adam:
+    """Adam over flat value and grad buffers whose views become each
+    parameter's values and grad. step() raises if one was rebound since (a
+    second Adam over the same tensors, say): it would train a stale copy."""
+
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.98, eps=1e-9):
         self.params = list(params)
         self.lr = lr
@@ -239,25 +242,32 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.values) for p in self.params]
-        self._v = [np.zeros_like(p.values) for p in self.params]
+        self._values = np.concatenate([p.values.ravel() for p in self.params])
+        self._grads = np.concatenate([p.grad.ravel() for p in self.params])
+        self._m, self._v = np.zeros((2, self._values.size))
+        cuts = np.cumsum([p.values.size for p in self.params])[:-1]
+        for p, v, g in zip(self.params, np.split(self._values, cuts),
+                           np.split(self._grads, cuts)):
+            p.values, p.grad = v.reshape(p.shape), g.reshape(p.shape)
+        self._views = [(p.values, p.grad) for p in self.params]
 
     def step(self):
+        if any(p.values is not v or p.grad is not g
+               for p, (v, g) in zip(self.params, self._views)):
+            raise RuntimeError("a parameter was rebound after Adam was built")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p.values -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        g, m, v = self._grads, self._m, self._v
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        self._values -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
     def zero_grad(self):
-        for p in self.params:
-            p.grad[...] = 0.0
+        self._grads.fill(0.0)
 
 
 def grad_norm(params):

@@ -98,6 +98,64 @@ def full_h(inc):
     return T.mul(T.add(f3, z3), Tensor(keep))
 
 
+def eager_backward(tape, loss):
+    """Reference for Tape.backward: the eager-grad replay it replaced, which
+    adds every delta into .grad on every tensor it reaches, intermediates
+    included, as well as into the per-call delta dict."""
+    if loss.values.size != 1:
+        raise T.GradientError(
+            f"backward target must be a scalar, got shape {loss.shape}"
+        )
+    deltas = {id(loss): np.ones_like(loss.values)}
+    if loss.requires_grad:
+        loss.grad += 1.0
+    for out, rule in reversed(tape._entries):
+        d = deltas.pop(id(out), None)
+        if d is None:
+            continue
+        for t, dt in rule(d):
+            if not t.requires_grad:
+                continue
+            t.grad += dt
+            key = id(t)
+            if key in deltas:
+                deltas[key] = deltas[key] + dt
+            else:
+                deltas[key] = dt
+
+
+class EagerAdam:
+    """Reference for training.Adam: one m/v pair and one update per
+    parameter array, reading and writing each parameter's own buffers."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.98, eps=1e-9):
+        self.params = list(params)
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self._m = [np.zeros_like(p.values) for p in self.params]
+        self._v = [np.zeros_like(p.values) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bias1 = 1.0 - b1 ** self.t
+        bias2 = 1.0 - b2 ** self.t
+        for p, m, v in zip(self.params, self._m, self._v):
+            g = p.grad
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p.values -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+
+    def zero_grad(self):
+        for p in self.params:
+            p.grad[...] = 0.0
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

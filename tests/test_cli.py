@@ -144,6 +144,53 @@ class TestTrainEvalDecode:
         assert proc.stdout.split() == [tgt_vocab.tokens[t] for t in expected]
 
 
+# Bad inputs run against the trained checkpoint's config; each must end in
+# its documented exit code with a one-line error and no traceback.
+EXIT_CODES = [
+    ("train", {"d_model": 30, "n_heads": 4}, 2),
+    ("train", {"k": 0}, 2),
+    ("train", {"k": "banana"}, 2),
+    ("train", {"zzz": 1}, 2),
+    ("eval", {"test_k": -1}, 2),
+    ("decode", {"test_k": -1}, 2),
+    ("k-matrix", {"test_ks": "1,-1"}, 2),
+    ("k-matrix", {"train_ks": "0,1"}, 2),
+    ("eval", {"checkpoint": "missing.ckpt"}, 3),
+    ("eval", {"task": "files", "src_file": "missing.src",
+              "tgt_file": "missing.tgt"}, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "command, extra, code", EXIT_CODES,
+    ids=[f"{c}-" + "-".join(f"{k}={v}" for k, v in e.items())
+         for c, e, _ in EXIT_CODES])
+def test_exit_code_table(trained, capsys, command, extra, code):
+    tmp_path, overrides = trained
+    extra = {k: tmp_path / v if str(v).startswith("missing") else v
+             for k, v in extra.items()}
+    assert main([command] + overrides
+                + [f"{k}={v}" for k, v in extra.items()]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_checkpoint_round_trip_with_end_header_token(tmp_path):
+    """A vocabulary line ending in the token end_header must not be taken
+    for the header terminator."""
+    from waitkit.checkpoint import load_models
+
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a a b b end_header\na b\n", encoding="utf-8")
+    overrides = base_overrides(tmp_path, task="files", src_file=corpus,
+                               tgt_file=corpus, max_steps=3, batch_size=2)
+    assert main(["train"] + overrides) == 0
+    _, _, src_vocab, tgt_vocab, meta = load_models(tmp_path / "model.ckpt")
+    assert src_vocab.tokens[-1] == tgt_vocab.tokens[-1] == "end_header"
+    assert meta["task"] == "files"
+    assert main(["eval"] + overrides) == 0
+
+
 class TestBenchCommand:
     def test_bench_writes_sweep(self, tmp_path):
         overrides = base_overrides(tmp_path, bench_n="8", bench_k="1,3",

@@ -12,8 +12,10 @@ from waitkit.training import (
     ParallelExample,
     SyntheticTaskSpec,
     TrainConfig,
+    MODES,
     generate_synthetic,
     load_corpus,
+    make_batches,
     pad_batch,
     total_loss,
     train,
@@ -21,7 +23,7 @@ from waitkit.training import (
 )
 from waitkit.transformer import IncrementalModel, ModelConfig, TeacherModel
 
-from conftest import check_gradients
+from conftest import EagerAdam, check_gradients, eager_backward
 
 
 @pytest.fixture
@@ -288,6 +290,78 @@ class TestConvergenceSmoke:
             logits, _ = teacher.forward(src, tgt_in)
         predicted = logits.values.argmax(axis=-1)
         assert np.array_equal(predicted, tgt_out)
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_twenty_steps_match_eager_reference(self, small_model_cfg, mode,
+                                                monkeypatch):
+        cfg = TrainConfig(mode=mode, k=2, batch_size=8, seed=3)
+        batches = make_batches(_copy_examples(160, seed=8), 8,
+                               np.random.default_rng(0))[:20]
+
+        def run(optimizer_cls):
+            teacher = TeacherModel(small_model_cfg, seed=0)
+            student = IncrementalModel(small_model_cfg, seed=1)
+            trained = student.parameters()
+            if mode == "joint":
+                trained = teacher.parameters() + trained
+            opt = optimizer_cls(trained, cfg.lr, cfg.beta1, cfg.beta2,
+                                cfg.adam_eps)
+            records = [train_step(teacher, student, b, opt, cfg)
+                       for b in batches]
+            return records, teacher.parameters() + student.parameters()
+
+        records, params = run(Adam)
+        with monkeypatch.context() as patch:
+            patch.setattr(T.Tape, "backward", eager_backward)
+            ref_records, ref_params = run(EagerAdam)
+        assert len(batches) == 20
+        for rec, ref in zip(records, ref_records, strict=True):
+            assert rec.keys() == ref.keys()
+            assert np.array_equal(list(rec.values()), list(ref.values()),
+                                  equal_nan=True)
+        for p, ref in zip(params, ref_params, strict=True):
+            assert np.array_equal(p.values, ref.values)
+
+    def test_parameters_become_views_of_one_buffer(self, small_model_cfg):
+        student = IncrementalModel(small_model_cfg, seed=1)
+        params = student.parameters()
+        before = [p.values.copy() for p in params]
+        params[0].grad[...] = 1.5
+        opt = Adam(params)
+        for p, old in zip(params, before):
+            assert np.shares_memory(p.values, opt._values)
+            assert np.shares_memory(p.grad, opt._grads)
+            assert np.array_equal(p.values, old)
+        assert np.all(params[0].grad == 1.5)   # pending grads are kept
+        opt.zero_grad()
+        assert not any(p.grad.any() for p in params)
+
+    def test_step_raises_after_values_rebound(self, small_model_cfg):
+        params = IncrementalModel(small_model_cfg, seed=1).parameters()
+        opt = Adam(params)
+        opt.step()
+        params[3].values = params[3].values.copy()
+        with pytest.raises(RuntimeError, match="rebound"):
+            opt.step()
+
+    def test_step_raises_after_grad_rebound(self, small_model_cfg):
+        params = IncrementalModel(small_model_cfg, seed=1).parameters()
+        opt = Adam(params)
+        params[-1].grad = np.zeros_like(params[-1].values)
+        with pytest.raises(RuntimeError, match="rebound"):
+            opt.step()
+
+    def test_second_adam_over_same_tensors(self, small_model_cfg):
+        params = IncrementalModel(small_model_cfg, seed=1).parameters()
+        first = Adam(params)
+        second = Adam(params[:2])
+        with pytest.raises(RuntimeError, match="rebound"):
+            first.step()
+        params[0].grad[...] = 1.0
+        second.step()
+        assert second.t == 1
 
 
 class TestMetricsCsv:

@@ -390,6 +390,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="checksum"):
             load_models(path)
 
+    @pytest.mark.parametrize("model_cls", [TeacherModel, IncrementalModel])
+    def test_named_parameters_are_exactly_parameters(self, tiny_cfg,
+                                                     model_cls):
+        """Checkpoints save named_parameters() while Adam trains
+        parameters(); a parameter under an attribute name the walk does not
+        know would be trained but never saved."""
+        model = model_cls(tiny_cfg, seed=0)
+        named = [id(p) for p in model.named_parameters().values()]
+        trained = [id(p) for p in model.parameters()]
+        assert len(set(trained)) == len(trained)
+        assert sorted(named) == sorted(trained)
+
     def test_missing_marker_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint")
