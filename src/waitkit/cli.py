@@ -24,6 +24,7 @@ from .training import (
     synthetic_vocab,
     train,
 )
+from .transformer import LengthError
 from .waitk import streaming_decode
 
 EXIT_OK = 0
@@ -205,7 +206,7 @@ def main(argv=None):
     try:
         cfg = cfgmod.load_config(args.config, args.overrides)
         return COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, LengthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, IngestionError, CheckpointError) as exc:

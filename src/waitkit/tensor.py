@@ -4,7 +4,8 @@ Eager tensor library: every operation computes its result immediately and,
 when a Tape is active, appends a backward rule to it. Replaying the tape in
 reverse sums one delta per tensor and adds only the leaves' into .grad.
 Matrix products also feed a global multiply-accumulate counter so the
-benchmark harness can report hardware-independent costs.
+benchmark harness can report hardware-independent costs. Multi-head
+attention is one operation with one tape entry (attention), not a chain.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "embedding",
     "masked_cumulative_mean",
     "masked_softmax",
+    "attention",
     "layer_norm",
     "cross_entropy",
     "l2_distance_loss",
@@ -476,6 +478,33 @@ def masked_cumulative_mean(x):
 # Normalization and losses
 
 
+def _softmax(x, mask):
+    """Masked softmax of an array over its last axis; see masked_softmax."""
+    if mask is None:
+        m = x.max(axis=-1, keepdims=True)
+        e = np.exp(x - m)
+        return e / e.sum(axis=-1, keepdims=True)
+    keep = np.asarray(mask, dtype=bool)
+    try:
+        if np.broadcast_shapes(keep.shape, x.shape) != x.shape:
+            raise ValueError
+    except ValueError:
+        raise DimensionError(
+            f"mask shape {keep.shape} does not broadcast to scores {x.shape}"
+        ) from None
+    keep = np.broadcast_to(keep, x.shape)
+    neg = np.where(keep, x, -np.inf)
+    m = neg.max(axis=-1, keepdims=True)
+    safe_m = np.where(np.isfinite(m), m, 0.0)
+    e = np.where(keep, np.exp(x - safe_m), 0.0)
+    s = e.sum(axis=-1, keepdims=True)
+    return np.divide(e, s, out=np.zeros_like(e), where=s > 0.0)
+
+
+def _softmax_grad(p, d):
+    return p * (d - (d * p).sum(axis=-1, keepdims=True))
+
+
 def masked_softmax(scores, mask=None):
     """Softmax over the last axis restricted to unmasked positions.
 
@@ -483,33 +512,60 @@ def masked_softmax(scores, mask=None):
     Masked entries come out exactly 0.0; a fully masked row is all zeros.
     """
     scores = as_tensor(scores)
-    x = scores.values
-    if mask is None:
-        m = x.max(axis=-1, keepdims=True)
-        e = np.exp(x - m)
-        s = e.sum(axis=-1, keepdims=True)
-        p = e / s
-    else:
-        keep = np.asarray(mask, dtype=bool)
-        try:
-            if np.broadcast_shapes(keep.shape, x.shape) != x.shape:
-                raise ValueError
-        except ValueError:
-            raise DimensionError(
-                f"mask shape {keep.shape} does not broadcast to scores {x.shape}"
-            ) from None
-        keep = np.broadcast_to(keep, x.shape)
-        neg = np.where(keep, x, -np.inf)
-        m = neg.max(axis=-1, keepdims=True)
-        safe_m = np.where(np.isfinite(m), m, 0.0)
-        e = np.where(keep, np.exp(x - safe_m), 0.0)
-        s = e.sum(axis=-1, keepdims=True)
-        p = np.divide(e, s, out=np.zeros_like(e), where=s > 0.0)
+    p = _softmax(scores.values, mask)
     out = Tensor(p, scores.requires_grad)
+    _record(out, lambda d: ((scores, _softmax_grad(p, d)),))
+    return out
 
-    def rule(d):
-        inner = (d * p).sum(axis=-1, keepdims=True)
-        return ((scores, p * (d - inner)),)
+
+def attention(q, k, v, n_heads, scale, mask=None):
+    """Multi-head scaled dot-product attention as one recorded operation.
+
+    q [..., tq, d], k and v [..., tk, d] share their leading shape and split
+    into n_heads heads; mask broadcasts to the scores [..., heads, tq, tk]
+    (True keeps). Returns the merged heads [..., tq, d]. Values, gradients
+    and MACs equal, bit for bit, those of the chain of reshape, transpose,
+    matmul, scale and masked_softmax operations it replaces.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    *lead, tq, d = q.values.shape
+    tk = k.values.shape[-2]
+    if (k.values.shape != v.values.shape or d % n_heads
+            or k.values.shape != (*lead, tk, d)):
+        raise DimensionError(
+            f"attention shapes {q.shape}, {k.shape}, {v.shape} do not agree "
+            f"with {n_heads} heads"
+        )
+    dk = d // n_heads
+    nd = len(lead) + 3
+    heads = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)   # self-inverse
+    last = tuple(range(nd - 2)) + (nd - 1, nd - 2)
+
+    def split(x, t):
+        return x.reshape((*lead, t, n_heads, dk)).transpose(heads)
+
+    def merge(x, t):
+        return x.transpose(heads).reshape((*lead, t, d))
+
+    qh, kh, vh = split(q.values, tq), split(k.values, tk), split(v.values, tk)
+    kt = kh.transpose(last)
+    s = qh @ kt
+    mac_counter.count += s.size * dk
+    p = _softmax(s * scale, mask)
+    o = p @ vh
+    mac_counter.count += o.size * tk
+    out = Tensor(merge(o, tq),
+                 q.requires_grad or k.requires_grad or v.requires_grad)
+
+    def rule(dout):
+        do = split(dout, tq)
+        dp = do @ np.swapaxes(vh, -1, -2)
+        dv = np.swapaxes(p, -1, -2) @ do
+        ds = _softmax_grad(p, dp) * scale
+        dq = ds @ np.swapaxes(kt, -1, -2)
+        dkt = np.swapaxes(qh, -1, -2) @ ds
+        return ((q, merge(dq, tq)), (k, merge(dkt.transpose(last), tk)),
+                (v, merge(dv, tk)))
 
     _record(out, rule)
     return out

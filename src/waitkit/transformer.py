@@ -112,26 +112,8 @@ class LayerNorm:
         return [self.gain, self.bias]
 
 
-def _split_heads(x, n_heads):
-    # [..., t, d] -> [..., heads, t, d_k]
-    *lead, t, d = x.shape
-    x = T.reshape(x, (*lead, t, n_heads, d // n_heads))
-    nd = len(lead) + 3
-    axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-    return T.transpose(x, axes)
-
-
-def _merge_heads(x):
-    # [..., heads, t, d_k] -> [..., t, heads*d_k]
-    *lead, h, t, dk = x.shape
-    nd = len(lead) + 3
-    axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-    x = T.transpose(x, axes)
-    return T.reshape(x, (*lead, t, h * dk))
-
-
 class KVCache:
-    """Keys and values [b, heads, c, d_k] of every memory row attended so
+    """Projected keys and values [b, c, d] of every memory row attended so
     far; an attention call given the cache appends the rows it projects."""
 
     def __init__(self):
@@ -149,7 +131,8 @@ class KVCache:
 
 
 class MultiHeadAttention:
-    """Scaled dot-product attention with head split/merge and output proj."""
+    """Projections around one T.attention op: multi-head scaled dot-product
+    attention with head split and merge, then the output projection."""
 
     def __init__(self, rng, cfg):
         bound = 1.0 / math.sqrt(cfg.d_model)
@@ -168,14 +151,11 @@ class MultiHeadAttention:
         cached row. mask broadcasts to the score shape [..., heads, tq, c]
         over all c rows attended; True keeps.
         """
-        qh = _split_heads(self.wq(queries), self.n_heads)
-        kh = _split_heads(self.wk(memory), self.n_heads)
-        vh = _split_heads(self.wv(memory), self.n_heads)
+        # Tape order fixes the order in which a shared input's deltas sum.
+        q, k, v = self.wq(queries), self.wk(memory), self.wv(memory)
         if cache is not None:
-            kh, vh = cache.append(kh, vh)
-        scores = T.scale(T.matmul(qh, T.transpose_last(kh)), self.scale)
-        att = T.masked_softmax(scores, mask)
-        return self.wo(_merge_heads(T.matmul(att, vh)))
+            k, v = cache.append(k, v)
+        return self.wo(T.attention(q, k, v, self.n_heads, self.scale, mask))
 
     def attend_rows(self, queries, memory, mask, bridge, cache=None):
         """Attention where query row t attends over bridge[t] + memory[j].

@@ -124,6 +124,43 @@ def eager_backward(tape, loss):
                 deltas[key] = dt
 
 
+def _split_heads(x, n_heads):
+    # [..., t, d] -> [..., heads, t, d_k]
+    *lead, t, d = x.shape
+    x = T.reshape(x, (*lead, t, n_heads, d // n_heads))
+    nd = len(lead) + 3
+    axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
+    return T.transpose(x, axes)
+
+
+def _merge_heads(x):
+    # [..., heads, t, d_k] -> [..., t, heads*d_k]
+    *lead, h, t, dk = x.shape
+    nd = len(lead) + 3
+    axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
+    x = T.transpose(x, axes)
+    return T.reshape(x, (*lead, t, h * dk))
+
+
+def composed_attention(q, k, v, n_heads, scale, mask=None):
+    """Reference for T.attention: the chain of reshape, transpose, matmul,
+    scale and masked_softmax operations it fuses, one tape entry each."""
+    qh, kh, vh = (_split_heads(x, n_heads) for x in (q, k, v))
+    scores = T.scale(T.matmul(qh, T.transpose_last(kh)), scale)
+    att = T.masked_softmax(scores, mask)
+    return _merge_heads(T.matmul(att, vh))
+
+
+def composed_attention_call(attn, queries, memory, mask=None, cache=None):
+    """Reference for MultiHeadAttention.__call__ over composed_attention;
+    patch it in as the method to run a model on the unfused chain."""
+    q, k, v = attn.wq(queries), attn.wk(memory), attn.wv(memory)
+    if cache is not None:
+        k, v = cache.append(k, v)
+    return attn.wo(composed_attention(q, k, v, attn.n_heads, attn.scale,
+                                      mask))
+
+
 class EagerAdam:
     """Reference for training.Adam: one m/v pair and one update per
     parameter array, reading and writing each parameter's own buffers."""

@@ -7,13 +7,10 @@ import pytest
 
 from waitkit import tensor as T
 from waitkit.tensor import Tensor
-from waitkit.transformer import (
-    IncrementalModel,
-    ModelConfig,
-    _merge_heads,
-    _split_heads,
-)
+from waitkit.transformer import IncrementalModel, ModelConfig
 from waitkit.waitk import WaitKSchedule, build_masks, streaming_decode
+
+from conftest import _merge_heads, _split_heads
 
 
 def ref_attend_rows(attn, queries, row_memory, mask):

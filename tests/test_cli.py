@@ -127,6 +127,20 @@ class TestTrainEvalDecode:
         tokens = proc.stdout.split()
         assert all(tok.startswith("w") or tok.startswith("<") for tok in tokens)
 
+    def test_decode_source_longer_than_max_seq_len(self, trained):
+        """The model reads at most max_seq_len=64 source tokens; a longer
+        line ends in exit 2 with one error line, not a traceback."""
+        tmp_path, overrides = trained
+        line = " ".join(f"w{i % 12:02d}" for i in range(70))
+        proc = subprocess.run(
+            RUNNER + ["decode"] + overrides + ["test_k=66"],
+            input=line + "\n", capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), proc.stderr
+        assert "exceeds maximum 64" in err[0]
+
     def test_decode_matches_eval_streaming(self, trained):
         from waitkit.checkpoint import load_models
         from waitkit.waitk import streaming_decode
