@@ -141,6 +141,13 @@ def sentence_bleu(candidate, references, max_order=4):
     return float(100.0 * bp * np.exp(log_mean))
 
 
+def _clipped_matches(tokens, reference):
+    """Number of tokens the reference covers, each token's count clipped at
+    its count in the reference."""
+    ref_counts = Counter(reference)
+    return sum(min(c, ref_counts[tok]) for tok, c in Counter(tokens).items())
+
+
 def one_gram_score(set_tokens, reference_tokens):
     """Clipped unigram precision of a token set against a reference.
 
@@ -149,10 +156,7 @@ def one_gram_score(set_tokens, reference_tokens):
     set_tokens = list(set_tokens)
     if not set_tokens:
         return None
-    counts = Counter(set_tokens)
-    ref_counts = Counter(reference_tokens)
-    got = sum(min(c, ref_counts[tok]) for tok, c in counts.items())
-    return got / len(set_tokens)
+    return _clipped_matches(set_tokens, reference_tokens) / len(set_tokens)
 
 
 def present_absent_split(example, generated, alignment, k):
@@ -215,16 +219,10 @@ def evaluate_model(student, dataset, k, teacher=None, trace_path=None):
         if split is not None:
             have_alignments = True
             present, absent = split
-            ref_counts = Counter(ex.tgt)
-            for tokens_set, is_present in ((present, True), (absent, False)):
-                counts = Counter(tokens_set)
-                got = sum(min(c, ref_counts[t]) for t, c in counts.items())
-                if is_present:
-                    pr_match += got
-                    pr_total += len(tokens_set)
-                else:
-                    ab_match += got
-                    ab_total += len(tokens_set)
+            pr_match += _clipped_matches(present, ex.tgt)
+            pr_total += len(present)
+            ab_match += _clipped_matches(absent, ex.tgt)
+            ab_total += len(absent)
     if trace_path is not None:
         with open(trace_path, "w", encoding="utf-8") as fh:
             for trace in traces:

@@ -479,24 +479,34 @@ def masked_cumulative_mean(x):
 
 
 def _softmax(x, mask):
-    """Masked softmax of an array over its last axis; see masked_softmax."""
-    if mask is None:
-        m = x.max(axis=-1, keepdims=True)
-        e = np.exp(x - m)
-        return e / e.sum(axis=-1, keepdims=True)
-    keep = np.asarray(mask, dtype=bool)
-    try:
-        if np.broadcast_shapes(keep.shape, x.shape) != x.shape:
-            raise ValueError
-    except ValueError:
-        raise DimensionError(
-            f"mask shape {keep.shape} does not broadcast to scores {x.shape}"
-        ) from None
-    keep = np.broadcast_to(keep, x.shape)
+    """Masked softmax of an array over its last axis; see masked_softmax.
+
+    A mask that keeps every entry takes the unmasked path: a row of all
+    -inf scores comes out nan under it, as with no mask, and zeros under a
+    mask that drops some entry.
+    """
+    if mask is not None:
+        keep = np.asarray(mask, dtype=bool)
+        try:
+            if np.broadcast_shapes(keep.shape, x.shape) != x.shape:
+                raise ValueError
+        except ValueError:
+            raise DimensionError(
+                f"mask shape {keep.shape} does not broadcast to scores {x.shape}"
+            ) from None
+        if not keep.all():
+            return _partial_softmax(x, keep)
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _partial_softmax(x, keep):
+    """Softmax over the entries keep marks; exp(-inf) makes the rest 0."""
     neg = np.where(keep, x, -np.inf)
     m = neg.max(axis=-1, keepdims=True)
     safe_m = np.where(np.isfinite(m), m, 0.0)
-    e = np.where(keep, np.exp(x - safe_m), 0.0)
+    e = np.exp(neg - safe_m)
     s = e.sum(axis=-1, keepdims=True)
     return np.divide(e, s, out=np.zeros_like(e), where=s > 0.0)
 
@@ -580,9 +590,10 @@ def layer_norm(x, gain, bias, eps=1e-5):
             f"gain/bias must have shape ({d_last},), got "
             f"{gain.values.shape} and {bias.values.shape}"
         )
-    mu = x.values.mean(axis=-1, keepdims=True)
+    # sum / d is what np.mean computes, without its Python wrapper.
+    mu = x.values.sum(axis=-1, keepdims=True) / d_last
     xc = x.values - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d_last
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = Tensor(
@@ -597,8 +608,8 @@ def layer_norm(x, gain, bias, eps=1e-5):
         dxhat = d * gain.values
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - dxhat.sum(axis=-1, keepdims=True) / d_last
+            - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d_last)
         )
         return ((x, dx), (gain, dgain), (bias, dbias))
 

@@ -113,21 +113,30 @@ class LayerNorm:
 
 
 class KVCache:
-    """Projected keys and values [b, c, d] of every memory row attended so
-    far; an attention call given the cache appends the rows it projects."""
+    """Projected keys and values [..., c, d] of every memory row attended so
+    far, written in place into one buffer [2, ..., capacity, d]; an
+    attention call given the cache appends the rows it projects.
 
-    def __init__(self):
-        self.keys = self.values = None
+    For inference only: the buffer is not on the tape, so gradients would
+    not reach the rows cached by earlier calls.
+    """
+
+    def __init__(self, shape):
+        self._kv = np.empty((2, *shape))
+        self._n = 0
 
     def __len__(self):
-        return 0 if self.keys is None else self.keys.shape[-2]
+        return self._n
 
     def append(self, keys, values):
-        if self.keys is not None:
-            keys = T.concat([self.keys, keys], axis=-2)
-            values = T.concat([self.values, values], axis=-2)
-        self.keys, self.values = keys, values
-        return keys, values
+        if T._tape() is not None:
+            raise T.GradientError("KVCache.append under a recording tape")
+        n = self._n
+        m = n + keys.shape[-2]
+        self._kv[0, ..., n:m, :] = keys.values
+        self._kv[1, ..., n:m, :] = values.values
+        self._n = m
+        return Tensor(self._kv[0, ..., :m, :]), Tensor(self._kv[1, ..., :m, :])
 
 
 class MultiHeadAttention:
@@ -323,11 +332,15 @@ class DecoderCache:
     the read count of each cached row."""
 
     def __init__(self):
-        self.reset(0)
+        self.ids, self.gs, self.layers = [], [], []
 
-    def reset(self, n_layers):
+    def reset(self, cfg, memory_rows):
+        """Empty caches for up to cfg.max_len decoder rows over up to
+        memory_rows encoder rows, batch 1."""
         self.ids, self.gs = [], []
-        self.layers = [(KVCache(), KVCache()) for _ in range(n_layers)]
+        self.layers = [(KVCache((1, cfg.max_len, cfg.d_model)),
+                        KVCache((1, memory_rows, cfg.d_model)))
+                       for _ in range(cfg.n_layers)]
 
 
 class IncrementalStates:
@@ -465,7 +478,7 @@ class IncrementalModel:
         r = len(cache.ids)
         if (len(cache.layers) != self.cfg.n_layers or r >= t
                 or cache.ids != prefix[:r] or cache.gs != gs[:r]):
-            cache.reset(self.cfg.n_layers)
+            cache.reset(self.cfg, max(c, self.cfg.max_len))
             r = 0
         d = self.cfg.d_model
         new_gs = np.array(gs[r:])
@@ -505,7 +518,8 @@ class StreamingEncoder:
         cfg = model.cfg
         self.count = 0
         self.running_sum = np.zeros(cfg.d_model)
-        self._caches = [KVCache() for _ in range(cfg.n_layers)]
+        self._caches = [KVCache((1, cfg.max_len, cfg.d_model))
+                        for _ in range(cfg.n_layers)]
         self._z = np.zeros((cfg.max_len, cfg.d_model))
         self._f = np.zeros((cfg.max_len, cfg.d_model))
         self._decoder_cache = DecoderCache()
@@ -522,7 +536,7 @@ class StreamingEncoder:
             self.running_sum = self.running_sum + e.values[0, 0]
             self.count += 1
             mean = Tensor((self.running_sum / self.count)[None, :])
-            f_row = T.matmul(mean, T.transpose_last(self.model.bridge_w))
+            f_row = T.linear(mean, self.model.bridge_w)
         self._z[self.count - 1] = z_row.values[0, 0]
         self._f[self.count - 1] = f_row.values[0]
         return z_row.values[0, 0]

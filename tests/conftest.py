@@ -161,6 +161,65 @@ def composed_attention_call(attn, queries, memory, mask=None, cache=None):
                                       mask))
 
 
+def reference_softmax(x, mask):
+    """Reference for tensor._softmax: the masked softmax before all-visible
+    masks took the unmasked path."""
+    if mask is None:
+        m = x.max(axis=-1, keepdims=True)
+        e = np.exp(x - m)
+        return e / e.sum(axis=-1, keepdims=True)
+    keep = np.asarray(mask, dtype=bool)
+    try:
+        if np.broadcast_shapes(keep.shape, x.shape) != x.shape:
+            raise ValueError
+    except ValueError:
+        raise T.DimensionError(
+            f"mask shape {keep.shape} does not broadcast to scores {x.shape}"
+        ) from None
+    keep = np.broadcast_to(keep, x.shape)
+    neg = np.where(keep, x, -np.inf)
+    m = neg.max(axis=-1, keepdims=True)
+    safe_m = np.where(np.isfinite(m), m, 0.0)
+    e = np.where(keep, np.exp(x - safe_m), 0.0)
+    s = e.sum(axis=-1, keepdims=True)
+    return np.divide(e, s, out=np.zeros_like(e), where=s > 0.0)
+
+
+def reference_layer_norm(x, gain, bias, eps=1e-5):
+    """Reference for T.layer_norm: the version that called np.mean."""
+    x, gain, bias = T.as_tensor(x), T.as_tensor(gain), T.as_tensor(bias)
+    d_last = x.values.shape[-1]
+    if gain.values.shape != (d_last,) or bias.values.shape != (d_last,):
+        raise T.DimensionError(
+            f"gain/bias must have shape ({d_last},), got "
+            f"{gain.values.shape} and {bias.values.shape}"
+        )
+    mu = x.values.mean(axis=-1, keepdims=True)
+    xc = x.values - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = Tensor(
+        xhat * gain.values + bias.values,
+        x.requires_grad or gain.requires_grad or bias.requires_grad,
+    )
+
+    def rule(d):
+        lead = tuple(range(d.ndim - 1))
+        dgain = (d * xhat).sum(axis=lead)
+        dbias = d.sum(axis=lead)
+        dxhat = d * gain.values
+        dx = inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+        return ((x, dx), (gain, dgain), (bias, dbias))
+
+    T._record(out, rule)
+    return out
+
+
 class EagerAdam:
     """Reference for training.Adam: one m/v pair and one update per
     parameter array, reading and writing each parameter's own buffers."""

@@ -221,3 +221,33 @@ def test_long_decode_mac_budget():
     macs = T.mac_counter.count - before
     assert len(tokens) == 63
     assert macs <= 15e6, macs
+
+
+def test_long_decode_op_budget(monkeypatch):
+    """A 48-token k=1 decode at the decode_long benchmark shape never copies
+    a cache with concat and never takes the masked softmax branch: every
+    decoder row's self and cross masks keep all the rows cached so far."""
+    cfg = ModelConfig(n_layers=2, d_model=64, n_heads=4, d_ff=64,
+                      src_vocab=32, tgt_vocab=32, max_len=64, k=1)
+    model = IncrementalModel(cfg, seed=0)
+    src = np.random.default_rng(37).integers(4, 32, size=48).tolist()
+    calls = {"concat": 0, "_partial_softmax": 0}
+
+    def counting(name):
+        fn = getattr(T, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(T, name, counting(name))
+    tokens, _ = streaming_decode(model, src, 1, max_len=48, eos_id=-1)
+    assert len(tokens) == 48
+    assert calls == {"concat": 0, "_partial_softmax": 0}
+    # The wrapper does see the masked branch: a batched pass's causal and
+    # wait-k masks drop entries.
+    with T.no_grad():
+        model.forward(np.array([src]), np.array([[1] + tokens[:-1]]), 1)
+    assert calls["_partial_softmax"] > 0

@@ -1,0 +1,132 @@
+"""The per-emission overhead cuts of the cached decode against copies of the
+code they replace (conftest): the unmasked softmax for masks that keep every
+entry, layer_norm without np.mean, and the write-in-place, inference-only
+KVCache."""
+
+import numpy as np
+import pytest
+
+from waitkit import tensor as T
+from waitkit.tensor import Tensor
+from waitkit.transformer import IncrementalModel, KVCache, ModelConfig
+
+from conftest import reference_layer_norm, reference_softmax
+
+MASK_KINDS = ("none", "all_true", "broadcast", "mixed", "fully_masked_rows")
+
+
+def random_scores(rng, kind):
+    """Scores [*lead, tq, tk] with 0-2 leading dims and a mask of the given
+    kind that broadcasts to them."""
+    lead = tuple(int(s) for s in rng.integers(1, 4, size=rng.integers(0, 3)))
+    tq, tk = (int(s) for s in rng.integers(1, 7, size=2))
+    x = rng.normal(scale=3.0, size=(*lead, tq, tk))
+    if kind == "none":
+        return x, None
+    if kind == "all_true":
+        shape = [(tq, tk), (1, tk), (tq, 1), x.shape][rng.integers(0, 4)]
+        return x, np.ones(shape, dtype=bool)
+    if kind == "mixed":
+        return x, rng.random(x.shape) < 0.5
+    mask = rng.random((tq, tk)) < 0.6                 # broadcast 2-D mask
+    mask[:, 0] = True
+    if kind == "fully_masked_rows":
+        mask[rng.integers(0, tq)] = False
+    return x, mask
+
+
+@pytest.mark.parametrize("kind", MASK_KINDS)
+def test_softmax_equals_reference(kind):
+    rng = np.random.default_rng(MASK_KINDS.index(kind))
+    for _ in range(40):
+        x, mask = random_scores(rng, kind)
+        got = T.masked_softmax(Tensor(x), mask).values
+        assert np.array_equal(got, reference_softmax(x, mask))
+
+
+def test_mask_shape_still_checked():
+    x = np.zeros((2, 3, 4))
+    for shape in [(4, 3), (3, 3), (2, 2, 3, 4), (5,)]:
+        for mask in (np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)):
+            with pytest.raises(T.DimensionError):
+                T.masked_softmax(Tensor(x), mask)
+
+
+def test_all_true_mask_on_all_minus_inf_row_gives_nan():
+    """The one behaviour change: a row of all -inf scores under a mask that
+    keeps every entry comes out nan, as with no mask, instead of zeros. A
+    mask that drops some entry still gives such a row zeros."""
+    x = np.array([[-np.inf] * 3, [0.0, 1.0, 2.0]])
+    keep = np.ones((2, 3), dtype=bool)
+    with np.errstate(invalid="ignore"):
+        got = T.masked_softmax(Tensor(x), keep).values
+        unmasked = T.masked_softmax(Tensor(x)).values
+        old = reference_softmax(x, keep)
+        partial = T.masked_softmax(Tensor(x), [[True] * 3, [True, True, False]])
+    assert np.isnan(got[0]).all()
+    assert np.array_equal(got, unmasked, equal_nan=True)
+    assert np.array_equal(old[0], np.zeros(3))
+    assert np.array_equal(got[1], old[1])
+    assert np.array_equal(partial.values[0], np.zeros(3))
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 4)])
+def test_layer_norm_equals_reference(lead):
+    rng = np.random.default_rng(len(lead))
+    for _ in range(20):
+        d = int(rng.integers(1, 9))
+        values = rng.normal(scale=rng.uniform(0.1, 5.0), size=(*lead, d))
+        w = rng.normal(size=(*lead, d))
+        gain_v, bias_v = rng.normal(size=d), rng.normal(size=d)
+        results = []
+        for layer_norm in (T.layer_norm, reference_layer_norm):
+            x = Tensor(values, requires_grad=True)
+            gain = Tensor(gain_v, requires_grad=True)
+            bias = Tensor(bias_v, requires_grad=True)
+            with T.Tape() as tape:
+                out = layer_norm(x, gain, bias)
+                tape.backward(T.tsum(T.mul(out, Tensor(w))))
+            results.append([out.values, x.grad, gain.grad, bias.grad])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lead", [(1,), (2,)])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_kv_cache_returns_concatenation_of_appends(lead, rows):
+    rng = np.random.default_rng(rows)
+    capacity, d = 10, 4
+    cache = KVCache((*lead, capacity, d))
+    keys, values, returned = [], [], []
+    while len(cache) < capacity:
+        m = min(rows, capacity - len(cache))
+        keys.append(rng.normal(size=(*lead, m, d)))
+        values.append(rng.normal(size=(*lead, m, d)))
+        with T.no_grad():
+            k, v = cache.append(Tensor(keys[-1]), Tensor(values[-1]))
+        returned.append((k, v))
+        assert len(cache) == sum(x.shape[-2] for x in keys)
+        assert np.array_equal(k.values, np.concatenate(keys, axis=-2))
+        assert np.array_equal(v.values, np.concatenate(values, axis=-2))
+    # Later appends write past the rows an earlier call was handed.
+    for i, (k, v) in enumerate(returned):
+        assert np.array_equal(k.values, np.concatenate(keys[:i + 1], axis=-2))
+        assert np.array_equal(v.values, np.concatenate(values[:i + 1], axis=-2))
+
+
+def test_cached_decode_refuses_a_recording_tape():
+    """The cache is not on the tape, so a decode_step recorded for backward
+    would give wk/wv no gradient for the rows cached earlier: it raises."""
+    cfg = ModelConfig(n_layers=2, d_model=16, n_heads=4, d_ff=24,
+                      src_vocab=20, tgt_vocab=20, max_len=32, k=2)
+    model = IncrementalModel(cfg, seed=1)
+    src = [4, 9, 7, 12, 5]
+    states = model.incremental_states(src)
+    with T.Tape():
+        with pytest.raises(T.GradientError):
+            model.decode_step([1, 6], states, 3)
+    with T.no_grad():
+        got = model.decode_step([1, 6], states, 3).values
+        want = model.decode_step([1, 6], model.incremental_states(src),
+                                 3).values
+    assert np.array_equal(got, want)

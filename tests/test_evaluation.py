@@ -1,6 +1,7 @@
 """BLEU, read/unread unigram accuracy, report aggregation, k-matrix."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from waitkit.evaluation import (
 )
 from waitkit.training import ParallelExample, SyntheticTaskSpec, generate_synthetic
 from waitkit.transformer import IncrementalModel, TeacherModel
+from waitkit.waitk import streaming_decode
 
 
 class TestCorpusBleu:
@@ -215,6 +217,28 @@ class TestEvaluateAndMatrix:
         assert report.corpus_bleu >= 0.0
         assert report.sentences == 10
         assert np.isnan(report.mean_hidden_l2)
+
+    def test_pooled_unigram_accuracies_match_inline_loop(self, tiny_cfg):
+        """evaluate_model pools each sentence's clipped present and absent
+        counts; the loop it used to inline gives the same fractions."""
+        spec = SyntheticTaskSpec(kind="lagged_map", vocab_size=8, min_len=4,
+                                 max_len=9, lag=2, seed=6)
+        dataset = generate_synthetic(spec, 30)
+        student = IncrementalModel(tiny_cfg, seed=31)
+        report = evaluate_model(student, dataset, 2)
+        match, total = [0, 0], [0, 0]
+        for ex in dataset:
+            tokens, _ = streaming_decode(student, ex.src, 2)
+            split = present_absent_split(ex, tokens, ex.alignment, 2)
+            ref_counts = Counter(ex.tgt)
+            for i, tokens_set in enumerate(split):
+                counts = Counter(tokens_set)
+                match[i] += sum(min(c, ref_counts[t])
+                                for t, c in counts.items())
+                total[i] += len(tokens_set)
+        assert min(match) > 0
+        assert report.present_1gram == match[0] / total[0]
+        assert report.absent_1gram == match[1] / total[1]
 
     def test_traces_written(self, tiny_cfg, tmp_path):
         student = IncrementalModel(tiny_cfg, seed=31)
