@@ -3,28 +3,34 @@
 Three encoder variants over a shared from-scratch autodiff core: the
 per-step recompute baseline, the cache-friendly causal encoder with an
 averaged-embedding bridge, and a full-sentence teacher used for
-hidden-state distillation during joint training.
+hidden-state distillation during joint training. Both models encode with
+one `encode` and name their own parameters; every error a run reports
+derives from WaitkitError, which carries the command line's exit code.
 """
 
 from . import tensor
 from .bench import BenchResult, bench_forward, scaling_sweep
-from .checkpoint import CheckpointError, load_models, save_models
+from .checkpoint import load_models, save_models
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    IngestionError,
+    LengthError,
+    NumericalError,
+    ScheduleError,
+    WaitkitError,
+)
 from .evaluation import (
     EvalReport,
     corpus_bleu,
     evaluate_model,
     hidden_distance_stats,
     k_matrix,
-    one_gram_score,
     present_absent_split,
-    sentence_bleu,
 )
 from .tensor import Tape, Tensor, no_grad
 from .training import (
     Adam,
-    ConfigError,
-    IngestionError,
-    NumericalError,
     ParallelExample,
     SyntheticTaskSpec,
     TrainConfig,
@@ -40,18 +46,14 @@ from .transformer import (
     EncoderOutput,
     IncrementalModel,
     IncrementalStates,
-    LengthError,
     ModelConfig,
     StreamingEncoder,
     TeacherModel,
     average_embedding_states,
-    encode_bidirectional,
-    encode_unidirectional,
     encode_waitk_recompute,
 )
 from .waitk import (
     DecodeTrace,
-    ScheduleError,
     WaitKSchedule,
     average_lagging,
     build_masks,

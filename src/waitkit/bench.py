@@ -17,15 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .errors import ConfigError
 from .tensor import no_grad
-from .training import ConfigError, N_RESERVED
-from .transformer import (
-    IncrementalModel,
-    TeacherModel,
-    average_embedding_states,
-    encode_bidirectional,
-    encode_waitk_recompute,
-)
+from .training import N_RESERVED
+from .transformer import IncrementalModel, TeacherModel, encode_waitk_recompute
 from .waitk import WaitKSchedule
 
 VARIANTS = ("baseline_bi", "incremental_ael", "offline")
@@ -84,7 +79,7 @@ def _make_runner(variant, cfg, n, k, t_steps, batch, seed):
 
         def run():
             for row in tokens:
-                encode_bidirectional(model.encoder, row)
+                model.encode(row)
 
     elif variant == "baseline_bi":
         model = TeacherModel(cfg, seed=seed)
@@ -98,10 +93,7 @@ def _make_runner(variant, cfg, n, k, t_steps, batch, seed):
 
         def run():
             for row in tokens:
-                z, e = model.encoder.forward(row[None, :], causal=True)
-                average_embedding_states(
-                    T.tslice(e, (0,)), T.tslice(z, (0,)), model.bridge_w
-                )
+                model.incremental_states(row)
 
     else:
         raise ConfigError(

@@ -9,19 +9,17 @@ payload. Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
 
+from .errors import CheckpointError
 from .training import Vocabulary
 from .transformer import IncrementalModel, ModelConfig, TeacherModel
 
 MAGIC = "waitkit-checkpoint"
 VERSION = 1
-
-
-class CheckpointError(ValueError):
-    """Malformed or inconsistent checkpoint file."""
 
 
 def save_checkpoint(path, model_cfg, src_vocab, tgt_vocab, named_params,
@@ -37,7 +35,7 @@ def save_checkpoint(path, model_cfg, src_vocab, tgt_vocab, named_params,
     digest = hashlib.sha256(bytes(payload)).hexdigest()
 
     lines = [f"{MAGIC} v{VERSION}"]
-    for key, value in model_cfg.to_dict().items():
+    for key, value in dataclasses.asdict(model_cfg).items():
         lines.append(f"{key}={value}")
     for key, value in (meta or {}).items():
         lines.append(f"{key}={value}")
@@ -105,17 +103,15 @@ def load_checkpoint(path):
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} trailing bytes")
 
-    cfg_keys = ModelConfig().to_dict()
-    config = {key: int(fields.pop(key)) for key in cfg_keys if key in fields}
+    config = {f.name: int(fields.pop(f.name))
+              for f in dataclasses.fields(ModelConfig) if f.name in fields}
     return config, fields, vocab_src, vocab_tgt, arrays
 
 
 def save_models(path, teacher, student, src_vocab, tgt_vocab, meta=None):
     """Bundle a trained teacher/student pair into one checkpoint."""
-    named = {}
-    for prefix, model in (("teacher", teacher), ("student", student)):
-        for name, tensor in model.named_parameters().items():
-            named[f"{prefix}.{name}"] = tensor
+    named = {**teacher.named_parameters("teacher."),
+             **student.named_parameters("student.")}
     save_checkpoint(path, student.cfg, src_vocab, tgt_vocab, named, meta)
 
 
@@ -128,16 +124,15 @@ def load_models(path):
     cfg = ModelConfig(**config)
     teacher = TeacherModel(cfg, seed=0)
     student = IncrementalModel(cfg, seed=0)
-    for prefix, model in (("teacher", teacher), ("student", student)):
-        named = model.named_parameters()
-        for name, tensor in named.items():
-            key = f"{prefix}.{name}"
-            if key not in arrays:
-                raise CheckpointError(f"{path}: missing parameter {key}")
-            if arrays[key].shape != tensor.values.shape:
-                raise CheckpointError(
-                    f"{path}: {key} has shape {arrays[key].shape}, "
-                    f"expected {tensor.values.shape}"
-                )
-            tensor.values[...] = arrays[key]
+    named = {**teacher.named_parameters("teacher."),
+             **student.named_parameters("student.")}
+    for key, tensor in named.items():
+        if key not in arrays:
+            raise CheckpointError(f"{path}: missing parameter {key}")
+        if arrays[key].shape != tensor.values.shape:
+            raise CheckpointError(
+                f"{path}: {key} has shape {arrays[key].shape}, "
+                f"expected {tensor.values.shape}"
+            )
+        tensor.values[...] = arrays[key]
     return teacher, student, vocab_src, vocab_tgt, meta

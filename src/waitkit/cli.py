@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, train, eval, k-matrix, bench, decode. Every command
 takes --config plus trailing key=value overrides. Exit codes: 0 success,
-2 usage or configuration error, 3 I/O error, 4 numeric failure.
+2 usage or configuration error, 3 I/O error, 4 numeric failure; a
+WaitkitError carries its own (see errors.py).
 """
 
 from __future__ import annotations
@@ -13,24 +14,15 @@ import sys
 
 from . import config as cfgmod
 from .bench import scaling_sweep, write_bench_csv
-from .checkpoint import CheckpointError, load_models, save_models
+from .checkpoint import load_models, save_models
+from .errors import CheckpointError, ConfigError, WaitkitError
 from .evaluation import evaluate_model, k_matrix
-from .training import (
-    ConfigError,
-    IngestionError,
-    NumericalError,
-    generate_synthetic,
-    load_corpus,
-    synthetic_vocab,
-    train,
-)
-from .transformer import LengthError
+from .training import generate_synthetic, load_corpus, synthetic_vocab, train
 from .waitk import streaming_decode
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_NUMERIC = 4
 
 
 def _load_synthetic(cfg, split):
@@ -206,15 +198,12 @@ def main(argv=None):
     try:
         cfg = cfgmod.load_config(args.config, args.overrides)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, LengthError) as exc:
+    except WaitkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, IngestionError, CheckpointError) as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 def entry():

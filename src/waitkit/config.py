@@ -7,7 +7,8 @@ both places.
 
 from __future__ import annotations
 
-from .training import ConfigError, MODES, SyntheticTaskSpec, TrainConfig
+from .errors import ConfigError
+from .training import MODES, SyntheticTaskSpec, TrainConfig
 from .transformer import ModelConfig
 
 

@@ -111,52 +111,11 @@ def corpus_bleu(candidates, references, max_order=4):
     return float(100.0 * bp * np.exp(log_mean))
 
 
-def sentence_bleu(candidate, references, max_order=4):
-    """Sentence-level BLEU with epsilon smoothing on zero precisions of
-    order two and above."""
-    candidate = list(candidate)
-    if not candidate:
-        return 0.0
-    precisions = []
-    for order in range(1, max_order + 1):
-        counts = _ngram_counts(candidate, order)
-        total = sum(counts.values())
-        clip = Counter()
-        for ref in references:
-            for gram, c in _ngram_counts(list(ref), order).items():
-                if c > clip[gram]:
-                    clip[gram] = c
-        got = sum(min(c, clip[gram]) for gram, c in counts.items())
-        p = got / total if total else 0.0
-        if p == 0.0:
-            if order == 1:
-                return 0.0
-            p = BLEU_EPSILON
-        precisions.append(p)
-    log_mean = sum(np.log(p) for p in precisions) / max_order
-    ref_len = _closest_ref_len(len(candidate), references)
-    bp = 1.0 if len(candidate) > ref_len else float(
-        np.exp(1.0 - ref_len / len(candidate))
-    )
-    return float(100.0 * bp * np.exp(log_mean))
-
-
 def _clipped_matches(tokens, reference):
     """Number of tokens the reference covers, each token's count clipped at
     its count in the reference."""
     ref_counts = Counter(reference)
     return sum(min(c, ref_counts[tok]) for tok, c in Counter(tokens).items())
-
-
-def one_gram_score(set_tokens, reference_tokens):
-    """Clipped unigram precision of a token set against a reference.
-
-    Returns None for an empty set (reported as absent, not zero).
-    """
-    set_tokens = list(set_tokens)
-    if not set_tokens:
-        return None
-    return _clipped_matches(set_tokens, reference_tokens) / len(set_tokens)
 
 
 def present_absent_split(example, generated, alignment, k):

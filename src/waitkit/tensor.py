@@ -44,7 +44,6 @@ __all__ = [
     "cross_entropy",
     "l2_distance_loss",
     "tsum",
-    "tmean",
     "detach",
 ]
 
@@ -684,14 +683,6 @@ def tsum(x):
     x = as_tensor(x)
     out = Tensor(x.values.sum(), x.requires_grad)
     _record(out, lambda d: ((x, np.full_like(x.values, float(d))),))
-    return out
-
-
-def tmean(x):
-    x = as_tensor(x)
-    size = x.values.size
-    out = Tensor(x.values.mean(), x.requires_grad)
-    _record(out, lambda d: ((x, np.full_like(x.values, float(d) / size)),))
     return out
 
 

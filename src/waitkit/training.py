@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .errors import ConfigError, IngestionError, NumericalError
 from .tensor import Tape, no_grad
 from .transformer import IncrementalModel, TeacherModel
 from .waitk import BOS_ID, EOS_ID
@@ -29,18 +30,6 @@ FILLER_ID = 3
 N_RESERVED = 4
 
 MODES = ("joint", "pretrain_fixed_teacher")
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration."""
-
-
-class IngestionError(ValueError):
-    """Corpus files cannot be loaded as a parallel dataset."""
-
-
-class NumericalError(RuntimeError):
-    """Training produced a non-finite quantity."""
 
 
 @dataclass
@@ -63,6 +52,8 @@ class TrainConfig:
             raise ConfigError("lambda must be >= 0")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -158,8 +149,8 @@ def load_corpus(src_path, tgt_path, src_vocab=None, tgt_vocab=None):
     """Whitespace-tokenized parallel text files, one sentence per line.
 
     Vocabularies are built by frequency unless supplied. Pairs where either
-    side is empty are skipped and counted. Returns (examples, src_vocab,
-    tgt_vocab, skipped).
+    side is empty are skipped and counted; raises IngestionError when no
+    pair is left. Returns (examples, src_vocab, tgt_vocab, skipped).
     """
     with open(src_path, encoding="utf-8") as fh:
         src_lines = fh.read().splitlines()
@@ -180,6 +171,10 @@ def load_corpus(src_path, tgt_path, src_vocab=None, tgt_vocab=None):
         pairs.append((s_toks, t_toks))
     if skipped:
         logger.warning("skipped %d empty line pair(s)", skipped)
+    if not pairs:
+        raise IngestionError(
+            f"no line pair of {src_path} and {tgt_path} has tokens on both "
+            "sides")
     if src_vocab is None:
         src_vocab = build_vocab(p[0] for p in pairs)
     if tgt_vocab is None:

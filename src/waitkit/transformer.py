@@ -7,6 +7,7 @@ layer cross-attends to causal states augmented with a projected running mean
 of the consumed input embeddings.
 
 All model forwards are batch-first; single-sentence helpers wrap batch 1.
+Every layer and model is a Module, which names its own parameters.
 """
 
 from __future__ import annotations
@@ -17,12 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .errors import LengthError, NumericalError, ScheduleError
 from .tensor import Tensor
-from .waitk import WaitKSchedule, ScheduleError, build_masks
-
-
-class LengthError(ValueError):
-    """Input longer than the configured maximum sequence length."""
+from .waitk import WaitKSchedule, build_masks
 
 
 @dataclass
@@ -52,18 +50,6 @@ class ModelConfig:
     def d_k(self):
         return self.d_model // self.n_heads
 
-    def to_dict(self):
-        return {
-            "n_layers": self.n_layers,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "src_vocab": self.src_vocab,
-            "tgt_vocab": self.tgt_vocab,
-            "max_len": self.max_len,
-            "k": self.k,
-        }
-
 
 @dataclass
 class EncoderOutput:
@@ -88,7 +74,29 @@ def uniform_init(rng, shape, bound):
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
-class Linear:
+class Module:
+    """Names its parameters after the attributes that hold them."""
+
+    def named_parameters(self, prefix=""):
+        """{name: Tensor} of every Tensor attribute and, recursively, of
+        every Module attribute or list of Modules, depth first in attribute
+        order; list items are named by index."""
+        named = {}
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor):
+                named[prefix + attr] = value
+            elif isinstance(value, Module):
+                named.update(value.named_parameters(f"{prefix}{attr}."))
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    named.update(item.named_parameters(f"{prefix}{attr}.{i}."))
+        return named
+
+    def parameters(self):
+        return list(self.named_parameters().values())
+
+
+class Linear(Module):
     def __init__(self, rng, n_out, n_in, bound, bias=True):
         self.w = uniform_init(rng, (n_out, n_in), bound)
         self.b = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
@@ -96,20 +104,14 @@ class Linear:
     def __call__(self, x):
         return T.linear(x, self.w, self.b)
 
-    def parameters(self):
-        return [self.w] if self.b is None else [self.w, self.b]
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, d):
         self.gain = Tensor(np.ones(d), requires_grad=True)
         self.bias = Tensor(np.zeros(d), requires_grad=True)
 
     def __call__(self, x):
         return T.layer_norm(x, self.gain, self.bias)
-
-    def parameters(self):
-        return [self.gain, self.bias]
 
 
 class KVCache:
@@ -139,7 +141,7 @@ class KVCache:
         return Tensor(self._kv[0, ..., :m, :]), Tensor(self._kv[1, ..., :m, :])
 
 
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Projections around one T.attention op: multi-head scaled dot-product
     attention with head split and merge, then the output projection."""
 
@@ -177,12 +179,8 @@ class MultiHeadAttention:
         shift = T.linear(T.linear(bridge, self.wv.w), self.wo.w)
         return T.add(self(queries, memory, mask, cache), shift)
 
-    def parameters(self):
-        return (self.wq.parameters() + self.wk.parameters()
-                + self.wv.parameters() + self.wo.parameters())
 
-
-class FeedForward:
+class FeedForward(Module):
     def __init__(self, rng, cfg):
         bound = 1.0 / math.sqrt(cfg.d_model)
         self.w1 = Linear(rng, cfg.d_ff, cfg.d_model, bound)
@@ -191,11 +189,8 @@ class FeedForward:
     def __call__(self, x):
         return self.w2(T.relu(self.w1(x)))
 
-    def parameters(self):
-        return self.w1.parameters() + self.w2.parameters()
 
-
-class EncoderLayer:
+class EncoderLayer(Module):
     """Pre-norm self-attention block followed by a pre-norm feed-forward."""
 
     def __init__(self, rng, cfg):
@@ -209,12 +204,8 @@ class EncoderLayer:
         x = T.add(x, self.attn(h, h, mask, cache))
         return T.add(x, self.ff(self.ln2(x)))
 
-    def parameters(self):
-        return (self.ln1.parameters() + self.attn.parameters()
-                + self.ln2.parameters() + self.ff.parameters())
 
-
-class _Stack:
+class _Stack(Module):
     """Scaled token embedding plus fixed positions, under a layer stack."""
 
     def __init__(self, rng, cfg, vocab, layer):
@@ -235,12 +226,6 @@ class _Stack:
             )
         e = T.scale(T.embedding(self.embed, ids), self.emb_scale)
         return T.add(e, Tensor(self.pe[start:end]))
-
-    def parameters(self):
-        params = [self.embed]
-        for layer in self.layers:
-            params += layer.parameters()
-        return params + self.final_ln.parameters()
 
 
 class Encoder(_Stack):
@@ -263,7 +248,7 @@ class Encoder(_Stack):
         return self.final_ln(x), e
 
 
-class DecoderLayer:
+class DecoderLayer(Module):
     def __init__(self, rng, cfg):
         self.ln1 = LayerNorm(cfg.d_model)
         self.self_attn = MultiHeadAttention(rng, cfg)
@@ -283,11 +268,6 @@ class DecoderLayer:
             x = T.add(x, self.cross_attn.attend_rows(h, memory, cross_mask,
                                                      bridge, cache[1]))
         return T.add(x, self.ff(self.ln3(x)))
-
-    def parameters(self):
-        return (self.ln1.parameters() + self.self_attn.parameters()
-                + self.ln2.parameters() + self.cross_attn.parameters()
-                + self.ln3.parameters() + self.ff.parameters())
 
 
 class Decoder(_Stack):
@@ -317,9 +297,6 @@ class Decoder(_Stack):
             x = layer(x, memory, self_mask, cross_mask,
                       bridge if i == last else None, kv)
         return self.out(self.final_ln(x))
-
-    def parameters(self):
-        return super().parameters() + self.out.parameters()
 
 
 # ----------------------------------------------------------------------
@@ -378,8 +355,26 @@ def average_embedding_states(inputs, states, weight):
 # Whole models
 
 
-class TeacherModel:
+class _Model(Module):
+    """An encoder and a decoder; causal says whether encoder position i
+    attends to positions <= i only."""
+
+    causal: bool
+
+    def encode(self, ids):
+        """Encoder states of one sentence; raises NumericalError if any is
+        not finite."""
+        z, _ = self.encoder.forward(np.asarray(ids)[None, :], self.causal)
+        out = T.tslice(z, (0,))
+        if not np.isfinite(out.values).all():
+            raise NumericalError("non-finite encoder states")
+        return EncoderOutput(out, len(ids))
+
+
+class TeacherModel(_Model):
     """Full-sentence transformer: bidirectional encoder, plain decoder."""
+
+    causal = False
 
     def __init__(self, cfg, seed=0):
         rng = np.random.default_rng(seed)
@@ -392,28 +387,15 @@ class TeacherModel:
 
         Returns (logits [b, t, vocab], encoder states [b, n, d]).
         """
-        z, _ = self.encoder.forward(np.asarray(src_ids), causal=False)
+        z, _ = self.encoder.forward(np.asarray(src_ids), self.causal)
         logits = self.decoder.forward(np.asarray(tgt_ids), z)
         return logits, z
 
-    def encode(self, ids):
-        """Full-sentence encoding of one sentence."""
-        z, _ = self.encoder.forward(np.asarray(ids)[None, :], causal=False)
-        out = T.tslice(z, (0,))
-        if not np.isfinite(out.values).all():
-            raise FloatingPointError("non-finite encoder states")
-        return EncoderOutput(out, len(ids))
 
-    def parameters(self):
-        return self.encoder.parameters() + self.decoder.parameters()
-
-    def named_parameters(self):
-        return _name_params(
-            encoder=self.encoder, decoder=self.decoder)
-
-
-class IncrementalModel:
+class IncrementalModel(_Model):
     """Causal encoder plus a decoder bridged by averaged input embeddings."""
+
+    causal = True
 
     def __init__(self, cfg, seed=0):
         rng = np.random.default_rng(seed)
@@ -436,7 +418,7 @@ class IncrementalModel:
         schedule = WaitKSchedule(k, n)
         _, cross = build_masks(schedule, t)
 
-        z, e = self.encoder.forward(src_ids, causal=True)
+        z, e = self.encoder.forward(src_ids, self.causal)
         means = T.masked_cumulative_mean(e)
         f = T.matmul(means, T.transpose_last(self.bridge_w))   # [b, n, d]
         g_idx = np.array([schedule.read_count(s) - 1 for s in range(1, t + 1)])
@@ -444,17 +426,9 @@ class IncrementalModel:
         logits = self.decoder.forward(tgt_ids, z, cross, bridge)
         return logits, z
 
-    def encode(self, ids):
-        """Causal encoding of one sentence."""
-        z, _ = self.encoder.forward(np.asarray(ids)[None, :], causal=True)
-        out = T.tslice(z, (0,))
-        if not np.isfinite(out.values).all():
-            raise FloatingPointError("non-finite encoder states")
-        return EncoderOutput(out, len(ids))
-
     def incremental_states(self, ids):
         """One-shot causal encoding packaged with the averaging bridge."""
-        z, e = self.encoder.forward(np.asarray(ids)[None, :], causal=True)
+        z, e = self.encoder.forward(np.asarray(ids)[None, :], self.causal)
         return average_embedding_states(
             T.tslice(e, (0,)), T.tslice(z, (0,)), self.bridge_w)
 
@@ -494,15 +468,6 @@ class IncrementalModel:
 
     def start_stream(self):
         return StreamingEncoder(self)
-
-    def parameters(self):
-        return (self.encoder.parameters() + self.decoder.parameters()
-                + [self.bridge_w])
-
-    def named_parameters(self):
-        named = _name_params(encoder=self.encoder, decoder=self.decoder)
-        named["bridge_w"] = self.bridge_w
-        return named
 
 
 class StreamingEncoder:
@@ -555,48 +520,8 @@ class StreamingEncoder:
                                  self._decoder_cache)
 
 
-def _name_params(**groups):
-    named = {}
-    for prefix, module in groups.items():
-        stack = [(prefix, module)]
-        for name, mod in stack:
-            if isinstance(mod, Tensor):
-                named[name] = mod
-                continue
-            if isinstance(mod, list):
-                for i, item in enumerate(mod):
-                    stack.append((f"{name}.{i}", item))
-                continue
-            for attr in ("embed", "w", "b", "gain", "bias", "layers", "ln1",
-                         "ln2", "ln3", "attn", "self_attn", "cross_attn",
-                         "ff", "wq", "wk", "wv", "wo", "w1", "w2",
-                         "final_ln", "out"):
-                child = getattr(mod, attr, None)
-                if child is not None:
-                    stack.append((f"{name}.{attr}", child))
-    return named
-
-
 # ----------------------------------------------------------------------
-# Encoder-variant surfaces
-
-
-def encode_bidirectional(encoder, ids):
-    """Full self-attention encoding of one sentence."""
-    z, _ = encoder.forward(np.asarray(ids)[None, :], causal=False)
-    out = T.tslice(z, (0,))
-    if not np.isfinite(out.values).all():
-        raise FloatingPointError("non-finite encoder states")
-    return EncoderOutput(out, len(ids))
-
-
-def encode_unidirectional(encoder, ids):
-    """Causal encoding; position i attends to positions <= i only."""
-    z, _ = encoder.forward(np.asarray(ids)[None, :], causal=True)
-    out = T.tslice(z, (0,))
-    if not np.isfinite(out.values).all():
-        raise FloatingPointError("non-finite encoder states")
-    return EncoderOutput(out, len(ids))
+# Recompute baseline
 
 
 def encode_waitk_recompute(encoder, ids, schedule, t_steps):

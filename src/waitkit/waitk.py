@@ -13,14 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ScheduleError
 from .tensor import no_grad
 
 BOS_ID = 1
 EOS_ID = 2
-
-
-class ScheduleError(ValueError):
-    """A step or prefix length outside the schedule's domain."""
 
 
 @dataclass

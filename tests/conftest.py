@@ -124,6 +124,33 @@ def eager_backward(tape, loss):
                 deltas[key] = dt
 
 
+def reference_named_parameters(model):
+    """Reference for Module.named_parameters: the walk it replaced, which
+    follows a fixed list of attribute names breadth first from a model's
+    encoder and decoder, plus the student's bridge_w."""
+    named = {}
+    stack = [(prefix, getattr(model, prefix))
+             for prefix in ("encoder", "decoder")]
+    for name, mod in stack:
+        if isinstance(mod, Tensor):
+            named[name] = mod
+            continue
+        if isinstance(mod, list):
+            for i, item in enumerate(mod):
+                stack.append((f"{name}.{i}", item))
+            continue
+        for attr in ("embed", "w", "b", "gain", "bias", "layers", "ln1",
+                     "ln2", "ln3", "attn", "self_attn", "cross_attn",
+                     "ff", "wq", "wk", "wv", "wo", "w1", "w2",
+                     "final_ln", "out"):
+            child = getattr(mod, attr, None)
+            if child is not None:
+                stack.append((f"{name}.{attr}", child))
+    if hasattr(model, "bridge_w"):
+        named["bridge_w"] = model.bridge_w
+    return named
+
+
 def _split_heads(x, n_heads):
     # [..., t, d] -> [..., heads, t, d_k]
     *lead, t, d = x.shape

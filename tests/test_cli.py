@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from waitkit import cli
 from waitkit.cli import main
+from waitkit.errors import WaitkitError
 
 RUNNER = [sys.executable, "-m", "waitkit.cli"]
 
@@ -91,6 +93,7 @@ def trained(tmp_path_factory):
     overrides = base_overrides(tmp_path, max_steps=400, k=3,
                                early_stop_loss=0.03)
     assert main(["train"] + overrides) == 0
+    (tmp_path / "blank.txt").write_text("\n \n", encoding="utf-8")
     return tmp_path, overrides
 
 
@@ -159,12 +162,16 @@ class TestTrainEvalDecode:
 
 
 # Bad inputs run against the trained checkpoint's config; each must end in
-# its documented exit code with a one-line error and no traceback.
+# its documented exit code with a one-line error and no traceback. File
+# names starting with missing or blank live in the trained run's directory.
 EXIT_CODES = [
     ("train", {"d_model": 30, "n_heads": 4}, 2),
     ("train", {"k": 0}, 2),
     ("train", {"k": "banana"}, 2),
     ("train", {"zzz": 1}, 2),
+    ("train", {"batch_size": 0}, 2),
+    ("bench", {"bench_n": 0}, 2),
+    ("bench", {"bench_k": 0}, 2),
     ("eval", {"test_k": -1}, 2),
     ("decode", {"test_k": -1}, 2),
     ("k-matrix", {"test_ks": "1,-1"}, 2),
@@ -172,6 +179,8 @@ EXIT_CODES = [
     ("eval", {"checkpoint": "missing.ckpt"}, 3),
     ("eval", {"task": "files", "src_file": "missing.src",
               "tgt_file": "missing.tgt"}, 3),
+    ("train", {"task": "files", "src_file": "blank.txt",
+               "tgt_file": "blank.txt"}, 3),
 ]
 
 
@@ -181,12 +190,25 @@ EXIT_CODES = [
          for c, e, _ in EXIT_CODES])
 def test_exit_code_table(trained, capsys, command, extra, code):
     tmp_path, overrides = trained
-    extra = {k: tmp_path / v if str(v).startswith("missing") else v
-             for k, v in extra.items()}
+    extra = {k: tmp_path / v if str(v).startswith(("missing", "blank"))
+             else v for k, v in extra.items()}
     assert main([command] + overrides
                 + [f"{k}={v}" for k, v in extra.items()]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("error", WaitkitError.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_error_classes_carry_exit_codes(monkeypatch, capsys, error):
+    assert error.exit_code in (2, 3, 4)
+
+    def fail(cfg):
+        raise error("bad input")
+
+    monkeypatch.setitem(cli.COMMANDS, "gen-data", fail)
+    assert main(["gen-data"]) == error.exit_code
+    assert capsys.readouterr().err.splitlines() == ["error: bad input"]
 
 
 def test_checkpoint_round_trip_with_end_header_token(tmp_path):

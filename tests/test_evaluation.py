@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from waitkit.evaluation import (
+    _clipped_matches,
     corpus_bleu,
     evaluate_model,
     hidden_distance_stats,
     k_matrix,
-    one_gram_score,
     present_absent_split,
-    sentence_bleu,
 )
 from waitkit.training import ParallelExample, SyntheticTaskSpec, generate_synthetic
 from waitkit.transformer import IncrementalModel, TeacherModel
@@ -118,30 +117,21 @@ class TestCorpusBleu:
         )
 
 
-class TestSentenceBleu:
-    def test_smoothing_keeps_short_sentences_scoreable(self):
-        score = sentence_bleu(["a", "b"], [["a", "b"]])
-        assert 0.0 < score <= 100.0
-
-    def test_zero_unigram_still_zero(self):
-        assert sentence_bleu(["q"], [["z"]]) == 0.0
-
-
 class TestOneGramScore:
+    """The clipped unigram matches behind the absent/present 1-gram
+    accuracies, which divide their corpus sums by the tokens scored."""
+
     def test_all_present(self):
-        assert one_gram_score(["a", "b"], ["b", "a", "c"]) == 1.0
+        assert _clipped_matches(["a", "b"], ["b", "a", "c"]) == 2
 
     def test_none_present(self):
-        assert one_gram_score(["x", "y"], ["a", "b"]) == 0.0
+        assert _clipped_matches(["x", "y"], ["a", "b"]) == 0
 
     def test_half_present(self):
-        assert one_gram_score(["a", "a", "x", "y"], ["a", "a", "b"]) == 0.5
+        assert _clipped_matches(["a", "a", "x", "y"], ["a", "a", "b"]) == 2
 
     def test_clipping(self):
-        assert one_gram_score(["a", "a", "a"], ["a"]) == pytest.approx(1 / 3)
-
-    def test_empty_set_reported_absent(self):
-        assert one_gram_score([], ["a"]) is None
+        assert _clipped_matches(["a", "a", "a"], ["a"]) == 1
 
 
 class TestPresentAbsentSplit:

@@ -174,6 +174,12 @@ class TestAdamAndSteps:
         with pytest.raises(ConfigError):
             TrainConfig(lambda_distill=-0.5)
 
+    def test_batch_size_validation(self):
+        """A batch size below 1 makes make_batches yield no batch, and
+        training would wait for one forever."""
+        with pytest.raises(ConfigError, match="batch_size"):
+            TrainConfig(batch_size=-1)
+
 
 class TestSyntheticTasks:
     def test_copy_alignment_is_diagonal(self):
@@ -247,6 +253,16 @@ class TestLoadCorpus:
         examples, _, _, skipped = load_corpus(src, tgt)
         assert len(examples) == 2
         assert skipped == 1
+
+    def test_no_pair_left(self, tmp_path):
+        """A corpus whose every pair is skipped has nothing to train or
+        evaluate on."""
+        src = tmp_path / "f.src"
+        tgt = tmp_path / "f.tgt"
+        src.write_text("a\n\n", encoding="utf-8")
+        tgt.write_text("\nb\n", encoding="utf-8")
+        with pytest.raises(IngestionError, match="no line pair"):
+            load_corpus(src, tgt)
 
     def test_vocab_size_includes_reserved(self, tmp_path):
         src = tmp_path / "c.src"

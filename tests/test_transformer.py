@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from waitkit import tensor as T
-from waitkit.checkpoint import CheckpointError, load_models, save_models
+from waitkit.checkpoint import (
+    CheckpointError,
+    load_models,
+    save_checkpoint,
+    save_models,
+)
+from waitkit.errors import NumericalError
 from waitkit.tensor import Tensor
 from waitkit.training import synthetic_vocab
 from waitkit.transformer import (
@@ -15,13 +21,11 @@ from waitkit.transformer import (
     MultiHeadAttention,
     TeacherModel,
     average_embedding_states,
-    encode_bidirectional,
-    encode_unidirectional,
     encode_waitk_recompute,
 )
 from waitkit.waitk import ScheduleError, WaitKSchedule
 
-from conftest import full_h, h_slice
+from conftest import full_h, h_slice, reference_named_parameters
 
 
 def _tokens(rng, cfg, n):
@@ -86,7 +90,7 @@ class TestBidirectionalEncoder:
     def test_output_shape(self, tiny_cfg, rng):
         model = TeacherModel(tiny_cfg, seed=0)
         for n in (1, 5, 12):
-            out = encode_bidirectional(model.encoder, _tokens(rng, tiny_cfg, n))
+            out = model.encode(_tokens(rng, tiny_cfg, n))
             assert out.states.shape == (n, tiny_cfg.d_model)
             assert out.n == n
 
@@ -94,8 +98,8 @@ class TestBidirectionalEncoder:
         model = TeacherModel(tiny_cfg, seed=1)
         ids = np.array([4, 5, 6, 7])
         swapped = np.array([5, 4, 6, 7])
-        a = encode_bidirectional(model.encoder, ids).states.values
-        b = encode_bidirectional(model.encoder, swapped).states.values
+        a = model.encode(ids).states.values
+        b = model.encode(swapped).states.values
         # swapping tokens does not just permute rows: positions matter
         assert not np.allclose(a[[1, 0, 2, 3]], b)
 
@@ -103,38 +107,36 @@ class TestBidirectionalEncoder:
         model = TeacherModel(tiny_cfg, seed=2)
         for _ in range(100):
             n = int(rng.integers(1, tiny_cfg.max_len + 1))
-            out = encode_bidirectional(model.encoder, _tokens(rng, tiny_cfg, n))
+            out = model.encode(_tokens(rng, tiny_cfg, n))
             assert np.isfinite(out.states.values).all()
 
     def test_overlength_rejected(self, tiny_cfg, rng):
         model = TeacherModel(tiny_cfg, seed=0)
         with pytest.raises(LengthError):
-            encode_bidirectional(
-                model.encoder, _tokens(rng, tiny_cfg, tiny_cfg.max_len + 1)
-            )
+            model.encode(_tokens(rng, tiny_cfg, tiny_cfg.max_len + 1))
 
 
 class TestUnidirectionalEncoder:
     def test_first_row_stable(self, tiny_cfg, rng):
         model = IncrementalModel(tiny_cfg, seed=3)
         ids = _tokens(rng, tiny_cfg, 8)
-        full = encode_unidirectional(model.encoder, ids).states.values
-        one = encode_unidirectional(model.encoder, ids[:1]).states.values
+        full = model.encode(ids).states.values
+        one = model.encode(ids[:1]).states.values
         assert np.abs(full[0] - one[0]).max() <= 1e-12
 
     def test_prefix_truncation_equality(self, tiny_cfg, rng):
         model = IncrementalModel(tiny_cfg, seed=4)
         ids = _tokens(rng, tiny_cfg, 11)
-        full = encode_unidirectional(model.encoder, ids).states.values
+        full = model.encode(ids).states.values
         for p in range(1, 12):
-            part = encode_unidirectional(model.encoder, ids[:p]).states.values
+            part = model.encode(ids[:p]).states.values
             assert np.abs(full[:p] - part).max() <= 1e-12
 
     def test_appending_token_preserves_rows(self, tiny_cfg, rng):
         model = IncrementalModel(tiny_cfg, seed=5)
         ids = _tokens(rng, tiny_cfg, 9)
-        before = encode_unidirectional(model.encoder, ids[:8]).states.values
-        after = encode_unidirectional(model.encoder, ids).states.values
+        before = model.encode(ids[:8]).states.values
+        after = model.encode(ids).states.values
         assert np.abs(after[:8] - before).max() <= 1e-12
 
 
@@ -144,7 +146,7 @@ class TestStreamingEncoder:
         ids = _tokens(rng, tiny_cfg, 1)
         stream = model.start_stream()
         row = stream.push(int(ids[0]))
-        batch = encode_unidirectional(model.encoder, ids).states.values
+        batch = model.encode(ids).states.values
         assert np.abs(row - batch[0]).max() <= 1e-12
 
     def test_token_by_token_matches_batch(self, tiny_cfg, rng):
@@ -152,7 +154,7 @@ class TestStreamingEncoder:
         ids = _tokens(rng, tiny_cfg, 13)
         stream = model.start_stream()
         rows = np.array([stream.push(int(t)) for t in ids])
-        batch = encode_unidirectional(model.encoder, ids).states.values
+        batch = model.encode(ids).states.values
         assert np.abs(rows - batch).max() <= 1e-12
 
     def test_running_mean_invariant(self, tiny_cfg, rng):
@@ -182,7 +184,7 @@ class TestRecomputeEncoder:
         ids = _tokens(rng, tiny_cfg, 6)
         sched = WaitKSchedule(6, 6)   # g(1) = 6 immediately
         out = encode_waitk_recompute(model.encoder, ids, sched, 3).values
-        ref = encode_bidirectional(model.encoder, ids).states.values
+        ref = model.encode(ids).states.values
         for t in range(3):
             assert np.abs(out[t] - ref).max() <= 1e-12
 
@@ -193,7 +195,7 @@ class TestRecomputeEncoder:
         out = encode_waitk_recompute(model.encoder, ids, sched, 9).values
         for t in range(1, 10):
             g = sched.read_count(t)
-            ref = encode_bidirectional(model.encoder, ids[:g]).states.values
+            ref = model.encode(ids[:g]).states.values
             assert np.abs(out[t - 1, :g] - ref).max() <= 1e-12
             assert np.all(out[t - 1, g:] == 0.0)
 
@@ -353,6 +355,14 @@ class TestTeacherModel:
             assert np.array_equal(pa.values, pb.values)
 
 
+@pytest.mark.parametrize("model_cls", [TeacherModel, IncrementalModel])
+def test_non_finite_encoder_states_raise(tiny_cfg, model_cls):
+    model = model_cls(tiny_cfg, seed=0)
+    model.encoder.final_ln.gain.values[0] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        model.encode(np.array([4, 5, 6]))
+
+
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, tiny_cfg, tmp_path, rng):
         teacher = TeacherModel(tiny_cfg, seed=18)
@@ -401,6 +411,40 @@ class TestCheckpoint:
         trained = [id(p) for p in model.parameters()]
         assert len(set(trained)) == len(trained)
         assert sorted(named) == sorted(trained)
+
+    @pytest.mark.parametrize("model_cls", [TeacherModel, IncrementalModel])
+    def test_named_parameters_match_reference_walk(self, model_cls):
+        """Each module names its own parameters; the names and the tensors
+        they bind are those of the fixed-attribute walk it replaced."""
+        cfg = ModelConfig(n_layers=3, d_model=16, n_heads=2, d_ff=32,
+                          src_vocab=20, tgt_vocab=20, max_len=40)
+        model = model_cls(cfg, seed=0)
+        ref = {name: id(p)
+               for name, p in reference_named_parameters(model).items()}
+        named = {name: id(p) for name, p in model.named_parameters().items()}
+        assert named == ref
+
+    def test_breadth_first_checkpoint_loads(self, tiny_cfg, tmp_path, rng):
+        """Checkpoints list their param lines in the order they were named,
+        breadth first before modules named their own parameters; loading
+        goes by name, so such a file loads bit-identically."""
+        teacher = TeacherModel(tiny_cfg, seed=18)
+        student = IncrementalModel(tiny_cfg, seed=19)
+        for p in teacher.parameters() + student.parameters():
+            p.values += rng.normal(size=p.shape) * 1e-3
+        named = {}
+        for prefix, model in (("teacher", teacher), ("student", student)):
+            for name, p in reference_named_parameters(model).items():
+                named[f"{prefix}.{name}"] = p
+        assert list(named) != [*teacher.named_parameters("teacher."),
+                               *student.named_parameters("student.")]
+        vocab = synthetic_vocab(20)
+        path = tmp_path / "bfs.ckpt"
+        save_checkpoint(path, tiny_cfg, vocab, vocab, named)
+        teacher2, student2, _, _, _ = load_models(path)
+        for a, b in zip(teacher.parameters() + student.parameters(),
+                        teacher2.parameters() + student2.parameters()):
+            assert np.array_equal(a.values, b.values)
 
     def test_missing_marker_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
