@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Eager tensor library: every operation computes its result immediately and,
-when a Tape is active, appends a backward rule to it. Replaying the tape in
-reverse sums one delta per tensor and adds only the leaves' into .grad.
+when a Tape records (outside no_grad), appends a backward rule to it; with
+nothing recording it builds no rule. Replaying the tape in reverse sums one
+delta per tensor and adds only the leaves' into .grad.
 Matrix products also feed a global multiply-accumulate counter so the
 benchmark harness can report hardware-independent costs. Multi-head
 attention is one operation with one tape entry (attention), not a chain.
@@ -10,6 +11,7 @@ attention is one operation with one tape entry (attention), not a chain.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -144,11 +146,8 @@ def as_tensor(x):
 # ----------------------------------------------------------------------
 # Tape
 
-_TAPES: list = []
-
-
-def _tape():
-    return _TAPES[-1] if _TAPES else None
+# The innermost recording context: a Tape, or None (no Tape, or no_grad).
+_TAPES: list = [None]
 
 
 class Tape:
@@ -209,16 +208,14 @@ def no_grad():
 
 def backward(loss):
     """Run the backward pass of the currently active tape."""
-    t = _tape()
+    t = _TAPES[-1]
     if t is None:
         raise GradientError("backward requires an active tape")
     t.backward(loss)
 
 
-def _record(out, rule):
-    t = _tape()
-    if t is not None and out.requires_grad:
-        t._entries.append((out, rule))
+def _record(tape, out, rule):
+    tape._entries.append((out, rule))
 
 
 def _unbroadcast(grad, shape):
@@ -239,6 +236,8 @@ def _unbroadcast(grad, shape):
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.values + b.values, a.requires_grad or b.requires_grad)
+    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+        return out
 
     def rule(d):
         return (
@@ -246,13 +245,15 @@ def add(a, b):
             (b, _unbroadcast(d, b.values.shape)),
         )
 
-    _record(out, rule)
+    _record(tape, out, rule)
     return out
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.values - b.values, a.requires_grad or b.requires_grad)
+    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+        return out
 
     def rule(d):
         return (
@@ -260,13 +261,15 @@ def sub(a, b):
             (b, _unbroadcast(-d, b.values.shape)),
         )
 
-    _record(out, rule)
+    _record(tape, out, rule)
     return out
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.values * b.values, a.requires_grad or b.requires_grad)
+    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+        return out
 
     def rule(d):
         return (
@@ -274,7 +277,7 @@ def mul(a, b):
             (b, _unbroadcast(d * a.values, b.values.shape)),
         )
 
-    _record(out, rule)
+    _record(tape, out, rule)
     return out
 
 
@@ -282,21 +285,24 @@ def scale(x, c):
     x = as_tensor(x)
     c = float(c)
     out = Tensor(x.values * c, x.requires_grad)
-    _record(out, lambda d: ((x, d * c),))
+    if (tape := _TAPES[-1]) is not None and out.requires_grad:
+        _record(tape, out, lambda d: ((x, d * c),))
     return out
 
 
 def relu(x):
     x = as_tensor(x)
     out = Tensor(np.maximum(x.values, 0.0), x.requires_grad)
-    _record(out, lambda d: ((x, d * (x.values > 0.0)),))
+    if (tape := _TAPES[-1]) is not None and out.requires_grad:
+        _record(tape, out, lambda d: ((x, d * (x.values > 0.0)),))
     return out
 
 
 def reshape(x, shape):
     x = as_tensor(x)
     out = Tensor(x.values.reshape(shape), x.requires_grad)
-    _record(out, lambda d: ((x, d.reshape(x.values.shape)),))
+    if (tape := _TAPES[-1]) is not None and out.requires_grad:
+        _record(tape, out, lambda d: ((x, d.reshape(x.values.shape)),))
     return out
 
 
@@ -304,8 +310,8 @@ def transpose(x, axes):
     x = as_tensor(x)
     axes = tuple(axes)
     out = Tensor(x.values.transpose(axes), x.requires_grad)
-    inv = tuple(np.argsort(axes))
-    _record(out, lambda d: ((x, d.transpose(inv)),))
+    if (tape := _TAPES[-1]) is not None and out.requires_grad:
+        _record(tape, out, lambda d: ((x, d.transpose(np.argsort(axes))),))
     return out
 
 
@@ -326,6 +332,8 @@ def concat(tensors, axis=0):
         any(t.requires_grad for t in tensors),
     )
     sizes = [t.values.shape[axis] for t in tensors]
+    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+        return out
 
     def rule(d):
         grads = []
@@ -337,7 +345,7 @@ def concat(tensors, axis=0):
             start += s
         return grads
 
-    _record(out, rule)
+    _record(tape, out, rule)
     return out
 
 
@@ -345,13 +353,15 @@ def tslice(x, key):
     """Basic slicing; the backward pass scatters into the sliced region."""
     x = as_tensor(x)
     out = Tensor(x.values[key], x.requires_grad)
+    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+        return out
 
     def rule(d):
         dx = np.zeros_like(x.values)
         dx[key] += d
         return ((x, dx),)
 
-    _record(out, rule)
+    _record(tape, out, rule)
     return out
 
 
@@ -360,13 +370,15 @@ def gather_rows(x, indices, axis=0):
     x = as_tensor(x)
     idx = np.asarray(indices, dtype=np.intp)
     out = Tensor(np.take(x.values, idx, axis=axis), x.requires_grad)
+    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+        return out
 
     def rule(d):
         dx = np.zeros_like(x.values)
         np.add.at(np.moveaxis(dx, axis, 0), idx, np.moveaxis(d, axis, 0))
         return ((x, dx),)
 
-    _record(out, rule)
+    _record(tape, out, rule)
     return out
 
 
@@ -380,13 +392,15 @@ def embedding(weight, ids):
             f"token id out of range for vocabulary of size {vocab}"
         )
     out = Tensor(weight.values[ids], weight.requires_grad)
+    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+        return out
 
     def rule(d):
         dw = np.zeros_like(weight.values)
         np.add.at(dw, ids.reshape(-1), d.reshape(-1, weight.values.shape[1]))
         return ((weight, dw),)
 
-    _record(out, rule)
+    _record(tape, out, rule)
     return out
 
 
@@ -404,6 +418,8 @@ def matmul(a, b):
     out_v = av @ bv
     mac_counter.count += out_v.size * av.shape[-1]
     out = Tensor(out_v, a.requires_grad or b.requires_grad)
+    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+        return out
 
     def rule(d):
         da = d @ np.swapaxes(bv, -1, -2)
@@ -413,7 +429,7 @@ def matmul(a, b):
             (b, _unbroadcast(db, bv.shape)),
         )
 
-    _record(out, rule)
+    _record(tape, out, rule)
     return out
 
 
@@ -434,6 +450,8 @@ def linear(x, weight, bias=None):
         bias is not None and bias.requires_grad
     )
     out = Tensor(out_v, req)
+    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+        return out
 
     def rule(d):
         n_out = wv.shape[0]
@@ -445,7 +463,7 @@ def linear(x, weight, bias=None):
             grads.append((bias, d.reshape(-1, n_out).sum(axis=0)))
         return grads
 
-    _record(out, rule)
+    _record(tape, out, rule)
     return out
 
 
@@ -495,9 +513,9 @@ def _softmax(x, mask):
             ) from None
         if not keep.all():
             return _partial_softmax(x, keep)
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    # The ufuncs' own reduce: the same loop as ndarray.max and .sum.
+    e = np.exp(x - np.maximum.reduce(x, -1, keepdims=True))
+    return e / np.add.reduce(e, -1, keepdims=True)
 
 
 def _partial_softmax(x, keep):
@@ -523,7 +541,8 @@ def masked_softmax(scores, mask=None):
     scores = as_tensor(scores)
     p = _softmax(scores.values, mask)
     out = Tensor(p, scores.requires_grad)
-    _record(out, lambda d: ((scores, _softmax_grad(p, d)),))
+    if (tape := _TAPES[-1]) is not None and out.requires_grad:
+        _record(tape, out, lambda d: ((scores, _softmax_grad(p, d)),))
     return out
 
 
@@ -565,6 +584,8 @@ def attention(q, k, v, n_heads, scale, mask=None):
     mac_counter.count += o.size * tk
     out = Tensor(merge(o, tq),
                  q.requires_grad or k.requires_grad or v.requires_grad)
+    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+        return out
 
     def rule(dout):
         do = split(dout, tq)
@@ -576,29 +597,41 @@ def attention(q, k, v, n_heads, scale, mask=None):
         return ((q, merge(dq, tq)), (k, merge(dkt.transpose(last), tk)),
                 (v, merge(dv, tk)))
 
-    _record(out, rule)
+    _record(tape, out, rule)
     return out
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    eps must be positive. A single row takes its mean, variance and scale
+    as Python floats: IEEE doubles like numpy's, and math.sqrt rounds
+    correctly like np.sqrt, so the bits are the same at fewer numpy calls.
+    """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    d_last = x.values.shape[-1]
+    xv = x.values
+    d_last = xv.shape[-1]
     if gain.values.shape != (d_last,) or bias.values.shape != (d_last,):
         raise DimensionError(
             f"gain/bias must have shape ({d_last},), got "
             f"{gain.values.shape} and {bias.values.shape}"
         )
-    # sum / d is what np.mean computes, without its Python wrapper.
-    mu = x.values.sum(axis=-1, keepdims=True) / d_last
-    xc = x.values - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d_last
-    inv = 1.0 / np.sqrt(var + eps)
+    # add.reduce / d is what np.mean computes, without its Python wrappers.
+    if xv.size == d_last:
+        xc = xv - float(np.add.reduce(xv, None)) / d_last
+        var = float(np.add.reduce(xc * xc, None)) / d_last
+        inv = 1.0 / math.sqrt(var + eps)
+    else:
+        xc = xv - np.add.reduce(xv, -1, keepdims=True) / d_last
+        var = np.add.reduce(xc * xc, -1, keepdims=True) / d_last
+        inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = Tensor(
         xhat * gain.values + bias.values,
         x.requires_grad or gain.requires_grad or bias.requires_grad,
     )
+    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+        return out
 
     def rule(d):
         lead = tuple(range(d.ndim - 1))
@@ -612,7 +645,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
         )
         return ((x, dx), (gain, dgain), (bias, dbias))
 
-    _record(out, rule)
+    _record(tape, out, rule)
     return out
 
 
@@ -648,13 +681,15 @@ def cross_entropy(logits, targets, mask=None):
     lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
     logp = np.take_along_axis(x, ids[..., None], axis=-1)[..., 0] - lse[..., 0]
     out = Tensor(-(logp * w).sum() / count, logits.requires_grad)
+    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+        return out
 
     def rule(d):
         p = np.exp(x - lse)
         np.subtract.at(p, (*np.indices(ids.shape), ids), 1.0)
         return ((logits, p * (w[..., None] * (float(d) / count))),)
 
-    _record(out, rule)
+    _record(tape, out, rule)
     return out
 
 
@@ -670,19 +705,23 @@ def l2_distance_loss(a, b):
     rows = a.values.size // a.values.shape[-1]
     diff = a.values - b.values
     out = Tensor((diff * diff).sum() / rows, a.requires_grad or b.requires_grad)
+    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+        return out
 
     def rule(d):
         g = diff * (2.0 * float(d) / rows)
         return ((a, g), (b, -g))
 
-    _record(out, rule)
+    _record(tape, out, rule)
     return out
 
 
 def tsum(x):
     x = as_tensor(x)
     out = Tensor(x.values.sum(), x.requires_grad)
-    _record(out, lambda d: ((x, np.full_like(x.values, float(d))),))
+    if (tape := _TAPES[-1]) is not None and out.requires_grad:
+        _record(tape, out,
+                lambda d: ((x, np.full_like(x.values, float(d))),))
     return out
 
 

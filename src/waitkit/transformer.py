@@ -131,7 +131,7 @@ class KVCache:
         return self._n
 
     def append(self, keys, values):
-        if T._tape() is not None:
+        if T._TAPES[-1] is not None:
             raise T.GradientError("KVCache.append under a recording tape")
         n = self._n
         m = n + keys.shape[-2]
@@ -291,7 +291,8 @@ class Decoder(_Stack):
             start, caches = len(cache.layers[0][0]), cache.layers
         t = ids.shape[-1]
         x = self.embed_positions(ids, start)
-        self_mask = np.tril(np.ones((t, start + t), dtype=bool), k=start)
+        self_mask = None if t == 1 else np.tril(    # one row sees all rows
+            np.ones((t, start + t), dtype=bool), k=start)
         last = len(self.layers) - 1
         for i, (layer, kv) in enumerate(zip(self.layers, caches)):
             x = layer(x, memory, self_mask, cross_mask,
@@ -456,7 +457,8 @@ class IncrementalModel(_Model):
             r = 0
         d = self.cfg.d_model
         new_gs = np.array(gs[r:])
-        cross = np.arange(c) < new_gs[:, None]                # [t - r, c]
+        # gs never decreases: if row r has read all c rows, every new row has.
+        cross = None if gs[r] == c else np.arange(c) < new_gs[:, None]
         bridge = T.gather_rows(states.f, new_gs - 1, axis=0)
         read = len(cache.layers[0][1])
         z_new = T.tslice(states.z, (slice(read, None),))

@@ -243,7 +243,8 @@ def reference_layer_norm(x, gain, bias, eps=1e-5):
         )
         return ((x, dx), (gain, dgain), (bias, dbias))
 
-    T._record(out, rule)
+    if (tape := T._TAPES[-1]) is not None and out.requires_grad:
+        T._record(tape, out, rule)
     return out
 
 

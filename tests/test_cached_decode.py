@@ -225,19 +225,23 @@ def test_long_decode_mac_budget():
 
 def test_long_decode_op_budget(monkeypatch):
     """A 48-token k=1 decode at the decode_long benchmark shape never copies
-    a cache with concat and never takes the masked softmax branch: every
-    decoder row's self and cross masks keep all the rows cached so far."""
+    a cache with concat, records nothing (it runs under no_grad) and passes
+    no mask to attention: every streamed row's self and cross masks would
+    keep all the rows cached so far."""
     cfg = ModelConfig(n_layers=2, d_model=64, n_heads=4, d_ff=64,
                       src_vocab=32, tgt_vocab=32, max_len=64, k=1)
     model = IncrementalModel(cfg, seed=0)
     src = np.random.default_rng(37).integers(4, 32, size=48).tolist()
-    calls = {"concat": 0, "_partial_softmax": 0}
+    calls = {"concat": 0, "_partial_softmax": 0, "_record": 0,
+             "attention": 0}
 
     def counting(name):
         fn = getattr(T, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            mask = args[5] if len(args) > 5 else kwargs.get("mask")
+            if name != "attention" or mask is not None:
+                calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -245,9 +249,12 @@ def test_long_decode_op_budget(monkeypatch):
         monkeypatch.setattr(T, name, counting(name))
     tokens, _ = streaming_decode(model, src, 1, max_len=48, eos_id=-1)
     assert len(tokens) == 48
-    assert calls == {"concat": 0, "_partial_softmax": 0}
-    # The wrapper does see the masked branch: a batched pass's causal and
-    # wait-k masks drop entries.
-    with T.no_grad():
+    assert calls == {"concat": 0, "_partial_softmax": 0, "_record": 0,
+                     "attention": 0}
+    # The wrappers do see masks and records: a batched pass under a Tape
+    # gives attention its causal and wait-k masks, which drop entries.
+    with T.Tape():
         model.forward(np.array([src]), np.array([[1] + tokens[:-1]]), 1)
     assert calls["_partial_softmax"] > 0
+    assert calls["_record"] > 0
+    assert calls["attention"] == 3 * cfg.n_layers

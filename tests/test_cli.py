@@ -97,6 +97,19 @@ def trained(tmp_path_factory):
     return tmp_path, overrides
 
 
+@pytest.fixture(scope="module")
+def trained_files(tmp_path_factory):
+    """A few steps of training on a two-line corpus with task=files."""
+    tmp_path = tmp_path_factory.mktemp("cli_files_run")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b c\nc b a\n", encoding="utf-8")
+    overrides = base_overrides(tmp_path, task="files", src_file=corpus,
+                               tgt_file=corpus, max_steps=3, batch_size=2)
+    assert main(["train"] + overrides) == 0
+    (tmp_path / "blank.txt").write_text("\n \n", encoding="utf-8")
+    return tmp_path, overrides
+
+
 class TestTrainEvalDecode:
     def test_train_then_eval_smoke(self, trained):
         tmp_path, overrides = trained
@@ -161,9 +174,11 @@ class TestTrainEvalDecode:
         assert proc.stdout.split() == [tgt_vocab.tokens[t] for t in expected]
 
 
-# Bad inputs run against the trained checkpoint's config; each must end in
-# its documented exit code with a one-line error and no traceback. File
-# names starting with missing or blank live in the trained run's directory.
+# Bad inputs run against the config of the run trained on the row's task
+# (copy unless the row sets task=files); each must end in its documented
+# exit code with a one-line error and no traceback. File names starting with
+# missing or blank live in that run's directory, and the error line names
+# the first of them: the row reaches the file it is about.
 EXIT_CODES = [
     ("train", {"d_model": 30, "n_heads": 4}, 2),
     ("train", {"k": 0}, 2),
@@ -188,14 +203,18 @@ EXIT_CODES = [
     "command, extra, code", EXIT_CODES,
     ids=[f"{c}-" + "-".join(f"{k}={v}" for k, v in e.items())
          for c, e, _ in EXIT_CODES])
-def test_exit_code_table(trained, capsys, command, extra, code):
-    tmp_path, overrides = trained
-    extra = {k: tmp_path / v if str(v).startswith(("missing", "blank"))
-             else v for k, v in extra.items()}
+def test_exit_code_table(request, capsys, command, extra, code):
+    run = "trained_files" if extra.get("task") == "files" else "trained"
+    tmp_path, overrides = request.getfixturevalue(run)
+    files = [v for v in extra.values()
+             if str(v).startswith(("missing", "blank"))]
+    extra = {k: tmp_path / v if v in files else v for k, v in extra.items()}
     assert main([command] + overrides
                 + [f"{k}={v}" for k, v in extra.items()]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    if files:
+        assert str(tmp_path / files[0]) in err[0], err[0]
 
 
 @pytest.mark.parametrize("error", WaitkitError.__subclasses__(),

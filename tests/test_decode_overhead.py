@@ -1,14 +1,18 @@
 """The per-emission overhead cuts of the cached decode against copies of the
 code they replace (conftest): the unmasked softmax for masks that keep every
-entry, layer_norm without np.mean, and the write-in-place, inference-only
-KVCache."""
+entry, layer_norm without np.mean and its one-row path, the write-in-place,
+inference-only KVCache, and ops that build no backward rule when nothing
+records."""
 
 import numpy as np
 import pytest
 
 from waitkit import tensor as T
 from waitkit.tensor import Tensor
-from waitkit.transformer import IncrementalModel, KVCache, ModelConfig
+from waitkit.training import (Adam, SyntheticTaskSpec, TrainConfig,
+                              generate_synthetic, train_step)
+from waitkit.transformer import (IncrementalModel, KVCache, ModelConfig,
+                                 TeacherModel)
 
 from conftest import reference_layer_norm, reference_softmax
 
@@ -70,6 +74,17 @@ def test_all_true_mask_on_all_minus_inf_row_gives_nan():
     assert np.array_equal(partial.values[0], np.zeros(3))
 
 
+def layer_norm_results(layer_norm, values, w, gain_v, bias_v):
+    """Output and x/gain/bias gradients of sum(w * layer_norm(x))."""
+    x = Tensor(values, requires_grad=True)
+    gain = Tensor(gain_v, requires_grad=True)
+    bias = Tensor(bias_v, requires_grad=True)
+    with T.Tape() as tape:
+        out = layer_norm(x, gain, bias)
+        tape.backward(T.tsum(T.mul(out, Tensor(w))))
+    return out.values, x.grad, gain.grad, bias.grad
+
+
 @pytest.mark.parametrize("lead", [(), (3,), (2, 4)])
 def test_layer_norm_equals_reference(lead):
     rng = np.random.default_rng(len(lead))
@@ -78,17 +93,123 @@ def test_layer_norm_equals_reference(lead):
         values = rng.normal(scale=rng.uniform(0.1, 5.0), size=(*lead, d))
         w = rng.normal(size=(*lead, d))
         gain_v, bias_v = rng.normal(size=d), rng.normal(size=d)
-        results = []
-        for layer_norm in (T.layer_norm, reference_layer_norm):
-            x = Tensor(values, requires_grad=True)
-            gain = Tensor(gain_v, requires_grad=True)
-            bias = Tensor(bias_v, requires_grad=True)
-            with T.Tape() as tape:
-                out = layer_norm(x, gain, bias)
-                tape.backward(T.tsum(T.mul(out, Tensor(w))))
-            results.append([out.values, x.grad, gain.grad, bias.grad])
-        for got, want in zip(*results):
-            assert np.array_equal(got, want)
+        got = layer_norm_results(T.layer_norm, values, w, gain_v, bias_v)
+        want = layer_norm_results(reference_layer_norm, values, w, gain_v,
+                                  bias_v)
+        for g, r in zip(got, want):
+            assert np.array_equal(g, r)
+
+
+def one_rows(rng, d):
+    """Rows of d entries: random at scales 1e-150 .. 1e150, constant, and
+    holding nan or inf."""
+    for scale in 10.0 ** np.arange(-150, 151, 15):
+        yield rng.normal(scale=scale, size=d) + scale * rng.normal()
+    yield np.full(d, 3.25)
+    yield np.zeros(d)
+    for bad in (np.nan, np.inf, -np.inf):
+        row = rng.normal(size=d)
+        row[rng.integers(0, d)] = bad
+        yield row
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (1, 1)])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 32, 64])
+def test_one_row_layer_norm_equals_reference(lead, d):
+    """A single row takes the Python-float statistics: the same output and
+    gradients, bit for bit, as the array path of the reference, nan and inf
+    included."""
+    rng = np.random.default_rng(d)
+    for row in one_rows(rng, d):
+        values = row.reshape(*lead, d)
+        w = rng.normal(size=values.shape)
+        gain_v, bias_v = rng.normal(size=d), rng.normal(size=d)
+        with np.errstate(all="ignore"):
+            got = layer_norm_results(T.layer_norm, values, w, gain_v, bias_v)
+            want = layer_norm_results(reference_layer_norm, values, w,
+                                      gain_v, bias_v)
+        for g, r in zip(got, want):
+            assert g.shape == r.shape
+            assert np.array_equal(g, r, equal_nan=True)
+
+
+def op_cases(rng):
+    """(name, thunk) for every op; the thunks mix inputs that need grad
+    with inputs that do not."""
+    def p(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    def c(*shape):
+        return Tensor(rng.normal(size=shape))
+
+    a, b, m, w = p(2, 3, 4), c(2, 3, 4), p(4, 5), p(5, 4)
+    q, k = p(2, 3, 4), p(2, 5, 4)
+    mask = rng.random((3, 5)) < 0.7
+    mask[:, 0] = True
+    return [
+        ("add", lambda: T.add(a, b)),
+        ("sub", lambda: T.sub(b, b)),
+        ("mul", lambda: T.mul(a, b)),
+        ("scale", lambda: T.scale(a, 0.5)),
+        ("matmul", lambda: T.matmul(a, m)),
+        ("linear", lambda: T.linear(a, w, p(5))),
+        ("linear_nobias", lambda: T.linear(b, c(5, 4))),
+        ("relu", lambda: T.relu(a)),
+        ("reshape", lambda: T.reshape(a, (6, 4))),
+        ("transpose", lambda: T.transpose(a, (2, 0, 1))),
+        ("transpose_last", lambda: T.transpose_last(b)),
+        ("concat", lambda: T.concat([a, b], axis=1)),
+        ("tslice", lambda: T.tslice(a, (slice(None), 1))),
+        ("gather_rows", lambda: T.gather_rows(a, [2, 0, 2], axis=1)),
+        ("embedding", lambda: T.embedding(m, [[1, 3], [0, 0]])),
+        ("masked_cumulative_mean", lambda: T.masked_cumulative_mean(a)),
+        ("masked_softmax", lambda: T.masked_softmax(a)),
+        ("attention", lambda: T.attention(q, k, k, 2, 0.5, mask)),
+        ("layer_norm", lambda: T.layer_norm(a, p(4), c(4))),
+        ("layer_norm_row", lambda: T.layer_norm(c(1, 4), p(4), p(4))),
+        ("cross_entropy", lambda: T.cross_entropy(a, [[0, 1, 2]] * 2)),
+        ("l2_distance_loss", lambda: T.l2_distance_loss(a, b)),
+        ("tsum", lambda: T.tsum(b)),
+        ("detach", lambda: T.detach(a)),
+    ]
+
+
+def test_ops_under_no_grad_match_recorded_ops():
+    """Under no_grad an op records nothing, yet returns the values and the
+    requires_grad it returns under a Tape."""
+    rng = np.random.default_rng(0)
+    for name, op in op_cases(rng):
+        state = rng.bit_generator.state
+        with T.Tape() as tape:
+            recorded = op()
+        rng.bit_generator.state = state
+        with T.Tape() as outer, T.no_grad():
+            plain = op()
+        assert np.array_equal(plain.values, recorded.values), name
+        assert plain.requires_grad == recorded.requires_grad, name
+        assert len(tape) == int(recorded.requires_grad), name
+        assert len(outer) == 0, name
+
+
+def test_train_step_records_155_tape_entries(monkeypatch):
+    """Skipping the rule when nothing records leaves the recording path
+    alone: a joint train_step at the train_joint shape records 155 ops."""
+    cfg = ModelConfig(n_layers=2, d_model=32, n_heads=2, d_ff=64,
+                      src_vocab=32, tgt_vocab=32, k=3)
+    teacher, student = TeacherModel(cfg, 0), IncrementalModel(cfg, 1)
+    batch = generate_synthetic(SyntheticTaskSpec(
+        kind="copy", vocab_size=32, min_len=5, max_len=5, seed=1), 16)
+    lengths = []
+    backward = T.Tape.backward
+
+    def counting(tape, loss):
+        lengths.append(len(tape))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(T.Tape, "backward", counting)
+    optimizer = Adam(teacher.parameters() + student.parameters())
+    train_step(teacher, student, batch, optimizer, TrainConfig(k=3))
+    assert lengths == [155]
 
 
 @pytest.mark.parametrize("lead", [(1,), (2,)])
