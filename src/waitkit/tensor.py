@@ -3,7 +3,10 @@
 Eager tensor library: every operation computes its result immediately and,
 when a Tape records (outside no_grad), appends a backward rule to it; with
 nothing recording it builds no rule. Replaying the tape in reverse sums one
-delta per tensor and adds only the leaves' into .grad.
+delta per tensor and adds only the leaves' into .grad. In the private array
+mode (`with _ARRAYS:`) an operation takes Tensors or float64 arrays and
+returns the array it computed, building no Tensor; each operation's forward
+arithmetic is written once and shared by both paths.
 Matrix products also feed a global multiply-accumulate counter so the
 benchmark harness can report hardware-independent costs. Multi-head
 attention is one operation with one tape entry (attention), not a chain.
@@ -12,6 +15,7 @@ attention is one operation with one tape entry (attention), not a chain.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import contextmanager
 
 import numpy as np
@@ -146,8 +150,26 @@ def as_tensor(x):
 # ----------------------------------------------------------------------
 # Tape
 
-# The innermost recording context: a Tape, or None (no Tape, or no_grad).
+# The innermost recording context: a Tape, None (no Tape, or no_grad), or
+# _ARRAYS (array mode).
 _TAPES: list = [None]
+
+
+class _ArrayMode:
+    """Context in which operations return plain arrays: no Tensor, no
+    requires_grad, no backward rule. For inference code that owns its
+    inputs (the streamed decode); shape checks and MAC counts are those of
+    the Tensor path."""
+
+    def __enter__(self):
+        _TAPES.append(self)
+
+    def __exit__(self, *exc):
+        _TAPES.pop()
+        return False
+
+
+_ARRAYS = _ArrayMode()
 
 
 class Tape:
@@ -209,7 +231,7 @@ def no_grad():
 def backward(loss):
     """Run the backward pass of the currently active tape."""
     t = _TAPES[-1]
-    if t is None:
+    if not isinstance(t, Tape):
         raise GradientError("backward requires an active tape")
     t.backward(loss)
 
@@ -233,92 +255,97 @@ def _unbroadcast(grad, shape):
 # Elementwise and structural operations
 
 
-def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.values + b.values, a.requires_grad or b.requires_grad)
-    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+def _elementwise(a, b, forward, deltas):
+    """forward(a, b) of two broadcasting operands; deltas(d, a, b) gives
+    their deltas before they are summed back to each operand's shape."""
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        a, b = as_tensor(a), as_tensor(b)
+    av = a.values if type(a) is Tensor else a
+    bv = b.values if type(b) is Tensor else b
+    out = forward(av, bv)
+    if tape is _ARRAYS:
+        return out
+    out = Tensor(out, a.requires_grad or b.requires_grad)
+    if tape is None or not out.requires_grad:
         return out
 
     def rule(d):
-        return (
-            (a, _unbroadcast(d, a.values.shape)),
-            (b, _unbroadcast(d, b.values.shape)),
-        )
+        da, db = deltas(d, av, bv)
+        return ((a, _unbroadcast(da, av.shape)),
+                (b, _unbroadcast(db, bv.shape)))
 
     _record(tape, out, rule)
     return out
+
+
+def add(a, b):
+    return _elementwise(a, b, operator.add, lambda d, av, bv: (d, d))
 
 
 def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.values - b.values, a.requires_grad or b.requires_grad)
-    if (tape := _TAPES[-1]) is None or not out.requires_grad:
-        return out
-
-    def rule(d):
-        return (
-            (a, _unbroadcast(d, a.values.shape)),
-            (b, _unbroadcast(-d, b.values.shape)),
-        )
-
-    _record(tape, out, rule)
-    return out
+    return _elementwise(a, b, operator.sub, lambda d, av, bv: (d, -d))
 
 
 def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.values * b.values, a.requires_grad or b.requires_grad)
-    if (tape := _TAPES[-1]) is None or not out.requires_grad:
-        return out
-
-    def rule(d):
-        return (
-            (a, _unbroadcast(d * b.values, a.values.shape)),
-            (b, _unbroadcast(d * a.values, b.values.shape)),
-        )
-
-    _record(tape, out, rule)
-    return out
+    return _elementwise(a, b, operator.mul,
+                        lambda d, av, bv: (d * bv, d * av))
 
 
 def scale(x, c):
-    x = as_tensor(x)
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        x = as_tensor(x)
     c = float(c)
-    out = Tensor(x.values * c, x.requires_grad)
-    if (tape := _TAPES[-1]) is not None and out.requires_grad:
+    out = (x.values if type(x) is Tensor else x) * c
+    if tape is _ARRAYS:
+        return out
+    out = Tensor(out, x.requires_grad)
+    if tape is not None and out.requires_grad:
         _record(tape, out, lambda d: ((x, d * c),))
     return out
 
 
 def relu(x):
-    x = as_tensor(x)
-    out = Tensor(np.maximum(x.values, 0.0), x.requires_grad)
-    if (tape := _TAPES[-1]) is not None and out.requires_grad:
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        x = as_tensor(x)
+    out = np.maximum(x.values if type(x) is Tensor else x, 0.0)
+    if tape is _ARRAYS:
+        return out
+    out = Tensor(out, x.requires_grad)
+    if tape is not None and out.requires_grad:
         _record(tape, out, lambda d: ((x, d * (x.values > 0.0)),))
     return out
 
 
 def reshape(x, shape):
-    x = as_tensor(x)
-    out = Tensor(x.values.reshape(shape), x.requires_grad)
-    if (tape := _TAPES[-1]) is not None and out.requires_grad:
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        x = as_tensor(x)
+    out = (x.values if type(x) is Tensor else x).reshape(shape)
+    if tape is _ARRAYS:
+        return out
+    out = Tensor(out, x.requires_grad)
+    if tape is not None and out.requires_grad:
         _record(tape, out, lambda d: ((x, d.reshape(x.values.shape)),))
     return out
 
 
 def transpose(x, axes):
-    x = as_tensor(x)
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        x = as_tensor(x)
     axes = tuple(axes)
-    out = Tensor(x.values.transpose(axes), x.requires_grad)
-    if (tape := _TAPES[-1]) is not None and out.requires_grad:
+    out = (x.values if type(x) is Tensor else x).transpose(axes)
+    if tape is _ARRAYS:
+        return out
+    out = Tensor(out, x.requires_grad)
+    if tape is not None and out.requires_grad:
         _record(tape, out, lambda d: ((x, d.transpose(np.argsort(axes))),))
     return out
 
 
 def transpose_last(x):
     """Swap the two trailing axes."""
-    x = as_tensor(x)
-    nd = x.values.ndim
+    if _TAPES[-1] is not _ARRAYS:
+        x = as_tensor(x)
+    nd = x.ndim
     if nd < 2:
         raise DimensionError(f"transpose_last needs >= 2 dims, got shape {x.shape}")
     axes = tuple(range(nd - 2)) + (nd - 1, nd - 2)
@@ -326,13 +353,15 @@ def transpose_last(x):
 
 
 def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(
-        np.concatenate([t.values for t in tensors], axis=axis),
-        any(t.requires_grad for t in tensors),
-    )
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        tensors = [as_tensor(t) for t in tensors]
+    out = np.concatenate([t.values if type(t) is Tensor else t
+                          for t in tensors], axis=axis)
+    if tape is _ARRAYS:
+        return out
+    out = Tensor(out, any(t.requires_grad for t in tensors))
     sizes = [t.values.shape[axis] for t in tensors]
-    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+    if tape is None or not out.requires_grad:
         return out
 
     def rule(d):
@@ -351,9 +380,13 @@ def concat(tensors, axis=0):
 
 def tslice(x, key):
     """Basic slicing; the backward pass scatters into the sliced region."""
-    x = as_tensor(x)
-    out = Tensor(x.values[key], x.requires_grad)
-    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        x = as_tensor(x)
+    out = (x.values if type(x) is Tensor else x)[key]
+    if tape is _ARRAYS:
+        return out
+    out = Tensor(out, x.requires_grad)
+    if tape is None or not out.requires_grad:
         return out
 
     def rule(d):
@@ -367,10 +400,14 @@ def tslice(x, key):
 
 def gather_rows(x, indices, axis=0):
     """Select rows along an axis by integer index (duplicates allowed)."""
-    x = as_tensor(x)
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        x = as_tensor(x)
     idx = np.asarray(indices, dtype=np.intp)
-    out = Tensor(np.take(x.values, idx, axis=axis), x.requires_grad)
-    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+    out = np.take(x.values if type(x) is Tensor else x, idx, axis=axis)
+    if tape is _ARRAYS:
+        return out
+    out = Tensor(out, x.requires_grad)
+    if tape is None or not out.requires_grad:
         return out
 
     def rule(d):
@@ -384,15 +421,20 @@ def gather_rows(x, indices, axis=0):
 
 def embedding(weight, ids):
     """Row lookup into an embedding matrix; backward is a scatter-add."""
-    weight = as_tensor(weight)
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        weight = as_tensor(weight)
+    wv = weight.values if type(weight) is Tensor else weight
     ids = np.asarray(ids, dtype=np.intp)
-    vocab = weight.values.shape[0]
+    vocab = wv.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         raise IndexError(
             f"token id out of range for vocabulary of size {vocab}"
         )
-    out = Tensor(weight.values[ids], weight.requires_grad)
-    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+    out = wv[ids]
+    if tape is _ARRAYS:
+        return out
+    out = Tensor(out, weight.requires_grad)
+    if tape is None or not out.requires_grad:
         return out
 
     def rule(d):
@@ -409,16 +451,20 @@ def embedding(weight, ids):
 
 
 def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    av, bv = a.values, b.values
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        a, b = as_tensor(a), as_tensor(b)
+    av = a.values if type(a) is Tensor else a
+    bv = b.values if type(b) is Tensor else b
     if av.ndim < 2 or bv.ndim < 2 or av.shape[-1] != bv.shape[-2]:
         raise DimensionError(
             f"matmul shapes {av.shape} and {bv.shape} do not agree"
         )
-    out_v = av @ bv
-    mac_counter.count += out_v.size * av.shape[-1]
-    out = Tensor(out_v, a.requires_grad or b.requires_grad)
-    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+    out = av @ bv
+    mac_counter.count += out.size * av.shape[-1]
+    if tape is _ARRAYS:
+        return out
+    out = Tensor(out, a.requires_grad or b.requires_grad)
+    if tape is None or not out.requires_grad:
         return out
 
     def rule(d):
@@ -435,22 +481,25 @@ def matmul(a, b):
 
 def linear(x, weight, bias=None):
     """Affine map y = x W^T + b with weight laid out [out, in]."""
-    x, weight = as_tensor(x), as_tensor(weight)
-    xv, wv = x.values, weight.values
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        x, weight = as_tensor(x), as_tensor(weight)
+        if bias is not None:
+            bias = as_tensor(bias)
+    xv = x.values if type(x) is Tensor else x
+    wv = weight.values if type(weight) is Tensor else weight
     if xv.shape[-1] != wv.shape[-1]:
         raise DimensionError(
             f"linear input {xv.shape} does not match weight {wv.shape}"
         )
-    out_v = xv @ wv.T
-    mac_counter.count += out_v.size * xv.shape[-1]
+    out = xv @ wv.T
+    mac_counter.count += out.size * xv.shape[-1]
     if bias is not None:
-        bias = as_tensor(bias)
-        out_v = out_v + bias.values
-    req = x.requires_grad or weight.requires_grad or (
-        bias is not None and bias.requires_grad
-    )
-    out = Tensor(out_v, req)
-    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+        out = out + (bias.values if type(bias) is Tensor else bias)
+    if tape is _ARRAYS:
+        return out
+    out = Tensor(out, x.requires_grad or weight.requires_grad or (
+        bias is not None and bias.requires_grad))
+    if tape is None or not out.requires_grad:
         return out
 
     def rule(d):
@@ -484,11 +533,11 @@ def masked_cumulative_mean(x):
     Computed in one shot as a lower-triangular averaging matrix times the
     input, so the whole prefix-mean family costs a single matrix product.
     """
-    x = as_tensor(x)
-    if x.values.ndim < 2:
+    if _TAPES[-1] is not _ARRAYS:
+        x = as_tensor(x)
+    if x.ndim < 2:
         raise DimensionError(f"need at least 2 dims, got shape {x.shape}")
-    n = x.values.shape[-2]
-    return matmul(Tensor(_cummean_matrix(n)), x)
+    return matmul(_cummean_matrix(x.shape[-2]), x)
 
 
 # ----------------------------------------------------------------------
@@ -538,10 +587,13 @@ def masked_softmax(scores, mask=None):
     mask is a boolean array broadcastable to scores (True keeps an entry).
     Masked entries come out exactly 0.0; a fully masked row is all zeros.
     """
-    scores = as_tensor(scores)
-    p = _softmax(scores.values, mask)
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        scores = as_tensor(scores)
+    p = _softmax(scores.values if type(scores) is Tensor else scores, mask)
+    if tape is _ARRAYS:
+        return p
     out = Tensor(p, scores.requires_grad)
-    if (tape := _TAPES[-1]) is not None and out.requires_grad:
+    if tape is not None and out.requires_grad:
         _record(tape, out, lambda d: ((scores, _softmax_grad(p, d)),))
     return out
 
@@ -555,11 +607,14 @@ def attention(q, k, v, n_heads, scale, mask=None):
     and MACs equal, bit for bit, those of the chain of reshape, transpose,
     matmul, scale and masked_softmax operations it replaces.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    *lead, tq, d = q.values.shape
-    tk = k.values.shape[-2]
-    if (k.values.shape != v.values.shape or d % n_heads
-            or k.values.shape != (*lead, tk, d)):
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    qv = q.values if type(q) is Tensor else q
+    kv = k.values if type(k) is Tensor else k
+    vv = v.values if type(v) is Tensor else v
+    *lead, tq, d = qv.shape
+    tk = kv.shape[-2]
+    if kv.shape != vv.shape or d % n_heads or kv.shape != (*lead, tk, d):
         raise DimensionError(
             f"attention shapes {q.shape}, {k.shape}, {v.shape} do not agree "
             f"with {n_heads} heads"
@@ -575,16 +630,18 @@ def attention(q, k, v, n_heads, scale, mask=None):
     def merge(x, t):
         return x.transpose(heads).reshape((*lead, t, d))
 
-    qh, kh, vh = split(q.values, tq), split(k.values, tk), split(v.values, tk)
+    qh, kh, vh = split(qv, tq), split(kv, tk), split(vv, tk)
     kt = kh.transpose(last)
     s = qh @ kt
     mac_counter.count += s.size * dk
     p = _softmax(s * scale, mask)
     o = p @ vh
     mac_counter.count += o.size * tk
-    out = Tensor(merge(o, tq),
-                 q.requires_grad or k.requires_grad or v.requires_grad)
-    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+    out = merge(o, tq)
+    if tape is _ARRAYS:
+        return out
+    out = Tensor(out, q.requires_grad or k.requires_grad or v.requires_grad)
+    if tape is None or not out.requires_grad:
         return out
 
     def rule(dout):
@@ -608,13 +665,16 @@ def layer_norm(x, gain, bias, eps=1e-5):
     as Python floats: IEEE doubles like numpy's, and math.sqrt rounds
     correctly like np.sqrt, so the bits are the same at fewer numpy calls.
     """
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    xv = x.values
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    xv = x.values if type(x) is Tensor else x
+    gv = gain.values if type(gain) is Tensor else gain
+    bv = bias.values if type(bias) is Tensor else bias
     d_last = xv.shape[-1]
-    if gain.values.shape != (d_last,) or bias.values.shape != (d_last,):
+    if gv.shape != (d_last,) or bv.shape != (d_last,):
         raise DimensionError(
             f"gain/bias must have shape ({d_last},), got "
-            f"{gain.values.shape} and {bias.values.shape}"
+            f"{gv.shape} and {bv.shape}"
         )
     # add.reduce / d is what np.mean computes, without its Python wrappers.
     if xv.size == d_last:
@@ -626,18 +686,19 @@ def layer_norm(x, gain, bias, eps=1e-5):
         var = np.add.reduce(xc * xc, -1, keepdims=True) / d_last
         inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
+    out = xhat * gv + bv
+    if tape is _ARRAYS:
+        return out
     out = Tensor(
-        xhat * gain.values + bias.values,
-        x.requires_grad or gain.requires_grad or bias.requires_grad,
-    )
-    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+        out, x.requires_grad or gain.requires_grad or bias.requires_grad)
+    if tape is None or not out.requires_grad:
         return out
 
     def rule(d):
         lead = tuple(range(d.ndim - 1))
         dgain = (d * xhat).sum(axis=lead)
         dbias = d.sum(axis=lead)
-        dxhat = d * gain.values
+        dxhat = d * gv
         dx = inv * (
             dxhat
             - dxhat.sum(axis=-1, keepdims=True) / d_last
@@ -656,8 +717,9 @@ def cross_entropy(logits, targets, mask=None):
     (same shape as targets, 1.0 for real positions) drops padding from the
     mean.
     """
-    logits = as_tensor(logits)
-    x = logits.values
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        logits = as_tensor(logits)
+    x = logits.values if type(logits) is Tensor else logits
     ids = np.asarray(targets, dtype=np.intp)
     vocab = x.shape[-1]
     if ids.shape != x.shape[:-1]:
@@ -680,8 +742,11 @@ def cross_entropy(logits, targets, mask=None):
     m = x.max(axis=-1, keepdims=True)
     lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
     logp = np.take_along_axis(x, ids[..., None], axis=-1)[..., 0] - lse[..., 0]
-    out = Tensor(-(logp * w).sum() / count, logits.requires_grad)
-    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+    out = -(logp * w).sum() / count
+    if tape is _ARRAYS:
+        return out
+    out = Tensor(out, logits.requires_grad)
+    if tape is None or not out.requires_grad:
         return out
 
     def rule(d):
@@ -695,17 +760,23 @@ def cross_entropy(logits, targets, mask=None):
 
 def l2_distance_loss(a, b):
     """Mean over rows of the squared euclidean distance between a and b."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.values.shape != b.values.shape:
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        a, b = as_tensor(a), as_tensor(b)
+    av = a.values if type(a) is Tensor else a
+    bv = b.values if type(b) is Tensor else b
+    if av.shape != bv.shape:
         raise DimensionError(
-            f"l2_distance_loss shapes differ: {a.values.shape} vs {b.values.shape}"
+            f"l2_distance_loss shapes differ: {av.shape} vs {bv.shape}"
         )
-    if a.values.ndim < 2:
-        raise DimensionError(f"need at least 2 dims, got shape {a.values.shape}")
-    rows = a.values.size // a.values.shape[-1]
-    diff = a.values - b.values
-    out = Tensor((diff * diff).sum() / rows, a.requires_grad or b.requires_grad)
-    if (tape := _TAPES[-1]) is None or not out.requires_grad:
+    if av.ndim < 2:
+        raise DimensionError(f"need at least 2 dims, got shape {av.shape}")
+    rows = av.size // av.shape[-1]
+    diff = av - bv
+    out = (diff * diff).sum() / rows
+    if tape is _ARRAYS:
+        return out
+    out = Tensor(out, a.requires_grad or b.requires_grad)
+    if tape is None or not out.requires_grad:
         return out
 
     def rule(d):
@@ -717,9 +788,13 @@ def l2_distance_loss(a, b):
 
 
 def tsum(x):
-    x = as_tensor(x)
-    out = Tensor(x.values.sum(), x.requires_grad)
-    if (tape := _TAPES[-1]) is not None and out.requires_grad:
+    if (tape := _TAPES[-1]) is not _ARRAYS:
+        x = as_tensor(x)
+    out = (x.values if type(x) is Tensor else x).sum()
+    if tape is _ARRAYS:
+        return out
+    out = Tensor(out, x.requires_grad)
+    if tape is not None and out.requires_grad:
         _record(tape, out,
                 lambda d: ((x, np.full_like(x.values, float(d))),))
     return out
@@ -727,4 +802,6 @@ def tsum(x):
 
 def detach(x):
     """Cut the tape: same values, no gradient history."""
+    if _TAPES[-1] is _ARRAYS:
+        return x.values if type(x) is Tensor else x
     return as_tensor(x).detach()

@@ -12,6 +12,7 @@ Every layer and model is a Module, which names its own parameters.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -117,28 +118,52 @@ class LayerNorm(Module):
 class KVCache:
     """Projected keys and values [..., c, d] of every memory row attended so
     far, written in place into one buffer [2, ..., capacity, d]; an
-    attention call given the cache appends the rows it projects.
+    attention call given the cache appends the rows it projects and gets
+    arrays of all the rows cached.
+
+    weight and bias, when given, are an attention's projections stacked
+    (MultiHeadAttention.kv_cache): [Wq;Wk;Wv] for self-attention, whose
+    queries are its memory rows, or [Wk;Wv] for cross-attention. A single
+    new memory row is projected by one product over them, which gives the
+    bits of the separate products where _stacks_exactly says so.
 
     For inference only: the buffer is not on the tape, so gradients would
     not reach the rows cached by earlier calls.
     """
 
-    def __init__(self, shape):
+    def __init__(self, shape, weight=None, bias=None):
         self._kv = np.empty((2, *shape))
         self._n = 0
+        self.weight, self.bias = weight, bias
 
     def __len__(self):
         return self._n
 
     def append(self, keys, values):
-        if T._TAPES[-1] is not None:
+        if isinstance(T._TAPES[-1], T.Tape):
             raise T.GradientError("KVCache.append under a recording tape")
         n = self._n
         m = n + keys.shape[-2]
-        self._kv[0, ..., n:m, :] = keys.values
-        self._kv[1, ..., n:m, :] = values.values
+        self._kv[0, ..., n:m, :] = getattr(keys, "values", keys)
+        self._kv[1, ..., n:m, :] = getattr(values, "values", values)
         self._n = m
-        return Tensor(self._kv[0, ..., :m, :]), Tensor(self._kv[1, ..., :m, :])
+        return self._kv[0, ..., :m, :], self._kv[1, ..., :m, :]
+
+
+@functools.cache
+def _stacks_exactly(d, blocks):
+    """Whether one row [1, 1, d] times `blocks` stacked [d, d] weights gets,
+    from this BLAS, the bits of the separate products. A gemv kernel may
+    round the rows of a short last group differently from the same rows in
+    a full group (OpenBLAS: the last d % 4 rows of each block). That
+    depends on shapes only, so it is probed once per shape, on inputs whose
+    wide range makes any change of summation order show."""
+    rng = np.random.default_rng(0)
+    w = rng.normal(size=(blocks * d, d))
+    rows = rng.normal(size=(8, 1, 1, d)) * 10.0 ** rng.uniform(-8, 8, d)
+    return all(np.array_equal(x @ w.T, np.concatenate(
+        [x @ w[i * d:(i + 1) * d].T for i in range(blocks)], -1))
+        for x in rows)
 
 
 class MultiHeadAttention(Module):
@@ -162,11 +187,29 @@ class MultiHeadAttention(Module):
         cached row. mask broadcasts to the score shape [..., heads, tq, c]
         over all c rows attended; True keeps.
         """
-        # Tape order fixes the order in which a shared input's deltas sum.
-        q, k, v = self.wq(queries), self.wk(memory), self.wv(memory)
+        if cache is None or cache.weight is None or memory.shape[-2] != 1:
+            # Tape order fixes the order in which a shared input's deltas sum.
+            q, k, v = self.wq(queries), self.wk(memory), self.wv(memory)
+        else:
+            d = memory.shape[-1]
+            qkv = T.linear(memory, cache.weight, cache.bias)
+            k = T.tslice(qkv, (..., slice(-2 * d, -d)))
+            v = T.tslice(qkv, (..., slice(-d, None)))
+            q = (T.tslice(qkv, (..., slice(0, d)))
+                 if len(cache.weight) == 3 * d else self.wq(queries))
         if cache is not None:
             k, v = cache.append(k, v)
         return self.wo(T.attention(q, k, v, self.n_heads, self.scale, mask))
+
+    def kv_cache(self, shape, self_attention):
+        """An empty KVCache [..., capacity, d] holding copies of this
+        attention's projections, stacked where that is exact; with
+        self_attention the queries must be the memory rows."""
+        stack = (self.wq, self.wk, self.wv)[0 if self_attention else 1:]
+        if not _stacks_exactly(shape[-1], len(stack)):
+            return KVCache(shape)
+        return KVCache(shape, np.concatenate([p.w.values for p in stack]),
+                       np.concatenate([p.b.values for p in stack]))
 
     def attend_rows(self, queries, memory, mask, bridge, cache=None):
         """Attention where query row t attends over bridge[t] + memory[j].
@@ -225,7 +268,7 @@ class _Stack(Module):
                 f"sequence length {end} exceeds maximum {self.cfg.max_len}"
             )
         e = T.scale(T.embedding(self.embed, ids), self.emb_scale)
-        return T.add(e, Tensor(self.pe[start:end]))
+        return T.add(e, self.pe[start:end])
 
 
 class Encoder(_Stack):
@@ -306,19 +349,24 @@ class Decoder(_Stack):
 
 class DecoderCache:
     """What decode_step computed over one source: per decoder layer, a
-    (self-attention, cross-attention) KVCache pair, plus the target id and
-    the read count of each cached row."""
+    (self-attention, cross-attention) KVCache pair, and the target id of
+    each cached row. Row s of r rows read min(k + s - 1, g) source rows
+    and row r read g, for the k and g of the last call, so (k, g) decide
+    which calls may extend the rows."""
 
     def __init__(self):
-        self.ids, self.gs, self.layers = [], [], []
+        self.ids, self.layers = [], []
+        self.decoder = self.k = self.g = None
 
-    def reset(self, cfg, memory_rows):
-        """Empty caches for up to cfg.max_len decoder rows over up to
-        memory_rows encoder rows, batch 1."""
-        self.ids, self.gs = [], []
-        self.layers = [(KVCache((1, cfg.max_len, cfg.d_model)),
-                        KVCache((1, memory_rows, cfg.d_model)))
-                       for _ in range(cfg.n_layers)]
+    def reset(self, decoder, memory_rows):
+        """Empty caches of a decoder's layers for up to cfg.max_len decoder
+        rows over up to memory_rows encoder rows, batch 1."""
+        cfg = decoder.cfg
+        self.ids, self.decoder = [], decoder
+        self.layers = [
+            (layer.self_attn.kv_cache((1, cfg.max_len, cfg.d_model), True),
+             layer.cross_attn.kv_cache((1, memory_rows, cfg.d_model), False))
+            for layer in decoder.layers]
 
 
 class IncrementalStates:
@@ -439,34 +487,47 @@ class IncrementalModel(_Model):
         states covers the consumed source (IncrementalStates); row s of the
         prefix uses the wait-k coverage for step s, and the current step
         uses g_t consumed tokens. Only the rows states.cache lacks are
-        computed: the cache is kept while the prefix and its read counts
-        extend the cached ones, and rebuilt from row 0 otherwise.
+        computed: the cache is kept while the prefix extends the cached ids
+        and the cached rows keep their read counts, and rebuilt from row 0
+        otherwise. Runs in array mode; the cache is not on the tape, so a
+        recording Tape raises GradientError.
         """
+        if isinstance(T._TAPES[-1], T.Tape):
+            raise T.GradientError("decode_step under a recording tape")
         k = self.cfg.k if k is None else k
         c = states.n
         if not 1 <= g_t <= c:
             raise ScheduleError(f"g_t {g_t} outside 1..{c}")
-        prefix = [int(i) for i in prefix_ids]
-        t = len(prefix)
-        gs = [min(k + s - 1, g_t) for s in range(1, t)] + [g_t]
+        if not isinstance(prefix_ids, list):
+            prefix_ids = np.asarray(prefix_ids).tolist()
+        t = len(prefix_ids)
+        if t == 0:
+            raise ScheduleError("the prefix must hold at least the bos id")
         cache = states.cache
         r = len(cache.ids)
-        if (len(cache.layers) != self.cfg.n_layers or r >= t
-                or cache.ids != prefix[:r] or cache.gs != gs[:r]):
-            cache.reset(self.cfg, max(c, self.cfg.max_len))
+        # Rows 1..r-1 keep their read counts whenever row r does (see
+        # DecoderCache).
+        if (cache.decoder is not self.decoder or not 0 < r < t
+                or k != cache.k or min(k + r - 1, g_t) != cache.g
+                or cache.ids != prefix_ids[:r]):
+            cache.reset(self.decoder, max(c, self.cfg.max_len))
             r = 0
         d = self.cfg.d_model
-        new_gs = np.array(gs[r:])
-        # gs never decreases: if row r has read all c rows, every new row has.
-        cross = None if gs[r] == c else np.arange(c) < new_gs[:, None]
-        bridge = T.gather_rows(states.f, new_gs - 1, axis=0)
+        new_gs = np.minimum(np.arange(k + r, k + t), g_t)
+        new_gs[-1] = g_t
+        # Read counts never decrease: if row r has read all c rows, every
+        # new row has.
+        cross = None if new_gs[0] == c else np.arange(c) < new_gs[:, None]
         read = len(cache.layers[0][1])
-        z_new = T.tslice(states.z, (slice(read, None),))
-        logits = self.decoder.forward(
-            np.array([prefix[r:]]), T.reshape(z_new, (1, c - read, d)),
-            cross, T.reshape(bridge, (1, t - r, d)), cache)
-        cache.ids, cache.gs = prefix, gs
-        return T.tslice(logits, (0, -1))
+        with T._ARRAYS:
+            bridge = T.gather_rows(states.f, new_gs - 1, axis=0)
+            z_new = T.tslice(states.z, (slice(read, None),))
+            logits = self.decoder.forward(
+                np.array([prefix_ids[r:]]), T.reshape(z_new, (1, c - read, d)),
+                cross, T.reshape(bridge, (1, t - r, d)), cache)
+        cache.ids += prefix_ids[r:]
+        cache.k, cache.g = k, g_t
+        return Tensor(logits[0, -1])
 
     def start_stream(self):
         return StreamingEncoder(self)
@@ -485,28 +546,30 @@ class StreamingEncoder:
         cfg = model.cfg
         self.count = 0
         self.running_sum = np.zeros(cfg.d_model)
-        self._caches = [KVCache((1, cfg.max_len, cfg.d_model))
-                        for _ in range(cfg.n_layers)]
+        self._caches = [layer.attn.kv_cache((1, cfg.max_len, cfg.d_model),
+                                            True)
+                        for layer in model.encoder.layers]
         self._z = np.zeros((cfg.max_len, cfg.d_model))
         self._f = np.zeros((cfg.max_len, cfg.d_model))
         self._decoder_cache = DecoderCache()
 
     def push(self, token_id):
-        """Consume one source token; returns its encoder state row [d]."""
+        """Consume one source token; returns its encoder state row [d].
+        Runs in array mode."""
         enc = self.model.encoder
-        with T.no_grad():
+        with T._ARRAYS:
             e = enc.embed_positions(np.array([[token_id]]), self.count)
             x = e                                              # [1, 1, d]
             for layer, cache in zip(enc.layers, self._caches):
                 x = layer(x, cache=cache)
-            z_row = enc.final_ln(x)
-            self.running_sum = self.running_sum + e.values[0, 0]
+            z_row = enc.final_ln(x)[0, 0]
+            self.running_sum = self.running_sum + e[0, 0]
             self.count += 1
-            mean = Tensor((self.running_sum / self.count)[None, :])
-            f_row = T.linear(mean, self.model.bridge_w)
-        self._z[self.count - 1] = z_row.values[0, 0]
-        self._f[self.count - 1] = f_row.values[0]
-        return z_row.values[0, 0]
+            f_row = T.linear((self.running_sum / self.count)[None, :],
+                             self.model.bridge_w)
+        self._z[self.count - 1] = z_row
+        self._f[self.count - 1] = f_row[0]
+        return z_row
 
     def mean_embedding(self):
         """Running mean of the consumed, position-augmented inputs."""

@@ -114,6 +114,8 @@ def streaming_decode(model, source, k, max_len=None, bos_id=BOS_ID,
 
     Returns (emitted token ids, DecodeTrace); eos is not part of either.
     """
+    if k < 1:
+        raise ScheduleError(f"k must be positive, got {k}")
     if max_len is not None and max_len < 1:
         raise ScheduleError(f"max_len must be >= 1, got {max_len}")
     stream = iter(source)

@@ -5,7 +5,7 @@ import pytest
 
 from waitkit import tensor as T
 from waitkit.tensor import Tensor
-from waitkit.transformer import ModelConfig
+from waitkit.transformer import IncrementalStates, KVCache, ModelConfig
 from waitkit.waitk import ScheduleError
 
 
@@ -246,6 +246,91 @@ def reference_layer_norm(x, gain, bias, eps=1e-5):
     if (tape := T._TAPES[-1]) is not None and out.requires_grad:
         T._record(tape, out, rule)
     return out
+
+
+class ReferenceDecoderCache:
+    """Reference for DecoderCache: the target id and read count of every
+    cached row, and caches holding no stacked projections."""
+
+    def __init__(self):
+        self.ids, self.gs, self.layers = [], [], []
+
+    def reset(self, cfg, memory_rows):
+        self.ids, self.gs = [], []
+        self.layers = [(KVCache((1, cfg.max_len, cfg.d_model)),
+                        KVCache((1, memory_rows, cfg.d_model)))
+                       for _ in range(cfg.n_layers)]
+
+
+def reference_decode_step(model, prefix_ids, states, g_t, k=None):
+    """Reference for IncrementalModel.decode_step before array mode: ops on
+    Tensors under no_grad, separate q/k/v products, and the cache checked
+    against the whole prefix and its read counts rebuilt as lists.
+    states.cache must be a ReferenceDecoderCache."""
+    with T.no_grad():
+        k = model.cfg.k if k is None else k
+        c = states.n
+        if not 1 <= g_t <= c:
+            raise ScheduleError(f"g_t {g_t} outside 1..{c}")
+        prefix = [int(i) for i in prefix_ids]
+        t = len(prefix)
+        gs = [min(k + s - 1, g_t) for s in range(1, t)] + [g_t]
+        cache = states.cache
+        r = len(cache.ids)
+        if (len(cache.layers) != model.cfg.n_layers or r >= t
+                or cache.ids != prefix[:r] or cache.gs != gs[:r]):
+            cache.reset(model.cfg, max(c, model.cfg.max_len))
+            r = 0
+        d = model.cfg.d_model
+        new_gs = np.array(gs[r:])
+        cross = None if gs[r] == c else np.arange(c) < new_gs[:, None]
+        bridge = T.gather_rows(states.f, new_gs - 1, axis=0)
+        read = len(cache.layers[0][1])
+        z_new = T.tslice(states.z, (slice(read, None),))
+        logits = model.decoder.forward(
+            np.array([prefix[r:]]), T.reshape(z_new, (1, c - read, d)),
+            cross, T.reshape(bridge, (1, t - r, d)), cache)
+        cache.ids, cache.gs = prefix, gs
+        return T.tslice(logits, (0, -1))
+
+
+class ReferenceStream:
+    """Reference for StreamingEncoder before array mode: push runs the ops
+    on Tensors under no_grad with separate q/k/v products, and its states
+    carry a ReferenceDecoderCache for reference_decode_step."""
+
+    def __init__(self, model):
+        self.model = model
+        cfg = model.cfg
+        self.count = 0
+        self.running_sum = np.zeros(cfg.d_model)
+        self._caches = [KVCache((1, cfg.max_len, cfg.d_model))
+                        for _ in range(cfg.n_layers)]
+        self._z = np.zeros((cfg.max_len, cfg.d_model))
+        self._f = np.zeros((cfg.max_len, cfg.d_model))
+        self._decoder_cache = ReferenceDecoderCache()
+
+    def push(self, token_id):
+        enc = self.model.encoder
+        with T.no_grad():
+            e = enc.embed_positions(np.array([[token_id]]), self.count)
+            x = e
+            for layer, cache in zip(enc.layers, self._caches):
+                x = layer(x, cache=cache)
+            z_row = enc.final_ln(x)
+            self.running_sum = self.running_sum + e.values[0, 0]
+            self.count += 1
+            mean = Tensor((self.running_sum / self.count)[None, :])
+            f_row = T.linear(mean, self.model.bridge_w)
+        self._z[self.count - 1] = z_row.values[0, 0]
+        self._f[self.count - 1] = f_row.values[0]
+        return z_row.values[0, 0]
+
+    @property
+    def states(self):
+        return IncrementalStates(Tensor(self._z[:self.count]),
+                                 Tensor(self._f[:self.count]),
+                                 self._decoder_cache)
 
 
 class EagerAdam:

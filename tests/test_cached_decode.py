@@ -161,18 +161,19 @@ def test_reused_states_equal_fresh_states(cfg4):
     src = rng.integers(4, 20, size=9)
     prefix = [1] + rng.integers(4, 20, size=8).tolist()
 
-    def step(p, g, states=None):
-        """decode_step on states whose cache holds the wait-2 rows of
-        prefix[:7], or on fresh states."""
+    def step(p, g, states=None, read=9, k=2):
+        """decode_step at wait-k on states whose cache holds the wait-2
+        rows of prefix[:7] computed while `read` source tokens had been
+        read, or on fresh states."""
         if states is None:
             states = model.incremental_states(src)
             for s in range(1, 8):
-                model.decode_step(prefix[:s], states, min(s + 1, 9), 2)
-        return model.decode_step(p, states, g, 2).values
+                model.decode_step(prefix[:s], states, min(s + 1, read), 2)
+        return model.decode_step(p, states, g, k).values
 
     with T.no_grad():
-        def fresh(p, g):
-            return step(p, g, model.incremental_states(src))
+        def fresh(p, g, k=2):
+            return step(p, g, model.incremental_states(src), k=k)
 
         # Extending the cache computes one row alone, so sums may round
         # differently from a fresh pass over all rows.
@@ -186,6 +187,19 @@ def test_reused_states_equal_fresh_states(cfg4):
             (prefix[:8], 4),                  # earlier rows' reads change
         ]:
             assert np.array_equal(step(p, g), fresh(p, g))
+        # Rows 5-7 were computed having read 5 < k + s - 1 tokens; once g_t
+        # grows they read more, so the cache is rebuilt. While g_t stays,
+        # the rows hold and the cache is extended.
+        assert np.array_equal(step(prefix[:8], 9, read=5),
+                              fresh(prefix[:8], 9))
+        assert np.array_equal(step(prefix[:8], 6, read=5),
+                              fresh(prefix[:8], 6))
+        assert np.abs(step(prefix[:8], 5, read=5)
+                      - fresh(prefix[:8], 5)).max() <= 1e-12
+        # At wait-3 row 7 reads the same 8 tokens, but rows 1-6 read one
+        # more than at wait-2.
+        assert np.array_equal(step(prefix[:8], 8, k=3),
+                              fresh(prefix[:8], 8, k=3))
 
 
 def test_unread_source_leaves_row_bit_identical(cfg4):
@@ -227,7 +241,9 @@ def test_long_decode_op_budget(monkeypatch):
     """A 48-token k=1 decode at the decode_long benchmark shape never copies
     a cache with concat, records nothing (it runs under no_grad) and passes
     no mask to attention: every streamed row's self and cross masks would
-    keep all the rows cached so far."""
+    keep all the rows cached so far. It builds at most 5 Tensors per
+    emission (97 before push and decode_step ran in array mode): the
+    states' z and f and the returned logits."""
     cfg = ModelConfig(n_layers=2, d_model=64, n_heads=4, d_ff=64,
                       src_vocab=32, tgt_vocab=32, max_len=64, k=1)
     model = IncrementalModel(cfg, seed=0)
@@ -247,10 +263,20 @@ def test_long_decode_op_budget(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(T, name, counting(name))
+    built = []
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
     tokens, _ = streaming_decode(model, src, 1, max_len=48, eos_id=-1)
     assert len(tokens) == 48
     assert calls == {"concat": 0, "_partial_softmax": 0, "_record": 0,
                      "attention": 0}
+    streamed = len(built)
+    assert streamed <= 5 * 48, streamed
     # The wrappers do see masks and records: a batched pass under a Tape
     # gives attention its causal and wait-k masks, which drop entries.
     with T.Tape():
@@ -258,3 +284,4 @@ def test_long_decode_op_budget(monkeypatch):
     assert calls["_partial_softmax"] > 0
     assert calls["_record"] > 0
     assert calls["attention"] == 3 * cfg.n_layers
+    assert len(built) > streamed

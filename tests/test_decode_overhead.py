@@ -1,8 +1,8 @@
 """The per-emission overhead cuts of the cached decode against copies of the
 code they replace (conftest): the unmasked softmax for masks that keep every
 entry, layer_norm without np.mean and its one-row path, the write-in-place,
-inference-only KVCache, and ops that build no backward rule when nothing
-records."""
+inference-only KVCache, ops that build no backward rule when nothing
+records, and ops that build no Tensor in array mode."""
 
 import numpy as np
 import pytest
@@ -191,6 +191,28 @@ def test_ops_under_no_grad_match_recorded_ops():
         assert len(outer) == 0, name
 
 
+def test_ops_in_array_mode_return_the_recorded_values():
+    """In array mode an op returns the array it computes, bit for bit the
+    values it returns in a Tensor under a Tape, and records nothing; no_grad
+    inside it gives Tensors back, and backward has no tape to run."""
+    rng = np.random.default_rng(0)
+    for name, op in op_cases(rng):
+        state = rng.bit_generator.state
+        with T.Tape():
+            recorded = op()
+        rng.bit_generator.state = state
+        with T.Tape() as outer, T._ARRAYS:
+            plain = op()
+        assert isinstance(plain, (np.ndarray, np.floating)), name
+        assert np.array_equal(plain, recorded.values), name
+        assert len(outer) == 0, name
+    with T._ARRAYS:
+        with T.no_grad():
+            assert isinstance(T.add(np.ones(2), np.ones(2)), Tensor)
+        with pytest.raises(T.GradientError):
+            T.backward(Tensor(1.0))
+
+
 def test_train_step_records_155_tape_entries(monkeypatch):
     """Skipping the rule when nothing records leaves the recording path
     alone: a joint train_step at the train_joint shape records 155 ops."""
@@ -227,12 +249,12 @@ def test_kv_cache_returns_concatenation_of_appends(lead, rows):
             k, v = cache.append(Tensor(keys[-1]), Tensor(values[-1]))
         returned.append((k, v))
         assert len(cache) == sum(x.shape[-2] for x in keys)
-        assert np.array_equal(k.values, np.concatenate(keys, axis=-2))
-        assert np.array_equal(v.values, np.concatenate(values, axis=-2))
+        assert np.array_equal(k, np.concatenate(keys, axis=-2))
+        assert np.array_equal(v, np.concatenate(values, axis=-2))
     # Later appends write past the rows an earlier call was handed.
     for i, (k, v) in enumerate(returned):
-        assert np.array_equal(k.values, np.concatenate(keys[:i + 1], axis=-2))
-        assert np.array_equal(v.values, np.concatenate(values[:i + 1], axis=-2))
+        assert np.array_equal(k, np.concatenate(keys[:i + 1], axis=-2))
+        assert np.array_equal(v, np.concatenate(values[:i + 1], axis=-2))
 
 
 def test_cached_decode_refuses_a_recording_tape():

@@ -151,6 +151,21 @@ class TestStreamingDecode:
         with pytest.raises(ScheduleError):
             streaming_decode(model, [], k=2)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_k_rejected_before_reading(self, model, k):
+        """k < 1 would read nothing and then blame the source."""
+        pulls = []
+
+        def recording_stream(ids):
+            for tok in ids:
+                pulls.append(tok)
+                yield tok
+
+        message = f"k must be positive, got {k}"
+        with pytest.raises(ScheduleError, match=message):
+            streaming_decode(model, recording_stream([4, 5, 6]), k=k)
+        assert pulls == []
+
     def test_never_reads_ahead(self, model):
         pulls = []
 
