@@ -60,7 +60,10 @@ def load_checkpoint(path):
     cut = blob.find(marker)
     if cut < 0:
         raise CheckpointError(f"{path}: missing end_header marker")
-    header = blob[:cut].decode("utf-8").splitlines()
+    try:
+        header = blob[:cut].decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: header is not UTF-8") from None
     payload = blob[cut + len(marker):]
     if not header or not header[0].startswith(MAGIC):
         raise CheckpointError(f"{path}: bad magic line")
@@ -74,7 +77,7 @@ def load_checkpoint(path):
     for line in header[1:]:
         if line.startswith("param "):
             _, name, *dims = line.split()
-            params.append((name, tuple(int(d) for d in dims)))
+            params.append((name, tuple(_int(path, d) for d in dims)))
         elif line.startswith("checksum="):
             checksum = line.split("=", 1)[1]
         elif "=" in line:
@@ -87,6 +90,9 @@ def load_checkpoint(path):
     if hashlib.sha256(payload).hexdigest() != checksum:
         raise CheckpointError(f"{path}: payload checksum mismatch")
 
+    for key in ("vocab_src", "vocab_tgt"):
+        if key not in fields:
+            raise CheckpointError(f"{path}: missing {key} line")
     vocab_src = Vocabulary(fields.pop("vocab_src").split())
     vocab_tgt = Vocabulary(fields.pop("vocab_tgt").split())
     arrays = {}
@@ -103,9 +109,17 @@ def load_checkpoint(path):
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} trailing bytes")
 
-    config = {f.name: int(fields.pop(f.name))
+    config = {f.name: _int(path, fields.pop(f.name))
               for f in dataclasses.fields(ModelConfig) if f.name in fields}
     return config, fields, vocab_src, vocab_tgt, arrays
+
+
+def _int(path, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise CheckpointError(
+            f"{path}: header value {text!r} is not an integer") from None
 
 
 def save_models(path, teacher, student, src_vocab, tgt_vocab, meta=None):
@@ -121,7 +135,10 @@ def load_models(path):
     Returns (teacher, student, src_vocab, tgt_vocab, meta dict).
     """
     config, meta, vocab_src, vocab_tgt, arrays = load_checkpoint(path)
-    cfg = ModelConfig(**config)
+    try:
+        cfg = ModelConfig(**config)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     teacher = TeacherModel(cfg, seed=0)
     student = IncrementalModel(cfg, seed=0)
     named = {**teacher.named_parameters("teacher."),

@@ -145,6 +145,15 @@ def generate_synthetic(spec, count):
     return examples
 
 
+def _read_lines(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path} is not UTF-8: byte {exc.start} "
+                             "cannot be decoded") from None
+
+
 def load_corpus(src_path, tgt_path, src_vocab=None, tgt_vocab=None):
     """Whitespace-tokenized parallel text files, one sentence per line.
 
@@ -152,10 +161,7 @@ def load_corpus(src_path, tgt_path, src_vocab=None, tgt_vocab=None):
     side is empty are skipped and counted; raises IngestionError when no
     pair is left. Returns (examples, src_vocab, tgt_vocab, skipped).
     """
-    with open(src_path, encoding="utf-8") as fh:
-        src_lines = fh.read().splitlines()
-    with open(tgt_path, encoding="utf-8") as fh:
-        tgt_lines = fh.read().splitlines()
+    src_lines, tgt_lines = _read_lines(src_path), _read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise IngestionError(
             f"line counts differ: {len(src_lines)} in {src_path} vs "

@@ -67,7 +67,7 @@ def sinusoidal_positions(max_len, d_model):
     div = np.exp(dim * (-math.log(10000.0) / d_model))
     table = np.zeros((max_len, d_model))
     table[:, 0::2] = np.sin(pos * div)
-    table[:, 1::2] = np.cos(pos * div[: (d_model + 1) // 2])
+    table[:, 1::2] = np.cos(pos * div[: d_model // 2])
     return table
 
 
@@ -128,7 +128,8 @@ class KVCache:
     bits of the separate products where _stacks_exactly says so.
 
     For inference only: the buffer is not on the tape, so gradients would
-    not reach the rows cached by earlier calls.
+    not reach the rows cached by earlier calls. Stacked weights are for
+    array mode only (T._ARRAYS), where the stacked product is an array.
     """
 
     def __init__(self, shape, weight=None, bias=None):
@@ -192,11 +193,10 @@ class MultiHeadAttention(Module):
             q, k, v = self.wq(queries), self.wk(memory), self.wv(memory)
         else:
             d = memory.shape[-1]
-            qkv = T.linear(memory, cache.weight, cache.bias)
-            k = T.tslice(qkv, (..., slice(-2 * d, -d)))
-            v = T.tslice(qkv, (..., slice(-d, None)))
-            q = (T.tslice(qkv, (..., slice(0, d)))
-                 if len(cache.weight) == 3 * d else self.wq(queries))
+            qkv = T.linear(memory, cache.weight, cache.bias)   # array mode
+            k, v = qkv[..., -2 * d:-d], qkv[..., -d:]
+            q = (qkv[..., :d] if len(cache.weight) == 3 * d
+                 else self.wq(queries))
         if cache is not None:
             k, v = cache.append(k, v)
         return self.wo(T.attention(q, k, v, self.n_heads, self.scale, mask))
@@ -512,7 +512,6 @@ class IncrementalModel(_Model):
                 or cache.ids != prefix_ids[:r]):
             cache.reset(self.decoder, max(c, self.cfg.max_len))
             r = 0
-        d = self.cfg.d_model
         new_gs = np.minimum(np.arange(k + r, k + t), g_t)
         new_gs[-1] = g_t
         # Read counts never decrease: if row r has read all c rows, every
@@ -520,11 +519,9 @@ class IncrementalModel(_Model):
         cross = None if new_gs[0] == c else np.arange(c) < new_gs[:, None]
         read = len(cache.layers[0][1])
         with T._ARRAYS:
-            bridge = T.gather_rows(states.f, new_gs - 1, axis=0)
-            z_new = T.tslice(states.z, (slice(read, None),))
             logits = self.decoder.forward(
-                np.array([prefix_ids[r:]]), T.reshape(z_new, (1, c - read, d)),
-                cross, T.reshape(bridge, (1, t - r, d)), cache)
+                np.array([prefix_ids[r:]]), states.z.values[None, read:],
+                cross, states.f.values[None, new_gs - 1], cache)
         cache.ids += prefix_ids[r:]
         cache.k, cache.g = k, g_t
         return Tensor(logits[0, -1])

@@ -19,10 +19,11 @@ from conftest import (ReferenceDecoderCache, ReferenceStream,
 
 
 def random_model(rng, seed):
-    """An IncrementalModel of 1-3 layers, 1-4 heads and an even width of
-    4-64, with a wait k of 1-5 and a source of 1-19 tokens."""
+    """An IncrementalModel of 1-3 layers, 1-4 heads and a width of 4-64,
+    odd widths included, with a wait k of 1-5 and a source of 1-19
+    tokens."""
     heads = int(rng.integers(1, 5))
-    widths = [d for d in range(4, 65, 2) if d % heads == 0]
+    widths = [d for d in range(4, 65) if d % heads == 0]
     cfg = ModelConfig(n_layers=int(rng.integers(1, 4)),
                       d_model=int(rng.choice(widths)), n_heads=heads,
                       d_ff=int(rng.integers(4, 65)), src_vocab=20,

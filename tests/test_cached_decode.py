@@ -239,29 +239,34 @@ def test_long_decode_mac_budget():
 
 def test_long_decode_op_budget(monkeypatch):
     """A 48-token k=1 decode at the decode_long benchmark shape never copies
-    a cache with concat, records nothing (it runs under no_grad) and passes
+    a cache with concat, records nothing (it runs in array mode) and passes
     no mask to attention: every streamed row's self and cross masks would
-    keep all the rows cached so far. It builds at most 5 Tensors per
-    emission (97 before push and decode_step ran in array mode): the
-    states' z and f and the returned logits."""
+    keep all the rows cached so far. An emission makes at most 65 op calls
+    and at most one tslice (85 and 17 when the stacked projections and
+    decode_step's inputs were sliced by ops), and builds at most 5 Tensors
+    (97 before push and decode_step ran in array mode): the states' z and f
+    and the returned logits."""
     cfg = ModelConfig(n_layers=2, d_model=64, n_heads=4, d_ff=64,
                       src_vocab=32, tgt_vocab=32, max_len=64, k=1)
     model = IncrementalModel(cfg, seed=0)
     src = np.random.default_rng(37).integers(4, 32, size=48).tolist()
-    calls = {"concat": 0, "_partial_softmax": 0, "_record": 0,
-             "attention": 0}
+    ops = [name for name in T.__all__ if name[0].islower() and name not in
+           ("no_grad", "backward", "mac_counter", "as_tensor")]
+    calls = dict.fromkeys(ops + ["_partial_softmax", "_record",
+                                 "masked_attention"], 0)
 
     def counting(name):
         fn = getattr(T, name)
 
         def wrapper(*args, **kwargs):
+            calls[name] += 1
             mask = args[5] if len(args) > 5 else kwargs.get("mask")
-            if name != "attention" or mask is not None:
-                calls[name] += 1
+            if name == "attention" and mask is not None:
+                calls["masked_attention"] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in ops + ["_partial_softmax", "_record"]:
         monkeypatch.setattr(T, name, counting(name))
     built = []
     init = Tensor.__init__
@@ -273,15 +278,20 @@ def test_long_decode_op_budget(monkeypatch):
     monkeypatch.setattr(Tensor, "__init__", counting_init)
     tokens, _ = streaming_decode(model, src, 1, max_len=48, eos_id=-1)
     assert len(tokens) == 48
-    assert calls == {"concat": 0, "_partial_softmax": 0, "_record": 0,
-                     "attention": 0}
+    assert [calls[name] for name in ("concat", "_partial_softmax", "_record",
+                                     "masked_attention")] == [0, 0, 0, 0]
+    assert calls["tslice"] <= 48
+    op_calls = sum(calls[name] for name in ops)
+    assert op_calls <= 65 * 48, op_calls
     streamed = len(built)
     assert streamed <= 5 * 48, streamed
     # The wrappers do see masks and records: a batched pass under a Tape
-    # gives attention its causal and wait-k masks, which drop entries.
-    with T.Tape():
+    # gives attention its causal and wait-k masks, which drop entries, and
+    # every tape entry goes through the module's _record, the scaffold's
+    # included.
+    with T.Tape() as tape:
         model.forward(np.array([src]), np.array([[1] + tokens[:-1]]), 1)
     assert calls["_partial_softmax"] > 0
-    assert calls["_record"] > 0
-    assert calls["attention"] == 3 * cfg.n_layers
+    assert calls["_record"] == len(tape) > 0
+    assert calls["masked_attention"] == 3 * cfg.n_layers
     assert len(built) > streamed

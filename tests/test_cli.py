@@ -87,13 +87,32 @@ class TestGenData:
         assert pairs == [(i, i) for i in range(len(pairs))]
 
 
+def write_bad_inputs(tmp_path):
+    """A blank and a non-UTF-8 corpus, and copies of the run's checkpoint
+    with one header line changed (None: removed)."""
+    (tmp_path / "blank.txt").write_text("\n \n", encoding="utf-8")
+    (tmp_path / "bad_utf8.txt").write_bytes(b"a b\n\xff c\n")
+    header, payload = (tmp_path / "model.ckpt").read_bytes().split(
+        b"\nend_header\n", 1)
+    edits = {"bad_utf8.ckpt": (b"seed=", b"seed=\xff"),
+             "bad_d_model.ckpt": (b"d_model=", b"d_model=abc"),
+             "bad_n_heads.ckpt": (b"n_heads=", b"n_heads=3"),
+             "bad_vocab.ckpt": (b"vocab_tgt=", None)}
+    for name, (key, new) in edits.items():
+        lines = [new if line.startswith(key) else line
+                 for line in header.split(b"\n")]
+        (tmp_path / name).write_bytes(
+            b"\n".join(line for line in lines if line is not None)
+            + b"\nend_header\n" + payload)
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("cli_run")
     overrides = base_overrides(tmp_path, max_steps=400, k=3,
                                early_stop_loss=0.03)
     assert main(["train"] + overrides) == 0
-    (tmp_path / "blank.txt").write_text("\n \n", encoding="utf-8")
+    write_bad_inputs(tmp_path)
     return tmp_path, overrides
 
 
@@ -106,7 +125,7 @@ def trained_files(tmp_path_factory):
     overrides = base_overrides(tmp_path, task="files", src_file=corpus,
                                tgt_file=corpus, max_steps=3, batch_size=2)
     assert main(["train"] + overrides) == 0
-    (tmp_path / "blank.txt").write_text("\n \n", encoding="utf-8")
+    write_bad_inputs(tmp_path)
     return tmp_path, overrides
 
 
@@ -177,8 +196,9 @@ class TestTrainEvalDecode:
 # Bad inputs run against the config of the run trained on the row's task
 # (copy unless the row sets task=files); each must end in its documented
 # exit code with a one-line error and no traceback. File names starting with
-# missing or blank live in that run's directory, and the error line names
-# the first of them: the row reaches the file it is about.
+# missing, blank or bad live in that run's directory (see write_bad_inputs),
+# and the error line names the first of them: the row reaches the file it is
+# about.
 EXIT_CODES = [
     ("train", {"d_model": 30, "n_heads": 4}, 2),
     ("train", {"k": 0}, 2),
@@ -196,6 +216,12 @@ EXIT_CODES = [
               "tgt_file": "missing.tgt"}, 3),
     ("train", {"task": "files", "src_file": "blank.txt",
                "tgt_file": "blank.txt"}, 3),
+    ("train", {"task": "files", "src_file": "bad_utf8.txt",
+               "tgt_file": "bad_utf8.txt"}, 3),
+    ("eval", {"checkpoint": "bad_utf8.ckpt"}, 3),
+    ("eval", {"checkpoint": "bad_d_model.ckpt"}, 3),
+    ("eval", {"checkpoint": "bad_vocab.ckpt"}, 3),
+    ("eval", {"checkpoint": "bad_n_heads.ckpt"}, 3),
 ]
 
 
@@ -207,7 +233,7 @@ def test_exit_code_table(request, capsys, command, extra, code):
     run = "trained_files" if extra.get("task") == "files" else "trained"
     tmp_path, overrides = request.getfixturevalue(run)
     files = [v for v in extra.values()
-             if str(v).startswith(("missing", "blank"))]
+             if str(v).startswith(("missing", "blank", "bad"))]
     extra = {k: tmp_path / v if v in files else v for k, v in extra.items()}
     assert main([command] + overrides
                 + [f"{k}={v}" for k, v in extra.items()]) == code
@@ -228,6 +254,13 @@ def test_error_classes_carry_exit_codes(monkeypatch, capsys, error):
     monkeypatch.setitem(cli.COMMANDS, "gen-data", fail)
     assert main(["gen-data"]) == error.exit_code
     assert capsys.readouterr().err.splitlines() == ["error: bad input"]
+
+
+def test_train_odd_width(tmp_path):
+    """An odd d_model builds, trains and saves (its position table has one
+    more sine than cosine column)."""
+    assert main(["train"] + base_overrides(tmp_path, d_model=5, n_heads=1,
+                                           max_steps=3)) == 0
 
 
 def test_checkpoint_round_trip_with_end_header_token(tmp_path):
