@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 
@@ -76,8 +77,11 @@ def load_checkpoint(path):
     checksum = None
     for line in header[1:]:
         if line.startswith("param "):
-            _, name, *dims = line.split()
-            params.append((name, tuple(_int(path, d) for d in dims)))
+            _, *parts = line.split()
+            shape = tuple(_int(path, d) for d in parts[1:])
+            if not shape or min(shape) < 0:
+                raise CheckpointError(f"{path}: bad param line {line!r}")
+            params.append((parts[0], shape))
         elif line.startswith("checksum="):
             checksum = line.split("=", 1)[1]
         elif "=" in line:
@@ -98,7 +102,7 @@ def load_checkpoint(path):
     arrays = {}
     offset = 0
     for name, shape in params:
-        count = int(np.prod(shape)) if shape != (0,) else 0
+        count = math.prod(shape)       # Python ints: no overflow
         size = count * 8
         if offset + size > len(payload):
             raise CheckpointError(f"{path}: payload too short for {name}")

@@ -5,56 +5,29 @@ when a Tape records (outside no_grad), appends its backward rule to it.
 Replaying the tape in reverse sums one delta per tensor and adds only the
 leaves' into .grad. In the private array mode (`with _ARRAYS:`) an
 operation takes Tensors or float64 arrays and returns the array it
-computed, building no Tensor. Most operations are a body over arrays under
-one scaffold, _op, that unwraps, builds the Tensor and records. linear,
-add/sub/mul, layer_norm and attention dispatch inline: they are 57 of the
-65 op calls of a streamed emission, and the scaffold's extra call costs
-about 0.8 us each (CPython 3.11 on a 2-vCPU x86 VM). Matrix products also
-feed a global multiply-accumulate counter so the benchmark harness can
-report hardware-independent costs. Multi-head attention is one operation
-with one tape entry, not a chain.
+computed, building no Tensor. Every operation is a body over arrays under
+one scaffold, _op, which alone unwraps the operands, builds the Tensor and
+records; a body builds its backward rule only when asked to. Matrix
+products also feed a global multiply-accumulate counter so the benchmark
+harness can report hardware-independent costs. Multi-head attention is one
+operation with one tape entry, not a chain.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
-from contextlib import contextmanager
 
 import numpy as np
 
 __all__ = [
-    "DimensionError",
-    "GradientError",
-    "Tensor",
-    "Tape",
-    "no_grad",
-    "backward",
-    "mac_counter",
-    "as_tensor",
-    "add",
-    "sub",
-    "mul",
-    "scale",
-    "matmul",
-    "linear",
-    "relu",
-    "reshape",
-    "transpose",
-    "transpose_last",
-    "concat",
-    "tslice",
-    "gather_rows",
-    "embedding",
-    "masked_cumulative_mean",
-    "masked_softmax",
-    "attention",
-    "layer_norm",
-    "cross_entropy",
-    "l2_distance_loss",
-    "tsum",
-    "detach",
+    "DimensionError", "GradientError", "Tensor", "Tape", "no_grad",
+    "backward", "mac_counter", "as_tensor",
+    # operations
+    "add", "sub", "mul", "scale", "matmul", "linear", "relu", "reshape",
+    "transpose", "transpose_last", "concat", "tslice", "gather_rows",
+    "embedding", "masked_cumulative_mean", "masked_softmax", "attention",
+    "layer_norm", "cross_entropy", "l2_distance_loss", "tsum", "detach",
 ]
 
 
@@ -110,41 +83,14 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    @property
-    def ndim(self):
-        return self.values.ndim
-
     def item(self):
         return float(self.values.reshape(-1)[0])
 
     def zero_grad(self):
         self.grad[...] = 0.0
 
-    def detach(self):
-        return Tensor(self.values)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x):
@@ -159,24 +105,24 @@ def as_tensor(x):
 _TAPES: list = [None]
 
 
-class _ArrayMode:
-    """Context in which operations return plain arrays: no Tensor, no
-    requires_grad, no backward rule. For inference code that owns its
-    inputs (the streamed decode); shape checks and MAC counts are those of
-    the Tensor path."""
+class _Context:
+    """Makes itself the innermost recording context for a with block."""
 
     def __enter__(self):
         _TAPES.append(self)
+        return self
 
     def __exit__(self, *exc):
         _TAPES.pop()
-        return False
 
 
-_ARRAYS = _ArrayMode()
+# Array mode: operations return plain arrays, with no Tensor, requires_grad
+# or backward rule; shape checks and MAC counts are those of the Tensor
+# path. For inference code that owns its inputs (the streamed decode).
+_ARRAYS = _Context()
 
 
-class Tape:
+class Tape(_Context):
     """Ordered record of differentiable operations.
 
     Entries are appended in execution order; backward() replays them in
@@ -186,14 +132,6 @@ class Tape:
 
     def __init__(self):
         self._entries = []
-
-    def __enter__(self):
-        _TAPES.append(self)
-        return self
-
-    def __exit__(self, *exc):
-        _TAPES.pop()
-        return False
 
     def __len__(self):
         return len(self._entries)
@@ -222,48 +160,97 @@ class Tape:
             t.grad += d
 
 
-@contextmanager
-def no_grad():
+class no_grad(_Context):
     """Disable recording; forward values are identical either way."""
-    _TAPES.append(None)
-    try:
-        yield
-    finally:
-        _TAPES.pop()
+
+    def __enter__(self):
+        _TAPES.append(None)
 
 
 def backward(loss):
     """Run the backward pass of the currently active tape."""
-    t = _TAPES[-1]
-    if not isinstance(t, Tape):
+    if not isinstance(tape := _TAPES[-1], Tape):
         raise GradientError("backward requires an active tape")
-    t.backward(loss)
+    tape.backward(loss)
 
 
 def _record(tape, out, rule):
     tape._entries.append((out, rule))
+    return out
 
 
 def _op(n):
-    """Make an op of a body over arrays: the op's first n positional
-    arguments (n = -1: all but the last) are its operands, Tensors or
-    arrays, and the body gets their arrays and the other arguments. It
-    returns (out, rule), rule(d) giving each operand's delta in order. In
-    array mode the op returns out; otherwise a Tensor, recorded through
-    _record while a Tape records and some operand requires grad."""
+    """Make an op of a body over arrays. The op's first n positional
+    arguments are its operands, Tensors or arrays: a third may be None,
+    n = -1 takes one list of them, and n = 0 none, so the result never
+    requires grad. The body takes a flag rec, the operands' arrays and the
+    op's other arguments; it returns out, or with rec (out, rule), rule(d)
+    giving the operands' deltas in order (one operand: a bare delta). In
+    array mode the op returns out. Otherwise it returns a Tensor, and while
+    a Tape records and some operand requires grad, it asks for the rule and
+    records it through _record."""
     def wrap(body):
-        @functools.wraps(body)
-        def op(*args, **kwargs):
-            if (tape := _TAPES[-1]) is _ARRAYS:
-                return body(*[a.values if type(a) is Tensor else a
-                              for a in args[:n]], *args[n:], **kwargs)[0]
-            xs = [as_tensor(a) for a in args[:n]]
-            out, rule = body(*[x.values for x in xs], *args[n:], **kwargs)
-            out = Tensor(out, any(x.requires_grad for x in xs))
-            if tape is not None and out.requires_grad:
-                _record(tape, out, lambda d: zip(xs, rule(d)))
-            return out
-        return op
+        if n == 0:
+            def op(*args):
+                out = body(False, *args)
+                return out if _TAPES[-1] is _ARRAYS else Tensor(out)
+        elif n == 1:
+            def op(x, *args, **kw):
+                if (tape := _TAPES[-1]) is _ARRAYS:
+                    return body(False, x.values if type(x) is Tensor else x,
+                                *args, **kw)
+                x = as_tensor(x)
+                if tape is None or not x.requires_grad:
+                    return Tensor(body(False, x.values, *args, **kw),
+                                  x.requires_grad)
+                out, rule = body(True, x.values, *args, **kw)
+                return _record(tape, Tensor(out, True),
+                               lambda d: ((x, rule(d)),))
+        elif n == 2:
+            def op(a, b):
+                if (tape := _TAPES[-1]) is _ARRAYS:
+                    return body(False, a.values if type(a) is Tensor else a,
+                                b.values if type(b) is Tensor else b)
+                a, b = as_tensor(a), as_tensor(b)
+                if tape is None or not (a.requires_grad or b.requires_grad):
+                    return Tensor(body(False, a.values, b.values),
+                                  a.requires_grad or b.requires_grad)
+                out, rule = body(True, a.values, b.values)
+                return _record(tape, Tensor(out, True),
+                               lambda d: zip((a, b), rule(d)))
+        elif n == 3:
+            def op(a, b, c=None, *args, **kw):
+                if (tape := _TAPES[-1]) is _ARRAYS:
+                    a = a.values if type(a) is Tensor else a
+                    b = b.values if type(b) is Tensor else b
+                    c = c.values if type(c) is Tensor else c
+                    return (body(False, a, b, c, *args, **kw) if args or kw
+                            else body(False, a, b, c))
+                a, b = as_tensor(a), as_tensor(b)
+                c = None if c is None else as_tensor(c)
+                req = (a.requires_grad or b.requires_grad
+                       or c is not None and c.requires_grad)
+                cv = None if c is None else c.values
+                if tape is None or not req:
+                    return Tensor(body(False, a.values, b.values, cv, *args,
+                                       **kw), req)
+                out, rule = body(True, a.values, b.values, cv, *args, **kw)
+                return _record(tape, Tensor(out, True),
+                               lambda d: zip((a, b, c), rule(d)))
+        else:
+            def op(xs, *args, **kw):
+                if (tape := _TAPES[-1]) is _ARRAYS:
+                    return body(False, [x.values if type(x) is Tensor else x
+                                        for x in xs], *args, **kw)
+                xs = [as_tensor(x) for x in xs]
+                req = any(x.requires_grad for x in xs)
+                if tape is None or not req:
+                    return Tensor(body(False, [x.values for x in xs], *args,
+                                       **kw), req)
+                out, rule = body(True, [x.values for x in xs], *args, **kw)
+                return _record(tape, Tensor(out, True),
+                               lambda d: zip(xs, rule(d)))
+        return functools.wraps(body)(op)
     return wrap
 
 
@@ -282,123 +269,122 @@ def _unbroadcast(grad, shape):
 # Elementwise and structural operations
 
 
-def _elementwise(a, b, forward, deltas):
-    """forward(a, b) of two broadcasting operands; deltas(d, a, b) gives
-    their deltas before they are summed back to each operand's shape."""
-    if (tape := _TAPES[-1]) is not _ARRAYS:
-        a, b = as_tensor(a), as_tensor(b)
-    av = a.values if type(a) is Tensor else a
-    bv = b.values if type(b) is Tensor else b
-    out = forward(av, bv)
-    if tape is _ARRAYS:
-        return out
-    out = Tensor(out, a.requires_grad or b.requires_grad)
-    if tape is None or not out.requires_grad:
-        return out
-
+def _broadcast_rule(a, b, deltas):
+    """The rule of two broadcasting operands: deltas(d), each summed back
+    to its operand's shape."""
     def rule(d):
-        da, db = deltas(d, av, bv)
-        return ((a, _unbroadcast(da, av.shape)),
-                (b, _unbroadcast(db, bv.shape)))
-
-    _record(tape, out, rule)
-    return out
+        da, db = deltas(d)
+        return _unbroadcast(da, a.shape), _unbroadcast(db, b.shape)
+    return rule
 
 
-def add(a, b):
-    return _elementwise(a, b, operator.add, lambda d, av, bv: (d, d))
+@_op(2)
+def add(rec, a, b):
+    return (a + b, _broadcast_rule(a, b, lambda d: (d, d))) if rec else a + b
 
 
-def sub(a, b):
-    return _elementwise(a, b, operator.sub, lambda d, av, bv: (d, -d))
+@_op(2)
+def sub(rec, a, b):
+    return (a - b, _broadcast_rule(a, b, lambda d: (d, -d))) if rec else a - b
 
 
-def mul(a, b):
-    return _elementwise(a, b, operator.mul,
-                        lambda d, av, bv: (d * bv, d * av))
+@_op(2)
+def mul(rec, a, b):
+    if not rec:
+        return a * b
+    return a * b, _broadcast_rule(a, b, lambda d: (d * b, d * a))
 
 
 @_op(1)
-def scale(x, c):
+def scale(rec, x, c):
     c = float(c)
-    return x * c, lambda d: (d * c,)
+    return (x * c, lambda d: d * c) if rec else x * c
 
 
 @_op(1)
-def relu(x):
-    return np.maximum(x, 0.0), lambda d: (d * (x > 0.0),)
+def relu(rec, x):
+    out = np.maximum(x, 0.0)
+    return (out, lambda d: d * (x > 0.0)) if rec else out
 
 
 @_op(1)
-def reshape(x, shape):
-    return x.reshape(shape), lambda d: (d.reshape(x.shape),)
+def reshape(rec, x, shape):
+    out = x.reshape(shape)
+    return (out, lambda d: d.reshape(x.shape)) if rec else out
 
 
 @_op(1)
-def transpose(x, axes):
+def transpose(rec, x, axes):
     axes = tuple(axes)
-    return x.transpose(axes), lambda d: (d.transpose(np.argsort(axes)),)
+    out = x.transpose(axes)
+    return (out, lambda d: d.transpose(np.argsort(axes))) if rec else out
 
 
 @_op(1)
-def transpose_last(x):
+def transpose_last(rec, x):
     """Swap the two trailing axes."""
     if x.ndim < 2:
         raise DimensionError(f"transpose_last needs >= 2 dims, got shape {x.shape}")
-    return np.swapaxes(x, -1, -2), lambda d: (np.swapaxes(d, -1, -2),)
-
-
-def concat(tensors, axis=0):
-    return _concat(*tensors, axis)
+    out = np.swapaxes(x, -1, -2)
+    return (out, lambda d: np.swapaxes(d, -1, -2)) if rec else out
 
 
 @_op(-1)
-def _concat(*args):
-    *arrays, axis = args
+def concat(rec, arrays, axis=0):
+    out = np.concatenate(arrays, axis=axis)
+    if not rec:
+        return out
     cuts = np.cumsum([a.shape[axis] for a in arrays[:-1]])
-    return (np.concatenate(arrays, axis=axis),
-            lambda d: np.split(d, cuts, axis=axis))
+    return out, lambda d: np.split(d, cuts, axis=axis)
 
 
 @_op(1)
-def tslice(x, key):
+def tslice(rec, x, key):
     """Basic slicing; the backward pass scatters into the sliced region."""
+    if not rec:
+        return x[key]
+
     def rule(d):
         dx = np.zeros_like(x)
         dx[key] += d
-        return (dx,)
-
+        return dx
     return x[key], rule
 
 
 @_op(1)
-def gather_rows(x, indices, axis=0):
+def gather_rows(rec, x, indices, axis=0):
     """Select rows along an axis by integer index (duplicates allowed)."""
     idx = np.asarray(indices, dtype=np.intp)
+    out = np.take(x, idx, axis=axis)
+    if not rec:
+        return out
 
     def rule(d):
         dx = np.zeros_like(x)
         np.add.at(np.moveaxis(dx, axis, 0), idx, np.moveaxis(d, axis, 0))
-        return (dx,)
-
-    return np.take(x, idx, axis=axis), rule
+        return dx
+    return out, rule
 
 
 @_op(1)
-def embedding(weight, ids):
+def embedding(rec, weight, ids):
     """Row lookup into an embedding matrix; backward is a scatter-add."""
     ids = np.asarray(ids, dtype=np.intp)
     vocab = weight.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+    if ids.size == 1:               # a streamed token: no numpy reductions
+        bad = not 0 <= ids.item() < vocab
+    else:
+        bad = ids.size and (ids.min() < 0 or ids.max() >= vocab)
+    if bad:
         raise IndexError(
-            f"token id out of range for vocabulary of size {vocab}"
-        )
+            f"token id out of range for vocabulary of size {vocab}")
+    if not rec:
+        return weight[ids]
 
     def rule(d):
         dw = np.zeros_like(weight)
         np.add.at(dw, ids.reshape(-1), d.reshape(-1, weight.shape[1]))
-        return (dw,)
-
+        return dw
     return weight[ids], rule
 
 
@@ -407,57 +393,40 @@ def embedding(weight, ids):
 
 
 @_op(2)
-def matmul(a, b):
+def matmul(rec, a, b):
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(
-            f"matmul shapes {a.shape} and {b.shape} do not agree"
-        )
+            f"matmul shapes {a.shape} and {b.shape} do not agree")
     out = a @ b
     mac_counter.count += out.size * a.shape[-1]
+    if not rec:
+        return out
 
     def rule(d):
         da = d @ np.swapaxes(b, -1, -2)
         db = np.swapaxes(a, -1, -2) @ d
         return _unbroadcast(da, a.shape), _unbroadcast(db, b.shape)
-
     return out, rule
 
 
-def linear(x, weight, bias=None):
+@_op(3)
+def linear(rec, x, weight, bias=None):
     """Affine map y = x W^T + b with weight laid out [out, in]."""
-    if (tape := _TAPES[-1]) is not _ARRAYS:
-        x, weight = as_tensor(x), as_tensor(weight)
-        if bias is not None:
-            bias = as_tensor(bias)
-    xv = x.values if type(x) is Tensor else x
-    wv = weight.values if type(weight) is Tensor else weight
-    if xv.shape[-1] != wv.shape[-1]:
+    if x.shape[-1] != weight.shape[-1]:
         raise DimensionError(
-            f"linear input {xv.shape} does not match weight {wv.shape}"
-        )
-    out = xv @ wv.T
-    mac_counter.count += out.size * xv.shape[-1]
+            f"linear input {x.shape} does not match weight {weight.shape}")
+    out = x @ weight.T
+    mac_counter.count += out.size * x.shape[-1]
     if bias is not None:
-        out = out + (bias.values if type(bias) is Tensor else bias)
-    if tape is _ARRAYS:
-        return out
-    out = Tensor(out, x.requires_grad or weight.requires_grad or (
-        bias is not None and bias.requires_grad))
-    if tape is None or not out.requires_grad:
+        out = out + bias
+    if not rec:
         return out
 
     def rule(d):
-        n_out = wv.shape[0]
-        n_in = wv.shape[1]
-        dx = d @ wv
-        dw = d.reshape(-1, n_out).T @ xv.reshape(-1, n_in)
-        grads = [(x, dx), (weight, dw)]
-        if bias is not None:
-            grads.append((bias, d.reshape(-1, n_out).sum(axis=0)))
-        return grads
-
-    _record(tape, out, rule)
-    return out
+        d2 = d.reshape(-1, weight.shape[0])
+        dx, dw = d @ weight, d2.T @ x.reshape(-1, weight.shape[1])
+        return (dx, dw) if bias is None else (dx, dw, d2.sum(axis=0))
+    return out, rule
 
 
 @functools.cache
@@ -465,17 +434,19 @@ def _cummean_matrix(n):
     return np.tril(np.ones((n, n))) / np.arange(1.0, n + 1.0)[:, None]
 
 
-def masked_cumulative_mean(x):
+@_op(1)
+def masked_cumulative_mean(rec, x):
     """Row i of the result is the mean of rows 0..i of the input.
 
     Computed in one shot as a lower-triangular averaging matrix times the
     input, so the whole prefix-mean family costs a single matrix product.
     """
-    if _TAPES[-1] is not _ARRAYS:
-        x = as_tensor(x)
     if x.ndim < 2:
         raise DimensionError(f"need at least 2 dims, got shape {x.shape}")
-    return matmul(_cummean_matrix(x.shape[-2]), x)
+    m = _cummean_matrix(x.shape[-2])
+    out = m @ x
+    mac_counter.count += out.size * m.shape[-1]
+    return (out, lambda d: np.swapaxes(m, -1, -2) @ d) if rec else out
 
 
 # ----------------------------------------------------------------------
@@ -520,17 +491,18 @@ def _softmax_grad(p, d):
 
 
 @_op(1)
-def masked_softmax(scores, mask=None):
+def masked_softmax(rec, scores, mask=None):
     """Softmax over the last axis restricted to unmasked positions.
 
     mask is a boolean array broadcastable to scores (True keeps an entry).
     Masked entries come out exactly 0.0; a fully masked row is all zeros.
     """
     p = _softmax(scores, mask)
-    return p, lambda d: (_softmax_grad(p, d),)
+    return (p, lambda d: _softmax_grad(p, d)) if rec else p
 
 
-def attention(q, k, v, n_heads, scale, mask=None):
+@_op(3)
+def attention(rec, q, k, v, n_heads, scale, mask=None):
     """Multi-head scaled dot-product attention as one recorded operation.
 
     q [..., tq, d], k and v [..., tk, d] share their leading shape and split
@@ -539,18 +511,12 @@ def attention(q, k, v, n_heads, scale, mask=None):
     and MACs equal, bit for bit, those of the chain of reshape, transpose,
     matmul, scale and masked_softmax operations it replaces.
     """
-    if (tape := _TAPES[-1]) is not _ARRAYS:
-        q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    qv = q.values if type(q) is Tensor else q
-    kv = k.values if type(k) is Tensor else k
-    vv = v.values if type(v) is Tensor else v
-    *lead, tq, d = qv.shape
-    tk = kv.shape[-2]
-    if kv.shape != vv.shape or d % n_heads or kv.shape != (*lead, tk, d):
+    *lead, tq, d = q.shape
+    tk = k.shape[-2]
+    if k.shape != v.shape or d % n_heads or k.shape != (*lead, tk, d):
         raise DimensionError(
             f"attention shapes {q.shape}, {k.shape}, {v.shape} do not agree "
-            f"with {n_heads} heads"
-        )
+            f"with {n_heads} heads")
     dk = d // n_heads
     nd = len(lead) + 3
     heads = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)   # self-inverse
@@ -562,7 +528,7 @@ def attention(q, k, v, n_heads, scale, mask=None):
     def merge(x, t):
         return x.transpose(heads).reshape((*lead, t, d))
 
-    qh, kh, vh = split(qv, tq), split(kv, tk), split(vv, tk)
+    qh, kh, vh = split(q, tq), split(k, tk), split(v, tk)
     kt = kh.transpose(last)
     s = qh @ kt
     mac_counter.count += s.size * dk
@@ -570,10 +536,7 @@ def attention(q, k, v, n_heads, scale, mask=None):
     o = p @ vh
     mac_counter.count += o.size * tk
     out = merge(o, tq)
-    if tape is _ARRAYS:
-        return out
-    out = Tensor(out, q.requires_grad or k.requires_grad or v.requires_grad)
-    if tape is None or not out.requires_grad:
+    if not rec:
         return out
 
     def rule(dout):
@@ -583,67 +546,53 @@ def attention(q, k, v, n_heads, scale, mask=None):
         ds = _softmax_grad(p, dp) * scale
         dq = ds @ np.swapaxes(kt, -1, -2)
         dkt = np.swapaxes(qh, -1, -2) @ ds
-        return ((q, merge(dq, tq)), (k, merge(dkt.transpose(last), tk)),
-                (v, merge(dv, tk)))
-
-    _record(tape, out, rule)
-    return out
+        return merge(dq, tq), merge(dkt.transpose(last), tk), merge(dv, tk)
+    return out, rule
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+@_op(3)
+def layer_norm(rec, x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     eps must be positive. A single row takes its mean, variance and scale
     as Python floats: IEEE doubles like numpy's, and math.sqrt rounds
     correctly like np.sqrt, so the bits are the same at fewer numpy calls.
     """
-    if (tape := _TAPES[-1]) is not _ARRAYS:
-        x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    xv = x.values if type(x) is Tensor else x
-    gv = gain.values if type(gain) is Tensor else gain
-    bv = bias.values if type(bias) is Tensor else bias
-    d_last = xv.shape[-1]
-    if gv.shape != (d_last,) or bv.shape != (d_last,):
+    d_last = x.shape[-1]
+    if gain.shape != (d_last,) or bias.shape != (d_last,):
         raise DimensionError(
             f"gain/bias must have shape ({d_last},), got "
-            f"{gv.shape} and {bv.shape}"
-        )
+            f"{gain.shape} and {bias.shape}")
     # add.reduce / d is what np.mean computes, without its Python wrappers.
-    if xv.size == d_last:
-        xc = xv - float(np.add.reduce(xv, None)) / d_last
+    if x.size == d_last:
+        xc = x - float(np.add.reduce(x, None)) / d_last
         var = float(np.add.reduce(xc * xc, None)) / d_last
         inv = 1.0 / math.sqrt(var + eps)
     else:
-        xc = xv - np.add.reduce(xv, -1, keepdims=True) / d_last
+        xc = x - np.add.reduce(x, -1, keepdims=True) / d_last
         var = np.add.reduce(xc * xc, -1, keepdims=True) / d_last
         inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = xhat * gv + bv
-    if tape is _ARRAYS:
-        return out
-    out = Tensor(
-        out, x.requires_grad or gain.requires_grad or bias.requires_grad)
-    if tape is None or not out.requires_grad:
+    out = xhat * gain + bias
+    if not rec:
         return out
 
     def rule(d):
         lead = tuple(range(d.ndim - 1))
         dgain = (d * xhat).sum(axis=lead)
         dbias = d.sum(axis=lead)
-        dxhat = d * gv
+        dxhat = d * gain
         dx = inv * (
             dxhat
             - dxhat.sum(axis=-1, keepdims=True) / d_last
             - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d_last)
         )
-        return ((x, dx), (gain, dgain), (bias, dbias))
-
-    _record(tape, out, rule)
-    return out
+        return dx, dgain, dbias
+    return out, rule
 
 
 @_op(1)
-def cross_entropy(logits, targets, mask=None):
+def cross_entropy(rec, logits, targets, mask=None):
     """Mean negative log-likelihood of targets under softmax(logits).
 
     targets holds integer ids with the same leading shape as logits; mask
@@ -658,14 +607,10 @@ def cross_entropy(logits, targets, mask=None):
         )
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         raise IndexError(f"target id out of range for vocabulary of size {vocab}")
-    if mask is None:
-        w = np.ones(ids.shape)
-    else:
-        w = np.asarray(mask, dtype=np.float64)
-        if w.shape != ids.shape:
-            raise DimensionError(
-                f"mask shape {w.shape} does not match targets {ids.shape}"
-            )
+    w = np.ones(ids.shape) if mask is None else np.asarray(mask, np.float64)
+    if w.shape != ids.shape:
+        raise DimensionError(
+            f"mask shape {w.shape} does not match targets {ids.shape}")
     count = w.sum()
     if count <= 0:
         raise DimensionError("cross_entropy needs at least one unmasked position")
@@ -673,17 +618,19 @@ def cross_entropy(logits, targets, mask=None):
     lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
     logp = (np.take_along_axis(logits, ids[..., None], axis=-1)[..., 0]
             - lse[..., 0])
+    out = -(logp * w).sum() / count
+    if not rec:
+        return out
 
     def rule(d):
         p = np.exp(logits - lse)
         np.subtract.at(p, (*np.indices(ids.shape), ids), 1.0)
-        return (p * (w[..., None] * (float(d) / count)),)
-
-    return -(logp * w).sum() / count, rule
+        return p * (w[..., None] * (float(d) / count))
+    return out, rule
 
 
 @_op(2)
-def l2_distance_loss(a, b):
+def l2_distance_loss(rec, a, b):
     """Mean over rows of the squared euclidean distance between a and b."""
     if a.shape != b.shape:
         raise DimensionError(
@@ -693,21 +640,22 @@ def l2_distance_loss(a, b):
         raise DimensionError(f"need at least 2 dims, got shape {a.shape}")
     rows = a.size // a.shape[-1]
     diff = a - b
+    out = (diff * diff).sum() / rows
+    if not rec:
+        return out
 
     def rule(d):
         g = diff * (2.0 * float(d) / rows)
         return g, -g
-
-    return (diff * diff).sum() / rows, rule
+    return out, rule
 
 
 @_op(1)
-def tsum(x):
-    return x.sum(), lambda d: (np.full_like(x, float(d)),)
+def tsum(rec, x):
+    return (x.sum(), lambda d: np.full_like(x, float(d))) if rec else x.sum()
 
 
-def detach(x):
-    """Cut the tape: same values, no gradient history."""
-    if _TAPES[-1] is _ARRAYS:
-        return x.values if type(x) is Tensor else x
-    return as_tensor(x).detach()
+@_op(0)
+def detach(rec, x):
+    """Cut the tape: same values, no gradient history (x is no operand)."""
+    return x.values if type(x) is Tensor else x

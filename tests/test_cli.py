@@ -3,6 +3,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from waitkit import cli
@@ -94,10 +95,15 @@ def write_bad_inputs(tmp_path):
     (tmp_path / "bad_utf8.txt").write_bytes(b"a b\n\xff c\n")
     header, payload = (tmp_path / "model.ckpt").read_bytes().split(
         b"\nend_header\n", 1)
+    embed = b"param teacher.encoder.embed "
     edits = {"bad_utf8.ckpt": (b"seed=", b"seed=\xff"),
              "bad_d_model.ckpt": (b"d_model=", b"d_model=abc"),
              "bad_n_heads.ckpt": (b"n_heads=", b"n_heads=3"),
-             "bad_vocab.ckpt": (b"vocab_tgt=", None)}
+             "bad_vocab.ckpt": (b"vocab_tgt=", None),
+             "bad_param_bare.ckpt": (embed, b"param "),
+             "bad_param_negative.ckpt": (embed, embed + b"-16 16"),
+             "bad_param_negatives.ckpt": (embed, embed + b"-16 -16"),
+             "bad_param_huge.ckpt": (embed, embed + b"8 " + b"%d" % 2 ** 62)}
     for name, (key, new) in edits.items():
         lines = [new if line.startswith(key) else line
                  for line in header.split(b"\n")]
@@ -222,6 +228,10 @@ EXIT_CODES = [
     ("eval", {"checkpoint": "bad_d_model.ckpt"}, 3),
     ("eval", {"checkpoint": "bad_vocab.ckpt"}, 3),
     ("eval", {"checkpoint": "bad_n_heads.ckpt"}, 3),
+    ("eval", {"checkpoint": "bad_param_bare.ckpt"}, 3),
+    ("eval", {"checkpoint": "bad_param_negative.ckpt"}, 3),
+    ("eval", {"checkpoint": "bad_param_negatives.ckpt"}, 3),
+    ("eval", {"checkpoint": "bad_param_huge.ckpt"}, 3),
 ]
 
 
@@ -299,3 +309,98 @@ class TestKMatrixCommand:
         lines = (tmp_path / "matrix.csv").read_text().splitlines()
         assert lines[0] == "train_k,test_k=1,test_k=2"
         assert len(lines) == 3
+
+
+def flip_bit(rng, data):
+    i = int(rng.integers(0, len(data)))
+    return data[:i] + bytes([data[i] ^ 1 << int(rng.integers(0, 8))]) \
+        + data[i + 1:]
+
+
+def mutate_checkpoint(rng, blob):
+    """One random corruption of a checkpoint: a flipped header or payload
+    byte, a truncation, a dropped, duplicated or swapped header line, or a
+    param line with a negative, huge or missing dimension."""
+    header, payload = blob.split(b"\nend_header\n", 1)
+    lines = header.split(b"\n")
+    kind = rng.integers(0, 7)
+    if kind == 0:
+        return flip_bit(rng, header) + b"\nend_header\n" + payload
+    if kind == 1:
+        return header + b"\nend_header\n" + flip_bit(rng, payload)
+    if kind == 2:
+        return blob[:int(rng.integers(0, len(blob)))]
+    i, j = (int(x) for x in rng.integers(0, len(lines), size=2))
+    if kind == 3:
+        del lines[i]
+    elif kind == 4:
+        lines.insert(i, lines[i])
+    elif kind == 5:
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        params = [n for n, line in enumerate(lines)
+                  if line.startswith(b"param ")]
+        n = params[int(rng.integers(0, len(params)))]
+        name, *dims = lines[n].split()[1:]
+        d = int(rng.integers(0, len(dims)))
+        dims[d] = [b"-" + dims[d], b"%d" % 2 ** int(rng.integers(31, 64)),
+                   None][rng.integers(0, 3)]
+        lines[n] = b" ".join([b"param", name]
+                             + [x for x in dims if x is not None])
+    return b"\n".join(lines) + b"\nend_header\n" + payload
+
+
+def mutate_corpus(rng, text):
+    """A corpus with invalid UTF-8, a NUL, CRLF line ends or tokens that
+    look like checkpoint header lines spliced in."""
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        bad = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80"]
+        i = int(rng.integers(0, len(text)))
+        return text[:i] + bad[rng.integers(0, len(bad))] + text[i:]
+    if kind == 1:
+        i = int(rng.integers(0, len(text)))
+        return text[:i] + b"\x00" + text[i:]
+    if kind == 2:
+        return text.replace(b"\n", b"\r\n")
+    tokens = [b"end_header", b"param x 3", b"checksum=0", b"vocab_src=a",
+              b"waitkit-checkpoint v1", b"d_model=7", b"=", b"\\n"]
+    lines = text.split(b"\n")
+    i = int(rng.integers(0, len(lines) - 1))
+    lines[i] += b" " + tokens[rng.integers(0, len(tokens))]
+    return b"\n".join(lines)
+
+
+def assert_documented_exit(capsys, argv):
+    """main returns 0, or 2, 3 or 4 with exactly one error line."""
+    code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 0 or (code in (2, 3, 4) and len(err) == 1
+                         and err[0].startswith("error: ")), (argv, code, err)
+    return code
+
+
+def test_fuzzed_inputs_end_in_documented_exit_codes(trained, tmp_path,
+                                                    capsys):
+    """Seeded corruptions of a trained checkpoint (eval) and of a corpus
+    (train, then eval on its checkpoint when training succeeds), run
+    through cli.main in-process: no exception escapes and every run ends
+    in 0 or in a documented exit code with one error line."""
+    run_dir, overrides = trained
+    rng = np.random.default_rng(0)
+    blob = (run_dir / "model.ckpt").read_bytes()
+    ckpt = tmp_path / "fuzzed.ckpt"
+    for _ in range(150):
+        ckpt.write_bytes(mutate_checkpoint(rng, blob))
+        assert_documented_exit(capsys, ["eval"] + overrides + [
+            f"checkpoint={ckpt}", "test_count=2",
+            f"report={tmp_path / 'eval.csv'}"])
+    text = b"a b c\nc b a\nb a\na c b a\n"
+    corpus = tmp_path / "corpus.txt"
+    files = base_overrides(tmp_path, task="files", src_file=corpus,
+                           tgt_file=corpus, max_steps=2, batch_size=2,
+                           d_model=8, d_ff=8)
+    for _ in range(30):
+        corpus.write_bytes(mutate_corpus(rng, text))
+        if assert_documented_exit(capsys, ["train"] + files) == 0:
+            assert assert_documented_exit(capsys, ["eval"] + files) == 0

@@ -154,6 +154,7 @@ def op_cases(rng):
         ("matmul", lambda: T.matmul(a, m)),
         ("linear", lambda: T.linear(a, w, p(5))),
         ("linear_nobias", lambda: T.linear(b, c(5, 4))),
+        ("linear_nobias_grad", lambda: T.linear(a, w)),
         ("relu", lambda: T.relu(a)),
         ("reshape", lambda: T.reshape(a, (6, 4))),
         ("transpose", lambda: T.transpose(a, (2, 0, 1))),
@@ -172,6 +173,39 @@ def op_cases(rng):
         ("tsum", lambda: T.tsum(b)),
         ("detach", lambda: T.detach(a)),
     ]
+
+
+PUBLIC_OPS = [name for name in T.__all__ if name[0].islower() and name not in
+              ("no_grad", "backward", "mac_counter", "as_tensor")]
+
+
+def code_names(code):
+    """The global and attribute names a code object and its nested
+    functions use."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= code_names(const)
+    return names
+
+
+def test_every_op_is_built_by_the_scaffold():
+    """Every op in tensor.__all__ is a body under the one scaffold, T._op:
+    the op runs the scaffold's code and wraps its body, and no body reads
+    the recording context, records or builds a Tensor itself (detach may
+    test for one). op_cases covers every op."""
+    built = {T._op(n)(lambda rec: None).__code__ for n in (-1, 0, 1, 2, 3)}
+    for name in PUBLIC_OPS:
+        op = getattr(T, name)
+        assert op.__code__ in built, name
+        body = op.__wrapped__
+        assert body.__code__.co_varnames[0] == "rec", name
+        assert not code_names(body.__code__) & {"_TAPES", "_ARRAYS",
+                                                "_record", "as_tensor"}, name
+        assert name == "detach" or "Tensor" not in code_names(
+            body.__code__), name
+    covered = {name for name, _ in op_cases(np.random.default_rng(0))}
+    assert set(PUBLIC_OPS) <= covered
 
 
 def test_ops_under_no_grad_match_recorded_ops():
