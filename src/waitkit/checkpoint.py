@@ -3,8 +3,9 @@
 Layout: a UTF-8 text header terminated by an `end_header` line, followed by
 the raw little-endian float64 parameter payload. The header carries a
 version tag, config key=value lines, both vocabularies, one `param` line
-per block (name and shape, in payload order), and a sha256 checksum of the
-payload. Round-trips are bit-exact.
+per block (name and shape, in payload order), and, last, a sha256 checksum
+of the header lines before it and the payload: an edited config value or
+two swapped `param` lines of one shape fail it. Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .training import Vocabulary
 from .transformer import IncrementalModel, ModelConfig, TeacherModel
 
 MAGIC = "waitkit-checkpoint"
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(path, model_cfg, src_vocab, tgt_vocab, named_params,
@@ -33,7 +34,6 @@ def save_checkpoint(path, model_cfg, src_vocab, tgt_vocab, named_params,
         dims = " ".join(str(d) for d in arr.shape) or "0"
         param_lines.append(f"param {name} {dims}")
         payload += arr.tobytes()
-    digest = hashlib.sha256(bytes(payload)).hexdigest()
 
     lines = [f"{MAGIC} v{VERSION}"]
     for key, value in dataclasses.asdict(model_cfg).items():
@@ -43,11 +43,11 @@ def save_checkpoint(path, model_cfg, src_vocab, tgt_vocab, named_params,
     lines.append("vocab_src=" + " ".join(src_vocab.tokens))
     lines.append("vocab_tgt=" + " ".join(tgt_vocab.tokens))
     lines.extend(param_lines)
-    lines.append(f"checksum={digest}")
-    lines.append("end_header")
     header = ("\n".join(lines) + "\n").encode("utf-8")
+    digest = hashlib.sha256(header + payload).hexdigest()
     with open(path, "wb") as fh:
         fh.write(header)
+        fh.write(f"checksum={digest}\nend_header\n".encode("utf-8"))
         fh.write(bytes(payload))
 
 
@@ -74,25 +74,25 @@ def load_checkpoint(path):
 
     fields = {}
     params = []
-    checksum = None
-    for line in header[1:]:
+    for line in header[1:-1]:
         if line.startswith("param "):
             _, *parts = line.split()
             shape = tuple(_int(path, d) for d in parts[1:])
             if not shape or min(shape) < 0:
                 raise CheckpointError(f"{path}: bad param line {line!r}")
             params.append((parts[0], shape))
-        elif line.startswith("checksum="):
-            checksum = line.split("=", 1)[1]
         elif "=" in line:
             key, value = line.split("=", 1)
             fields[key] = value
         else:
             raise CheckpointError(f"{path}: unparseable header line {line!r}")
-    if checksum is None:
+    if not header[-1].startswith("checksum="):
         raise CheckpointError(f"{path}: missing checksum line")
-    if hashlib.sha256(payload).hexdigest() != checksum:
-        raise CheckpointError(f"{path}: payload checksum mismatch")
+    # The bytes of every header line before the checksum line.
+    covered = blob[:blob.rfind(b"\n", 0, cut) + 1]
+    if (hashlib.sha256(covered + payload).hexdigest()
+            != header[-1].split("=", 1)[1]):
+        raise CheckpointError(f"{path}: checksum mismatch")
 
     for key in ("vocab_src", "vocab_tgt"):
         if key not in fields:

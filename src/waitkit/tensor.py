@@ -3,14 +3,14 @@
 Eager tensor library: every operation computes its result immediately and,
 when a Tape records (outside no_grad), appends its backward rule to it.
 Replaying the tape in reverse sums one delta per tensor and adds only the
-leaves' into .grad. In the private array mode (`with _ARRAYS:`) an
-operation takes Tensors or float64 arrays and returns the array it
-computed, building no Tensor. Every operation is a body over arrays under
-one scaffold, _op, which alone unwraps the operands, builds the Tensor and
+leaves' into .grad. Every operation is a body over arrays under one
+scaffold, _op, which alone unwraps the operands, builds the Tensor and
 records; a body builds its backward rule only when asked to. Matrix
 products also feed a global multiply-accumulate counter so the benchmark
 harness can report hardware-independent costs. Multi-head attention is one
-operation with one tape entry, not a chain.
+operation with one tape entry, not a chain. The streamed decode does not
+come here: it runs one row at a time on plain arrays (transformer.py),
+sharing _softmax and _row_norm and counting MACs as the ops count them.
 """
 
 from __future__ import annotations
@@ -100,8 +100,7 @@ def as_tensor(x):
 # ----------------------------------------------------------------------
 # Tape
 
-# The innermost recording context: a Tape, None (no Tape, or no_grad), or
-# _ARRAYS (array mode).
+# The innermost recording context: a Tape, or None (no Tape, or no_grad).
 _TAPES: list = [None]
 
 
@@ -114,12 +113,6 @@ class _Context:
 
     def __exit__(self, *exc):
         _TAPES.pop()
-
-
-# Array mode: operations return plain arrays, with no Tensor, requires_grad
-# or backward rule; shape checks and MAC counts are those of the Tensor
-# path. For inference code that owns its inputs (the streamed decode).
-_ARRAYS = _Context()
 
 
 class Tape(_Context):
@@ -185,22 +178,17 @@ def _op(n):
     n = -1 takes one list of them, and n = 0 none, so the result never
     requires grad. The body takes a flag rec, the operands' arrays and the
     op's other arguments; it returns out, or with rec (out, rule), rule(d)
-    giving the operands' deltas in order (one operand: a bare delta). In
-    array mode the op returns out. Otherwise it returns a Tensor, and while
-    a Tape records and some operand requires grad, it asks for the rule and
-    records it through _record."""
+    giving the operands' deltas in order (one operand: a bare delta). The
+    op returns a Tensor, and while a Tape records and some operand requires
+    grad, it asks for the rule and records it through _record."""
     def wrap(body):
         if n == 0:
             def op(*args):
-                out = body(False, *args)
-                return out if _TAPES[-1] is _ARRAYS else Tensor(out)
+                return Tensor(body(False, *args))
         elif n == 1:
             def op(x, *args, **kw):
-                if (tape := _TAPES[-1]) is _ARRAYS:
-                    return body(False, x.values if type(x) is Tensor else x,
-                                *args, **kw)
                 x = as_tensor(x)
-                if tape is None or not x.requires_grad:
+                if (tape := _TAPES[-1]) is None or not x.requires_grad:
                     return Tensor(body(False, x.values, *args, **kw),
                                   x.requires_grad)
                 out, rule = body(True, x.values, *args, **kw)
@@ -208,30 +196,21 @@ def _op(n):
                                lambda d: ((x, rule(d)),))
         elif n == 2:
             def op(a, b):
-                if (tape := _TAPES[-1]) is _ARRAYS:
-                    return body(False, a.values if type(a) is Tensor else a,
-                                b.values if type(b) is Tensor else b)
                 a, b = as_tensor(a), as_tensor(b)
-                if tape is None or not (a.requires_grad or b.requires_grad):
-                    return Tensor(body(False, a.values, b.values),
-                                  a.requires_grad or b.requires_grad)
+                req = a.requires_grad or b.requires_grad
+                if (tape := _TAPES[-1]) is None or not req:
+                    return Tensor(body(False, a.values, b.values), req)
                 out, rule = body(True, a.values, b.values)
                 return _record(tape, Tensor(out, True),
                                lambda d: zip((a, b), rule(d)))
         elif n == 3:
             def op(a, b, c=None, *args, **kw):
-                if (tape := _TAPES[-1]) is _ARRAYS:
-                    a = a.values if type(a) is Tensor else a
-                    b = b.values if type(b) is Tensor else b
-                    c = c.values if type(c) is Tensor else c
-                    return (body(False, a, b, c, *args, **kw) if args or kw
-                            else body(False, a, b, c))
                 a, b = as_tensor(a), as_tensor(b)
                 c = None if c is None else as_tensor(c)
                 req = (a.requires_grad or b.requires_grad
                        or c is not None and c.requires_grad)
                 cv = None if c is None else c.values
-                if tape is None or not req:
+                if (tape := _TAPES[-1]) is None or not req:
                     return Tensor(body(False, a.values, b.values, cv, *args,
                                        **kw), req)
                 out, rule = body(True, a.values, b.values, cv, *args, **kw)
@@ -239,12 +218,9 @@ def _op(n):
                                lambda d: zip((a, b, c), rule(d)))
         else:
             def op(xs, *args, **kw):
-                if (tape := _TAPES[-1]) is _ARRAYS:
-                    return body(False, [x.values if type(x) is Tensor else x
-                                        for x in xs], *args, **kw)
                 xs = [as_tensor(x) for x in xs]
                 req = any(x.requires_grad for x in xs)
-                if tape is None or not req:
+                if (tape := _TAPES[-1]) is None or not req:
                     return Tensor(body(False, [x.values for x in xs], *args,
                                        **kw), req)
                 out, rule = body(True, [x.values for x in xs], *args, **kw)
@@ -366,18 +342,17 @@ def gather_rows(rec, x, indices, axis=0):
     return out, rule
 
 
+def _out_of_range(vocab):
+    return IndexError(f"token id out of range for vocabulary of size {vocab}")
+
+
 @_op(1)
 def embedding(rec, weight, ids):
     """Row lookup into an embedding matrix; backward is a scatter-add."""
     ids = np.asarray(ids, dtype=np.intp)
     vocab = weight.shape[0]
-    if ids.size == 1:               # a streamed token: no numpy reductions
-        bad = not 0 <= ids.item() < vocab
-    else:
-        bad = ids.size and (ids.min() < 0 or ids.max() >= vocab)
-    if bad:
-        raise IndexError(
-            f"token id out of range for vocabulary of size {vocab}")
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+        raise _out_of_range(vocab)
     if not rec:
         return weight[ids]
 
@@ -550,29 +525,36 @@ def attention(rec, q, k, v, n_heads, scale, mask=None):
     return out, rule
 
 
+def _row_norm(x, eps=1e-5):
+    """(xhat, 1 / std) of the one row an array holds. Its mean, variance and
+    scale are Python floats: IEEE doubles like numpy's, and math.sqrt
+    rounds correctly like np.sqrt, so the bits are those of layer_norm's
+    array path at fewer numpy calls. add.reduce / d is what np.mean
+    computes, without its Python wrappers."""
+    d = x.shape[-1]
+    xc = x - float(np.add.reduce(x, None)) / d
+    inv = 1.0 / math.sqrt(float(np.add.reduce(xc * xc, None)) / d + eps)
+    return xc * inv, inv
+
+
 @_op(3)
 def layer_norm(rec, x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    eps must be positive. A single row takes its mean, variance and scale
-    as Python floats: IEEE doubles like numpy's, and math.sqrt rounds
-    correctly like np.sqrt, so the bits are the same at fewer numpy calls.
+    eps must be positive. A single row takes _row_norm's path.
     """
     d_last = x.shape[-1]
     if gain.shape != (d_last,) or bias.shape != (d_last,):
         raise DimensionError(
             f"gain/bias must have shape ({d_last},), got "
             f"{gain.shape} and {bias.shape}")
-    # add.reduce / d is what np.mean computes, without its Python wrappers.
     if x.size == d_last:
-        xc = x - float(np.add.reduce(x, None)) / d_last
-        var = float(np.add.reduce(xc * xc, None)) / d_last
-        inv = 1.0 / math.sqrt(var + eps)
+        xhat, inv = _row_norm(x, eps)
     else:
         xc = x - np.add.reduce(x, -1, keepdims=True) / d_last
         var = np.add.reduce(xc * xc, -1, keepdims=True) / d_last
         inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+        xhat = xc * inv
     out = xhat * gain + bias
     if not rec:
         return out

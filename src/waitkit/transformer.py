@@ -7,7 +7,11 @@ layer cross-attends to causal states augmented with a projected running mean
 of the consumed input embeddings.
 
 All model forwards are batch-first; single-sentence helpers wrap batch 1.
-Every layer and model is a Module, which names its own parameters.
+The streamed decode (StreamingEncoder.push, IncrementalModel.decode_step)
+computes one row at a time: a plain 1-D array [d], which every module on
+its path takes through a row branch in numpy, over KVCaches of the rows
+before it. Every layer and model is a Module, which names its own
+parameters.
 """
 
 from __future__ import annotations
@@ -97,12 +101,22 @@ class Module:
         return list(self.named_parameters().values())
 
 
+def _product(x, w, b=None):
+    """x @ w.T (+ b) on arrays, its MACs counted as T.linear counts them."""
+    out = x @ w.T
+    T.mac_counter.count += out.size * x.shape[-1]
+    return out if b is None else out + b
+
+
 class Linear(Module):
     def __init__(self, rng, n_out, n_in, bound, bias=True):
         self.w = uniform_init(rng, (n_out, n_in), bound)
         self.b = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
 
     def __call__(self, x):
+        if type(x) is np.ndarray:           # streamed rows
+            return _product(x, self.w.values,
+                            None if self.b is None else self.b.values)
         return T.linear(x, self.w, self.b)
 
 
@@ -112,58 +126,52 @@ class LayerNorm(Module):
         self.bias = Tensor(np.zeros(d), requires_grad=True)
 
     def __call__(self, x):
+        if type(x) is np.ndarray:           # a streamed row
+            return T._row_norm(x)[0] * self.gain.values + self.bias.values
         return T.layer_norm(x, self.gain, self.bias)
 
 
 class KVCache:
-    """Projected keys and values [..., c, d] of every memory row attended so
-    far, written in place into one buffer [2, ..., capacity, d]; an
-    attention call given the cache appends the rows it projects and gets
-    arrays of all the rows cached.
+    """Projected keys k and values v of the memory rows one attention has
+    attended, in order, written one row at a time into buffers
+    [capacity, d]: k[:len(cache)] and v[:len(cache)] hold them.
 
-    weight and bias, when given, are an attention's projections stacked
+    weight and bias, when given, are the attention's projections stacked
     (MultiHeadAttention.kv_cache): [Wq;Wk;Wv] for self-attention, whose
-    queries are its memory rows, or [Wk;Wv] for cross-attention. A single
-    new memory row is projected by one product over them, which gives the
-    bits of the separate products where _stacks_exactly says so.
-
-    For inference only: the buffer is not on the tape, so gradients would
-    not reach the rows cached by earlier calls. Stacked weights are for
-    array mode only (T._ARRAYS), where the stacked product is an array.
+    query is its memory row, or [Wk;Wv] for cross-attention. A single new
+    memory row is projected by one product over them, which gives the bits
+    of the separate products where _stacks_exactly says so. The rows are
+    plain arrays, for inference only.
     """
 
-    def __init__(self, shape, weight=None, bias=None):
-        self._kv = np.empty((2, *shape))
+    def __init__(self, capacity, d, weight=None, bias=None):
+        self.k, self.v = np.empty((capacity, d)), np.empty((capacity, d))
         self._n = 0
         self.weight, self.bias = weight, bias
 
     def __len__(self):
         return self._n
 
-    def append(self, keys, values):
-        if isinstance(T._TAPES[-1], T.Tape):
-            raise T.GradientError("KVCache.append under a recording tape")
-        n = self._n
-        m = n + keys.shape[-2]
-        self._kv[0, ..., n:m, :] = getattr(keys, "values", keys)
-        self._kv[1, ..., n:m, :] = getattr(values, "values", values)
-        self._n = m
-        return self._kv[0, ..., :m, :], self._kv[1, ..., :m, :]
+    def append(self, key, value):
+        """Add the key and value [d] of one memory row."""
+        self.k[self._n] = key
+        self.v[self._n] = value
+        self._n += 1
 
 
 @functools.cache
 def _stacks_exactly(d, blocks):
-    """Whether one row [1, 1, d] times `blocks` stacked [d, d] weights gets,
-    from this BLAS, the bits of the separate products. A gemv kernel may
-    round the rows of a short last group differently from the same rows in
-    a full group (OpenBLAS: the last d % 4 rows of each block). That
-    depends on shapes only, so it is probed once per shape, on inputs whose
-    wide range makes any change of summation order show."""
+    """Whether one row [d] times `blocks` stacked [d, d] weights gets, from
+    this BLAS, the bits of the separate products. A gemv kernel may round
+    the rows of a short last group differently from the same rows in a
+    full group (OpenBLAS: the last d % 4 rows of each block). That depends
+    on shapes only, so it is probed once per shape, on inputs whose wide
+    range makes any change of summation order show."""
     rng = np.random.default_rng(0)
     w = rng.normal(size=(blocks * d, d))
-    rows = rng.normal(size=(8, 1, 1, d)) * 10.0 ** rng.uniform(-8, 8, d)
+    rows = rng.normal(size=(8, d)) * 10.0 ** rng.uniform(-8, 8, d)
     return all(np.array_equal(x @ w.T, np.concatenate(
-        [x @ w[i * d:(i + 1) * d].T for i in range(blocks)], -1))
+        [x @ w[i * d:(i + 1) * d].T for i in range(blocks)]))
         for x in rows)
 
 
@@ -181,34 +189,53 @@ class MultiHeadAttention(Module):
         self.wo = Linear(rng, cfg.d_model, cfg.d_model, bound)
 
     def __call__(self, queries, memory, mask=None, cache=None):
-        """Attend queries [..., tq, d] over a shared memory [..., tk, d].
+        """Attend queries [..., tq, d] over a shared memory [..., tk, d];
+        mask broadcasts to the scores [..., heads, tq, tk], True keeps.
 
-        With a KVCache, memory holds only the rows not yet attended: their
-        keys and values join the cache and the queries attend over every
-        cached row. mask broadcasts to the score shape [..., heads, tq, c]
-        over all c rows attended; True keeps.
+        A streamed row: queries is one row [d] and cache the KVCache of the
+        memory rows attended before. In self-attention memory is that row,
+        and it joins the cache; otherwise memory holds rows [c, d], and
+        those past len(cache) join it. mask is None or [c].
         """
-        if cache is None or cache.weight is None or memory.shape[-2] != 1:
+        if type(queries) is not np.ndarray:
             # Tape order fixes the order in which a shared input's deltas sum.
             q, k, v = self.wq(queries), self.wk(memory), self.wv(memory)
+            return self.wo(T.attention(q, k, v, self.n_heads, self.scale,
+                                       mask))
+        d, w = len(queries), cache.weight
+        if memory.ndim == 1:
+            if w is None:
+                q, k, v = self.wq(memory), self.wk(memory), self.wv(memory)
+            else:
+                qkv = _product(memory, w, cache.bias)
+                q, k, v = qkv[:d], qkv[d:2 * d], qkv[2 * d:]
+            cache.append(k, v)
         else:
-            d = memory.shape[-1]
-            qkv = T.linear(memory, cache.weight, cache.bias)   # array mode
-            k, v = qkv[..., -2 * d:-d], qkv[..., -d:]
-            q = (qkv[..., :d] if len(cache.weight) == 3 * d
-                 else self.wq(queries))
-        if cache is not None:
-            k, v = cache.append(k, v)
-        return self.wo(T.attention(q, k, v, self.n_heads, self.scale, mask))
+            q, new = self.wq(queries), memory[len(cache):]
+            if w is not None and len(new) == 1:
+                kv = _product(new[0], w, cache.bias)
+                cache.append(kv[:d], kv[d:])
+            elif len(new):
+                for key, value in zip(self.wk(new), self.wv(new)):
+                    cache.append(key, value)
+        c, h = len(cache), self.n_heads
+        s = q.reshape(h, 1, d // h) @ cache.k[:c].reshape(
+            c, h, d // h).transpose(1, 2, 0)
+        p = T._softmax(s * self.scale, mask)
+        o = p @ cache.v[:c].reshape(c, h, d // h).transpose(1, 0, 2)
+        T.mac_counter.count += 2 * c * d
+        return self.wo(o.reshape(d))
 
-    def kv_cache(self, shape, self_attention):
-        """An empty KVCache [..., capacity, d] holding copies of this
+    def kv_cache(self, capacity, self_attention):
+        """An empty KVCache of capacity rows holding copies of this
         attention's projections, stacked where that is exact; with
-        self_attention the queries must be the memory rows."""
+        self_attention the query must be the memory row."""
         stack = (self.wq, self.wk, self.wv)[0 if self_attention else 1:]
-        if not _stacks_exactly(shape[-1], len(stack)):
-            return KVCache(shape)
-        return KVCache(shape, np.concatenate([p.w.values for p in stack]),
+        d = self.wq.w.shape[1]
+        if not _stacks_exactly(d, len(stack)):
+            return KVCache(capacity, d)
+        return KVCache(capacity, d,
+                       np.concatenate([p.w.values for p in stack]),
                        np.concatenate([p.b.values for p in stack]))
 
     def attend_rows(self, queries, memory, mask, bridge, cache=None):
@@ -217,8 +244,13 @@ class MultiHeadAttention(Module):
         bridge [..., tq, d] adds the same key term to every score of its
         row, which softmax cancels, and the weights of a row sum to one; so
         this is plain attention over memory plus Wo.w Wv.w bridge[t]. Every
-        row must keep at least one memory row.
+        row must keep at least one memory row. A streamed row passes its
+        bridge row [d].
         """
+        if type(bridge) is np.ndarray:
+            shift = _product(_product(bridge, self.wv.w.values),
+                             self.wo.w.values)
+            return self(queries, memory, mask, cache) + shift
         shift = T.linear(T.linear(bridge, self.wv.w), self.wo.w)
         return T.add(self(queries, memory, mask, cache), shift)
 
@@ -230,7 +262,9 @@ class FeedForward(Module):
         self.w2 = Linear(rng, cfg.d_model, cfg.d_ff, bound)
 
     def __call__(self, x):
-        return self.w2(T.relu(self.w1(x)))
+        h = self.w1(x)
+        return self.w2(np.maximum(h, 0.0) if type(h) is np.ndarray
+                       else T.relu(h))
 
 
 class EncoderLayer(Module):
@@ -243,9 +277,12 @@ class EncoderLayer(Module):
         self.ff = FeedForward(rng, cfg)
 
     def __call__(self, x, mask=None, cache=None):
+        """x [b, n, d] under mask, or one streamed row [d] after the rows
+        in cache."""
+        add = np.add if type(x) is np.ndarray else T.add
         h = self.ln1(x)
-        x = T.add(x, self.attn(h, h, mask, cache))
-        return T.add(x, self.ff(self.ln2(x)))
+        x = add(x, self.attn(h, h, mask, cache))
+        return add(x, self.ff(self.ln2(x)))
 
 
 class _Stack(Module):
@@ -260,15 +297,26 @@ class _Stack(Module):
         self.layers = [layer(rng, cfg) for _ in range(cfg.n_layers)]
         self.final_ln = LayerNorm(cfg.d_model)
 
-    def embed_positions(self, ids, start=0):
-        """Inputs for ids [b, n] at positions start .. start+n-1."""
-        end = start + ids.shape[-1]
-        if end > self.cfg.max_len:
-            raise LengthError(
-                f"sequence length {end} exceeds maximum {self.cfg.max_len}"
-            )
+    def embed_positions(self, ids):
+        """Inputs [b, n, d] for ids [b, n] at positions 0 .. n-1."""
+        n = ids.shape[-1]
+        _check_length(self.cfg, n)
         e = T.scale(T.embedding(self.embed, ids), self.emb_scale)
-        return T.add(e, self.pe[start:end])
+        return T.add(e, self.pe[:n])
+
+    def embed_row(self, token_id, position):
+        """Input row [d] of one token id at a position; the checks and the
+        bits of embed_positions."""
+        _check_length(self.cfg, position + 1)
+        i, table = int(token_id), self.embed.values
+        if not 0 <= i < len(table):
+            raise T._out_of_range(len(table))
+        return table[i] * self.emb_scale + self.pe[position]
+
+
+def _check_length(cfg, n):
+    if n > cfg.max_len:
+        raise LengthError(f"sequence length {n} exceeds maximum {cfg.max_len}")
 
 
 class Encoder(_Stack):
@@ -302,15 +350,18 @@ class DecoderLayer(Module):
 
     def __call__(self, x, memory, self_mask, cross_mask=None, bridge=None,
                  cache=(None, None)):
+        """x [b, t, d], or one streamed row [d] with a (self-attention,
+        cross-attention) KVCache pair."""
+        add = np.add if type(x) is np.ndarray else T.add
         h = self.ln1(x)
-        x = T.add(x, self.self_attn(h, h, self_mask, cache[0]))
+        x = add(x, self.self_attn(h, h, self_mask, cache[0]))
         h = self.ln2(x)
         if bridge is None:
-            x = T.add(x, self.cross_attn(h, memory, cross_mask, cache[1]))
+            x = add(x, self.cross_attn(h, memory, cross_mask, cache[1]))
         else:
-            x = T.add(x, self.cross_attn.attend_rows(h, memory, cross_mask,
-                                                     bridge, cache[1]))
-        return T.add(x, self.ff(self.ln3(x)))
+            x = add(x, self.cross_attn.attend_rows(h, memory, cross_mask,
+                                                   bridge, cache[1]))
+        return add(x, self.ff(self.ln3(x)))
 
 
 class Decoder(_Stack):
@@ -321,21 +372,29 @@ class Decoder(_Stack):
         bound = 1.0 / math.sqrt(cfg.d_model)
         self.out = Linear(rng, cfg.tgt_vocab, cfg.d_model, bound)
 
-    def forward(self, ids, memory, cross_mask=None, bridge=None, cache=None):
+    def forward(self, ids, memory, cross_mask=None, bridge=None):
         """Logits [b, t, vocab] for target ids [b, t] over memory [b, n, d].
 
-        bridge [b, t, d] goes to the last layer's attend_rows. With a
-        DecoderCache, ids are the rows after the cached ones, memory holds
-        only the encoder rows not yet cached, and cross_mask spans them all.
+        bridge [b, t, d] goes to the last layer's attend_rows.
         """
-        if cache is None:
-            start, caches = 0, [(None, None)] * len(self.layers)
-        else:
-            start, caches = len(cache.layers[0][0]), cache.layers
         t = ids.shape[-1]
-        x = self.embed_positions(ids, start)
         self_mask = None if t == 1 else np.tril(    # one row sees all rows
-            np.ones((t, start + t), dtype=bool), k=start)
+            np.ones((t, t), dtype=bool))
+        return self._layers(self.embed_positions(ids), memory, self_mask,
+                            cross_mask, bridge,
+                            [(None, None)] * len(self.layers))
+
+    def step(self, token_id, memory, g, bridge, caches):
+        """Logits [vocab] of the row after those cached in caches, one
+        (self-attention, cross-attention) KVCache pair per layer: target
+        id token_id reads the first g of the encoder rows memory [c, d],
+        with the bridge row [d]."""
+        c = len(memory)
+        cross = None if g == c else np.arange(c) < g
+        return self._layers(self.embed_row(token_id, len(caches[0][0])),
+                            memory, None, cross, bridge, caches)
+
+    def _layers(self, x, memory, self_mask, cross_mask, bridge, caches):
         last = len(self.layers) - 1
         for i, (layer, kv) in enumerate(zip(self.layers, caches)):
             x = layer(x, memory, self_mask, cross_mask,
@@ -352,7 +411,8 @@ class DecoderCache:
     (self-attention, cross-attention) KVCache pair, and the target id of
     each cached row. Row s of r rows read min(k + s - 1, g) source rows
     and row r read g, for the k and g of the last call, so (k, g) decide
-    which calls may extend the rows."""
+    which calls may extend the rows. decoder is the Decoder whose rows
+    these are, or None when no call may extend them."""
 
     def __init__(self):
         self.ids, self.layers = [], []
@@ -360,13 +420,11 @@ class DecoderCache:
 
     def reset(self, decoder, memory_rows):
         """Empty caches of a decoder's layers for up to cfg.max_len decoder
-        rows over up to memory_rows encoder rows, batch 1."""
-        cfg = decoder.cfg
-        self.ids, self.decoder = [], decoder
-        self.layers = [
-            (layer.self_attn.kv_cache((1, cfg.max_len, cfg.d_model), True),
-             layer.cross_attn.kv_cache((1, memory_rows, cfg.d_model), False))
-            for layer in decoder.layers]
+        rows over up to memory_rows encoder rows."""
+        self.ids = []
+        self.layers = [(layer.self_attn.kv_cache(decoder.cfg.max_len, True),
+                        layer.cross_attn.kv_cache(memory_rows, False))
+                       for layer in decoder.layers]
 
 
 class IncrementalStates:
@@ -487,10 +545,10 @@ class IncrementalModel(_Model):
         states covers the consumed source (IncrementalStates); row s of the
         prefix uses the wait-k coverage for step s, and the current step
         uses g_t consumed tokens. Only the rows states.cache lacks are
-        computed: the cache is kept while the prefix extends the cached ids
-        and the cached rows keep their read counts, and rebuilt from row 0
-        otherwise. Runs in array mode; the cache is not on the tape, so a
-        recording Tape raises GradientError.
+        computed, one at a time (Decoder.step): the cache is kept while the
+        prefix extends the cached ids and the cached rows keep their read
+        counts, and rebuilt from row 0 otherwise. The rows are plain arrays
+        off the tape, so a recording Tape raises GradientError.
         """
         if isinstance(T._TAPES[-1], T.Tape):
             raise T.GradientError("decode_step under a recording tape")
@@ -503,6 +561,7 @@ class IncrementalModel(_Model):
         t = len(prefix_ids)
         if t == 0:
             raise ScheduleError("the prefix must hold at least the bos id")
+        _check_length(self.cfg, t)
         cache = states.cache
         r = len(cache.ids)
         # Rows 1..r-1 keep their read counts whenever row r does (see
@@ -512,19 +571,15 @@ class IncrementalModel(_Model):
                 or cache.ids != prefix_ids[:r]):
             cache.reset(self.decoder, max(c, self.cfg.max_len))
             r = 0
-        new_gs = np.minimum(np.arange(k + r, k + t), g_t)
-        new_gs[-1] = g_t
-        # Read counts never decrease: if row r has read all c rows, every
-        # new row has.
-        cross = None if new_gs[0] == c else np.arange(c) < new_gs[:, None]
-        read = len(cache.layers[0][1])
-        with T._ARRAYS:
-            logits = self.decoder.forward(
-                np.array([prefix_ids[r:]]), states.z.values[None, read:],
-                cross, states.f.values[None, new_gs - 1], cache)
+        cache.decoder = None        # a row that raises leaves it to rebuild
+        z, f = states.z.values, states.f.values
+        for s in range(r, t):
+            g = g_t if s == t - 1 else min(k + s, g_t)
+            logits = self.decoder.step(prefix_ids[s], z, g, f[g - 1],
+                                       cache.layers)
         cache.ids += prefix_ids[r:]
-        cache.k, cache.g = k, g_t
-        return Tensor(logits[0, -1])
+        cache.decoder, cache.k, cache.g = self.decoder, k, g_t
+        return Tensor(logits)
 
     def start_stream(self):
         return StreamingEncoder(self)
@@ -543,29 +598,24 @@ class StreamingEncoder:
         cfg = model.cfg
         self.count = 0
         self.running_sum = np.zeros(cfg.d_model)
-        self._caches = [layer.attn.kv_cache((1, cfg.max_len, cfg.d_model),
-                                            True)
+        self._caches = [layer.attn.kv_cache(cfg.max_len, True)
                         for layer in model.encoder.layers]
         self._z = np.zeros((cfg.max_len, cfg.d_model))
         self._f = np.zeros((cfg.max_len, cfg.d_model))
         self._decoder_cache = DecoderCache()
 
     def push(self, token_id):
-        """Consume one source token; returns its encoder state row [d].
-        Runs in array mode."""
+        """Consume one source token; returns its encoder state row [d]."""
         enc = self.model.encoder
-        with T._ARRAYS:
-            e = enc.embed_positions(np.array([[token_id]]), self.count)
-            x = e                                              # [1, 1, d]
-            for layer, cache in zip(enc.layers, self._caches):
-                x = layer(x, cache=cache)
-            z_row = enc.final_ln(x)[0, 0]
-            self.running_sum = self.running_sum + e[0, 0]
-            self.count += 1
-            f_row = T.linear((self.running_sum / self.count)[None, :],
-                             self.model.bridge_w)
+        x = e = enc.embed_row(token_id, self.count)
+        for layer, cache in zip(enc.layers, self._caches):
+            x = layer(x, cache=cache)
+        z_row = enc.final_ln(x)
+        self.running_sum = self.running_sum + e
+        self.count += 1
         self._z[self.count - 1] = z_row
-        self._f[self.count - 1] = f_row[0]
+        self._f[self.count - 1] = _product(self.running_sum / self.count,
+                                           self.model.bridge_w.values)
         return z_row
 
     def mean_embedding(self):

@@ -5,7 +5,7 @@ import pytest
 
 from waitkit import tensor as T
 from waitkit.tensor import Tensor
-from waitkit.transformer import IncrementalStates, KVCache, ModelConfig
+from waitkit.transformer import IncrementalStates, ModelConfig
 from waitkit.waitk import ScheduleError
 
 
@@ -180,12 +180,22 @@ def composed_attention(q, k, v, n_heads, scale, mask=None):
 
 def composed_attention_call(attn, queries, memory, mask=None, cache=None):
     """Reference for MultiHeadAttention.__call__ over composed_attention;
-    patch it in as the method to run a model on the unfused chain."""
-    q, k, v = attn.wq(queries), attn.wk(memory), attn.wv(memory)
-    if cache is not None:
-        k, v = cache.append(k, v)
-    return attn.wo(composed_attention(q, k, v, attn.n_heads, attn.scale,
-                                      mask))
+    patch it in as the method to run a model on the unfused chain. A
+    streamed row [d] adds the keys and values of its new memory rows to the
+    KVCache by separate products, then runs the chain on Tensors over every
+    cached row."""
+    if cache is None:
+        q, k, v = attn.wq(queries), attn.wk(memory), attn.wv(memory)
+        return attn.wo(composed_attention(q, k, v, attn.n_heads, attn.scale,
+                                          mask))
+    new = memory[None] if memory.ndim == 1 else memory[len(cache):]
+    for key, value in zip(attn.wk(new), attn.wv(new)):
+        cache.append(key, value)
+    c = len(cache)
+    out = composed_attention(Tensor(attn.wq(queries)[None]),
+                             Tensor(cache.k[:c]), Tensor(cache.v[:c]),
+                             attn.n_heads, attn.scale, mask)
+    return attn.wo(out.values[0])
 
 
 def reference_softmax(x, mask):
@@ -248,25 +258,81 @@ def reference_layer_norm(x, gain, bias, eps=1e-5):
     return out
 
 
+class ReferenceKV:
+    """Reference for KVCache: the keys and values [1, c, d] of the rows
+    attended so far, as Tensors joined by concat."""
+
+    def __init__(self):
+        self.k = self.v = None
+
+    def __len__(self):
+        return 0 if self.k is None else self.k.shape[-2]
+
+    def join(self, k, v):
+        if self.k is not None:
+            k, v = T.concat([self.k, k], axis=-2), T.concat([self.v, v],
+                                                            axis=-2)
+        self.k, self.v = k, v
+        return k, v
+
+
+def reference_attention(attn, queries, memory, mask, cache):
+    """Reference for a streamed MultiHeadAttention call: separate q, k and v
+    products on Tensors [1, t, d], the new keys and values joined to a
+    ReferenceKV, and one T.attention op over all of them."""
+    k, v = cache.join(attn.wk(memory), attn.wv(memory))
+    return attn.wo(T.attention(attn.wq(queries), k, v, attn.n_heads,
+                               attn.scale, mask))
+
+
+def reference_embed(stack, ids, start):
+    """Inputs [1, t, d] of ids [1, t] at positions start .. start+t-1."""
+    e = T.scale(T.embedding(stack.embed, ids), stack.emb_scale)
+    return T.add(e, stack.pe[start:start + ids.shape[-1]])
+
+
 class ReferenceDecoderCache:
     """Reference for DecoderCache: the target id and read count of every
-    cached row, and caches holding no stacked projections."""
+    cached row, and a ReferenceKV pair per decoder layer."""
 
     def __init__(self):
         self.ids, self.gs, self.layers = [], [], []
 
-    def reset(self, cfg, memory_rows):
+    def reset(self, cfg):
         self.ids, self.gs = [], []
-        self.layers = [(KVCache((1, cfg.max_len, cfg.d_model)),
-                        KVCache((1, memory_rows, cfg.d_model)))
+        self.layers = [(ReferenceKV(), ReferenceKV())
                        for _ in range(cfg.n_layers)]
 
 
+def reference_decoder(decoder, ids, memory, cross, bridge, caches):
+    """Reference for the decoder rows ids [1, t] after the rows in caches:
+    the Tensor-op layers over the encoder rows memory [1, m, d] that the
+    cross caches lack, cross [t, c] over all of them, and bridge [1, t, d]
+    added in the last layer."""
+    start, t = len(caches[0][0]), ids.shape[-1]
+    x = reference_embed(decoder, ids, start)
+    self_mask = None if t == 1 else np.tril(
+        np.ones((t, start + t), dtype=bool), k=start)
+    last = len(decoder.layers) - 1
+    for i, (layer, (own, other)) in enumerate(zip(decoder.layers, caches)):
+        h = layer.ln1(x)
+        x = T.add(x, reference_attention(layer.self_attn, h, h, self_mask,
+                                         own))
+        h = layer.ln2(x)
+        y = reference_attention(layer.cross_attn, h, memory, cross, other)
+        if i == last:
+            attn = layer.cross_attn
+            y = T.add(y, T.linear(T.linear(bridge, attn.wv.w), attn.wo.w))
+        x = T.add(x, y)
+        x = T.add(x, layer.ff(layer.ln3(x)))
+    return decoder.out(decoder.final_ln(x))
+
+
 def reference_decode_step(model, prefix_ids, states, g_t, k=None):
-    """Reference for IncrementalModel.decode_step before array mode: ops on
-    Tensors under no_grad, separate q/k/v products, and the cache checked
-    against the whole prefix and its read counts rebuilt as lists.
-    states.cache must be a ReferenceDecoderCache."""
+    """Reference for IncrementalModel.decode_step before the row branches:
+    ops on Tensors under no_grad, separate q/k/v products, all new rows in
+    one pass, and the cache checked against the whole prefix and its read
+    counts rebuilt as lists. states.cache must be a ReferenceDecoderCache."""
     with T.no_grad():
         k = model.cfg.k if k is None else k
         c = states.n
@@ -279,7 +345,7 @@ def reference_decode_step(model, prefix_ids, states, g_t, k=None):
         r = len(cache.ids)
         if (len(cache.layers) != model.cfg.n_layers or r >= t
                 or cache.ids != prefix[:r] or cache.gs != gs[:r]):
-            cache.reset(model.cfg, max(c, model.cfg.max_len))
+            cache.reset(model.cfg)
             r = 0
         d = model.cfg.d_model
         new_gs = np.array(gs[r:])
@@ -287,25 +353,25 @@ def reference_decode_step(model, prefix_ids, states, g_t, k=None):
         bridge = T.gather_rows(states.f, new_gs - 1, axis=0)
         read = len(cache.layers[0][1])
         z_new = T.tslice(states.z, (slice(read, None),))
-        logits = model.decoder.forward(
-            np.array([prefix[r:]]), T.reshape(z_new, (1, c - read, d)),
-            cross, T.reshape(bridge, (1, t - r, d)), cache)
+        logits = reference_decoder(
+            model.decoder, np.array([prefix[r:]]),
+            T.reshape(z_new, (1, c - read, d)), cross,
+            T.reshape(bridge, (1, t - r, d)), cache.layers)
         cache.ids, cache.gs = prefix, gs
         return T.tslice(logits, (0, -1))
 
 
 class ReferenceStream:
-    """Reference for StreamingEncoder before array mode: push runs the ops
-    on Tensors under no_grad with separate q/k/v products, and its states
-    carry a ReferenceDecoderCache for reference_decode_step."""
+    """Reference for StreamingEncoder before the row branches: push runs the
+    ops on Tensors under no_grad with separate q/k/v products, and its
+    states carry a ReferenceDecoderCache for reference_decode_step."""
 
     def __init__(self, model):
         self.model = model
         cfg = model.cfg
         self.count = 0
         self.running_sum = np.zeros(cfg.d_model)
-        self._caches = [KVCache((1, cfg.max_len, cfg.d_model))
-                        for _ in range(cfg.n_layers)]
+        self._caches = [ReferenceKV() for _ in range(cfg.n_layers)]
         self._z = np.zeros((cfg.max_len, cfg.d_model))
         self._f = np.zeros((cfg.max_len, cfg.d_model))
         self._decoder_cache = ReferenceDecoderCache()
@@ -313,10 +379,13 @@ class ReferenceStream:
     def push(self, token_id):
         enc = self.model.encoder
         with T.no_grad():
-            e = enc.embed_positions(np.array([[token_id]]), self.count)
+            e = reference_embed(enc, np.array([[token_id]]), self.count)
             x = e
             for layer, cache in zip(enc.layers, self._caches):
-                x = layer(x, cache=cache)
+                h = layer.ln1(x)
+                x = T.add(x, reference_attention(layer.attn, h, h, None,
+                                                 cache))
+                x = T.add(x, layer.ff(layer.ln2(x)))
             z_row = enc.final_ln(x)
             self.running_sum = self.running_sum + e.values[0, 0]
             self.count += 1

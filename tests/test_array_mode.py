@@ -1,14 +1,15 @@
-"""The streamed decode in array mode against the Tensor-op code it replaces
-(ReferenceStream and reference_decode_step in conftest): the same logits,
-states and tokens bit for bit, the stacked single-row projections equal to
-the separate products, and the decode_step cache check and input errors."""
+"""The streamed decode, one plain row [d] at a time through the modules'
+row branches, against the Tensor-op code it replaces (ReferenceStream and
+reference_decode_step in conftest): the same logits, states and tokens bit
+for bit, the stacked single-row projections equal to the separate products,
+rebuilt rows equal to rows added one call at a time, and the decode_step
+cache check and input errors."""
 
 import numpy as np
 import pytest
 
 from waitkit import tensor as T
-from waitkit.errors import ScheduleError
-from waitkit.tensor import Tensor
+from waitkit.errors import LengthError, ScheduleError
 from waitkit.transformer import (IncrementalModel, IncrementalStates,
                                  KVCache, ModelConfig, MultiHeadAttention,
                                  _stacks_exactly)
@@ -77,9 +78,9 @@ def test_streamed_tokens_equal_reference(monkeypatch):
 
 
 def test_stacking_probe_is_sound():
-    """Wherever the probe allows a stack, one row times the stacked weights
-    equals the separate products for random rows and weights. A width of
-    1 is one product per output, exact on any BLAS."""
+    """Wherever the probe allows a stack, one row [d] times the stacked
+    weights equals the separate products for random rows and weights. A
+    width of 1 is one product per output, exact on any BLAS."""
     rng = np.random.default_rng(3)
     assert _stacks_exactly(1, 3) and _stacks_exactly(1, 2)
     for d in range(1, 70):
@@ -87,46 +88,49 @@ def test_stacking_probe_is_sound():
             if not _stacks_exactly(d, blocks):
                 continue
             for _ in range(20):
-                x = rng.normal(size=(1, 1, d)) * 10.0 ** rng.uniform(-3, 3, d)
+                x = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3, d)
                 w = rng.normal(size=(blocks * d, d))
-                stacked = T.linear(Tensor(x), Tensor(w)).values
+                stacked = x @ w.T
                 for i in range(blocks):
-                    part = T.linear(Tensor(x), Tensor(w[i * d:(i + 1) * d]))
-                    assert np.array_equal(stacked[..., i * d:(i + 1) * d],
-                                          part.values)
+                    assert np.array_equal(stacked[i * d:(i + 1) * d],
+                                          x @ w[i * d:(i + 1) * d].T)
 
 
 @pytest.mark.parametrize("d", [4, 8, 12, 16, 32, 64])
 def test_stacked_projection_equals_separate_linears(d):
-    """An attention fed one new row at a time through a cache with stacked
-    projections returns what it returns through a cache without them, and
-    the stacked q, k and v rows equal the separate linears."""
+    """A streamed attention row through a cache with stacked projections
+    returns what it returns through a cache without them, in
+    self-attention and in cross-attention over memory rows that arrive
+    none, one or two at a time, masked or not; the stacked q, k and v rows
+    equal the separate linears."""
     rng = np.random.default_rng(d)
     cfg = ModelConfig(n_layers=1, d_model=d, n_heads=2, d_ff=8, max_len=12)
     attn = MultiHeadAttention(rng, cfg)
     for p in attn.parameters():
         p.values += rng.normal(size=p.shape) * 0.1       # non-zero biases
-    stacked = {flag: attn.kv_cache((1, 12, d), flag) for flag in (True, False)}
+    stacked = {flag: attn.kv_cache(12, flag) for flag in (True, False)}
     for flag, cache in stacked.items():
         if cache.weight is None:
             continue
-        x = rng.normal(size=(1, 1, d))
-        with T.no_grad():
-            qkv = T.linear(x, cache.weight, cache.bias).values
-            parts = [T.linear(x, lin.w, lin.b).values
-                     for lin in (attn.wq, attn.wk, attn.wv)[0 if flag else 1:]]
-        assert np.array_equal(qkv, np.concatenate(parts, axis=-1))
-    plain = {flag: KVCache((1, 12, d)) for flag in (True, False)}
+        x = rng.normal(size=d)
+        parts = [lin(x) for lin in (attn.wq, attn.wk, attn.wv)[
+            0 if flag else 1:]]
+        assert np.array_equal(x @ cache.weight.T + cache.bias,
+                              np.concatenate(parts))
+    plain = {flag: KVCache(12, d) for flag in (True, False)}
+    memory, seen = rng.normal(size=(12, d)), 0
     for _ in range(12):
-        h, mem = rng.normal(size=(2, 1, 1, d))
-        with T._ARRAYS:
-            got = (attn(h, h, cache=stacked[True]),
-                   attn(h, mem, cache=stacked[False]))
-            want = (attn(h, h, cache=plain[True]),
-                    attn(h, mem, cache=plain[False]))
-        for g, w in zip(got, want):
-            assert type(g) is np.ndarray
-            assert np.array_equal(g, w)
+        h = rng.normal(size=d)
+        seen = min(12, seen + int(rng.integers(0 if seen else 1, 3)))
+        g = int(rng.integers(1, seen + 1))
+        mask = None if g == seen else np.arange(seen) < g
+        got = (attn(h, h, cache=stacked[True]),
+               attn(h, memory[:seen], mask, stacked[False]))
+        want = (attn(h, h, cache=plain[True]),
+                attn(h, memory[:seen], mask, plain[False]))
+        for a, b in zip(got, want):
+            assert type(a) is np.ndarray and a.shape == (d,)
+            assert np.array_equal(a, b)
 
 
 @pytest.fixture
@@ -178,3 +182,76 @@ def test_decode_step_prefix_types_agree(cfg4):
         for a, b in zip(results[0], other):
             assert np.array_equal(a, b)
 
+
+
+def test_out_of_range_ids_raise_and_leave_the_caches_usable(cfg4):
+    """push(-1), push(vocab) and a prefix holding such an id raise
+    T.embedding's IndexError (a raw row lookup would wrap -1 around);
+    neither the stream nor the decoder cache is left half-written."""
+    model = IncrementalModel(cfg4, seed=2)
+    src, prefix = [4, 9, 7, 12, 5], [1, 6, 8, 11]
+    stream, ref = model.start_stream(), model.start_stream()
+    message = "token id out of range for vocabulary of size 20"
+    for i, token in enumerate(src):
+        for bad in (-1, 20):
+            with pytest.raises(IndexError, match=message):
+                stream.push(bad)
+        assert stream.count == i
+        assert np.array_equal(stream.push(token), ref.push(token))
+    with pytest.raises(IndexError, match=message):
+        T.embedding(model.decoder.embed, [[20]])
+    states = model.incremental_states(src)
+    model.decode_step(prefix[:2], states, 3)
+    for bad in (-1, 20):
+        with pytest.raises(IndexError, match=message):
+            model.decode_step(prefix[:3] + [bad], states, 5)
+        with pytest.raises(IndexError, match=message):
+            model.decode_step([bad] + prefix[1:], model.incremental_states(
+                src), 5)
+    for st in (states, stream.states):
+        assert np.array_equal(
+            model.decode_step(prefix, st, 5).values,
+            model.decode_step(prefix, IncrementalStates(st.z, st.f),
+                              5).values)
+
+
+def test_over_length_input_raises(cfg4):
+    """A source or a prefix longer than max_len raises LengthError before
+    any row is computed."""
+    model = IncrementalModel(cfg4, seed=2)
+    stream = model.start_stream()
+    for _ in range(cfg4.max_len):
+        stream.push(4)
+    with pytest.raises(LengthError, match="sequence length 33 exceeds"):
+        stream.push(4)
+    states = stream.states
+    with pytest.raises(LengthError, match="sequence length 34 exceeds"):
+        model.decode_step([1] * 34, states, 32)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_rebuilt_rows_equal_single_row_extensions(cfg4, k):
+    """A decode_step that rebuilds t rows computes them one at a time: the
+    same bits as t calls that each extend fresh states by a row, and
+    within 1e-12 of the batched forward, whose products take the rows
+    together."""
+    rng = np.random.default_rng(k)
+    for trial in range(6):
+        model = IncrementalModel(cfg4, seed=10 + trial)
+        n = int(rng.integers(1, 12))
+        src = rng.integers(4, 20, size=n).tolist()
+        prefix = [1] + rng.integers(4, 20, size=int(
+            rng.integers(0, 14))).tolist()
+        t = len(prefix)
+        g_t = WaitKSchedule(k, n).read_count(t)
+        rebuilt = model.decode_step(prefix, model.incremental_states(src),
+                                    g_t, k).values
+        states = model.incremental_states(src)
+        for s in range(1, t + 1):
+            g = g_t if s == t else min(k + s - 1, g_t)
+            extended = model.decode_step(prefix[:s], states, g, k).values
+        assert np.array_equal(rebuilt, extended)
+        with T.no_grad():
+            batched, _ = model.forward(np.array([src]), np.array([prefix]),
+                                       k)
+        assert np.abs(rebuilt - batched.values[0, -1]).max() <= 1e-12

@@ -89,8 +89,9 @@ class TestGenData:
 
 
 def write_bad_inputs(tmp_path):
-    """A blank and a non-UTF-8 corpus, and copies of the run's checkpoint
-    with one header line changed (None: removed)."""
+    """A blank and a non-UTF-8 corpus, copies of the run's checkpoint with
+    one header line changed (None: removed), and one with two param lines
+    of one shape swapped."""
     (tmp_path / "blank.txt").write_text("\n \n", encoding="utf-8")
     (tmp_path / "bad_utf8.txt").write_bytes(b"a b\n\xff c\n")
     header, payload = (tmp_path / "model.ckpt").read_bytes().split(
@@ -103,13 +104,21 @@ def write_bad_inputs(tmp_path):
              "bad_param_bare.ckpt": (embed, b"param "),
              "bad_param_negative.ckpt": (embed, embed + b"-16 16"),
              "bad_param_negatives.ckpt": (embed, embed + b"-16 -16"),
-             "bad_param_huge.ckpt": (embed, embed + b"8 " + b"%d" % 2 ** 62)}
+             "bad_param_huge.ckpt": (embed, embed + b"8 " + b"%d" % 2 ** 62),
+             "bad_edited_k.ckpt": (b"k=", b"k=7"),
+             "bad_v1.ckpt": (b"waitkit-checkpoint v", b"waitkit-checkpoint v1")}
     for name, (key, new) in edits.items():
         lines = [new if line.startswith(key) else line
                  for line in header.split(b"\n")]
         (tmp_path / name).write_bytes(
             b"\n".join(line for line in lines if line is not None)
             + b"\nend_header\n" + payload)
+    lines = header.split(b"\n")
+    i, j = (lines.index(b"param teacher.encoder.layers.0.attn.%s.w 16 16" % w)
+            for w in (b"wq", b"wk"))
+    lines[i], lines[j] = lines[j], lines[i]
+    (tmp_path / "bad_swapped_params.ckpt").write_bytes(
+        b"\n".join(lines) + b"\nend_header\n" + payload)
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +241,9 @@ EXIT_CODES = [
     ("eval", {"checkpoint": "bad_param_negative.ckpt"}, 3),
     ("eval", {"checkpoint": "bad_param_negatives.ckpt"}, 3),
     ("eval", {"checkpoint": "bad_param_huge.ckpt"}, 3),
+    ("eval", {"checkpoint": "bad_swapped_params.ckpt"}, 3),
+    ("eval", {"checkpoint": "bad_edited_k.ckpt"}, 3),
+    ("eval", {"checkpoint": "bad_v1.ckpt"}, 3),
 ]
 
 
@@ -264,6 +276,19 @@ def test_error_classes_carry_exit_codes(monkeypatch, capsys, error):
     monkeypatch.setitem(cli.COMMANDS, "gen-data", fail)
     assert main(["gen-data"]) == error.exit_code
     assert capsys.readouterr().err.splitlines() == ["error: bad input"]
+
+
+def test_checksum_covers_the_header(trained, capsys):
+    """A version 1 file, whose checksum covered the payload only, is
+    refused; so are an edited config value and two swapped param lines of
+    one shape, which version 1 loaded silently."""
+    tmp_path, overrides = trained
+    for name, error in (("bad_v1.ckpt", "unsupported version 1"),
+                        ("bad_edited_k.ckpt", "checksum mismatch"),
+                        ("bad_swapped_params.ckpt", "checksum mismatch")):
+        assert main(["eval"] + overrides
+                    + [f"checkpoint={tmp_path / name}"]) == 3
+        assert error in capsys.readouterr().err
 
 
 def test_train_odd_width(tmp_path):
