@@ -246,20 +246,33 @@ def test_train_step_records_155_tape_entries(monkeypatch):
     assert lengths == [155]
 
 
+@pytest.mark.parametrize("lead", [(), (2,)])
 @pytest.mark.parametrize("rows", [1, 2, 3])
-def test_kv_cache_holds_the_appended_rows(rows):
+def test_kv_cache_returns_concatenation_of_appends(lead, rows):
     """k[:c] and v[:c] are the c rows appended so far, in order, whether
     they come one per read (self-attention) or several (a cross-attention
-    read of new memory rows); later appends write past them."""
+    read of new memory rows); later appends write past them.
+
+    lead is the leading shape of the array a key and its value are views
+    of: () for rows of their own, (2,) for the two halves of one [2, d]
+    scratch array, as the stacked [Wk;Wv] product hands them over. The
+    scratch is overwritten after each append, so the cache must keep
+    copies."""
     rng = np.random.default_rng(rows)
     capacity, d = 10, 4
     cache = KVCache(capacity, d)
     keys, values = rng.normal(size=(2, capacity, d))
+    scratch = np.empty((*lead, d))
     held = []
     while len(cache) < capacity:
         c = len(cache)
         for i in range(c, min(c + rows, capacity)):
-            cache.append(keys[i], values[i])
+            if lead:
+                scratch[0], scratch[1] = keys[i], values[i]
+                cache.append(scratch[0], scratch[1])
+                scratch[:] = np.nan
+            else:
+                cache.append(keys[i], values[i])
         c = len(cache)
         held.append((c, cache.k[:c].copy(), cache.v[:c].copy()))
         assert np.array_equal(cache.k[:c], keys[:c])
