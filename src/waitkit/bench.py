@@ -7,7 +7,6 @@ matrix-product MACs are counted (the dominant term).
 
 from __future__ import annotations
 
-import csv
 import functools
 import sys
 import time
@@ -18,6 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError
+from .evaluation import write_csv
 from .tensor import no_grad
 from .training import N_RESERVED
 from .transformer import IncrementalModel, TeacherModel, encode_waitk_recompute
@@ -70,30 +70,27 @@ class BenchResult:
     trials: int
 
 
-def _make_runner(variant, cfg, n, k, t_steps, batch, seed):
+def _make_runner(variant, cfg, n, k, t_steps, seed):
     rng = np.random.default_rng(seed)
-    tokens = rng.integers(N_RESERVED, cfg.src_vocab, size=(batch, n))
+    tokens = rng.integers(N_RESERVED, cfg.src_vocab, size=n)
     schedule = WaitKSchedule(k, n)
     if variant == "offline":
         model = TeacherModel(cfg, seed=seed)
 
         def run():
-            for row in tokens:
-                model.encode(row)
+            model.encode(tokens)
 
     elif variant == "baseline_bi":
         model = TeacherModel(cfg, seed=seed)
 
         def run():
-            for row in tokens:
-                encode_waitk_recompute(model.encoder, row, schedule, t_steps)
+            encode_waitk_recompute(model.encoder, tokens, schedule, t_steps)
 
     elif variant == "incremental_ael":
         model = IncrementalModel(cfg, seed=seed)
 
         def run():
-            for row in tokens:
-                model.incremental_states(row)
+            model.incremental_states(tokens)
 
     else:
         raise ConfigError(
@@ -102,8 +99,7 @@ def _make_runner(variant, cfg, n, k, t_steps, batch, seed):
     return run
 
 
-def bench_forward(variant, n, k, cfg, t_steps=None, batch=1, trials=5,
-                  seed=0):
+def bench_forward(variant, n, k, cfg, t_steps=None, trials=5, seed=0):
     """Median wall time over trials plus the MAC count of one forward pass.
 
     A warm-up run, whose MACs are counted, precedes timing. Each trial is
@@ -114,7 +110,7 @@ def bench_forward(variant, n, k, cfg, t_steps=None, batch=1, trials=5,
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     t_steps = n if t_steps is None else t_steps
-    run = _make_runner(variant, cfg, n, k, t_steps, batch, seed)
+    run = _make_runner(variant, cfg, n, k, t_steps, seed)
     with no_grad():
         macs0 = T.mac_counter.count
         run()
@@ -142,16 +138,8 @@ def scaling_sweep(n_values, k_values, cfg, csv_path=None, trials=5, seed=0):
                     bench_forward(variant, n, k, cfg, trials=trials, seed=seed)
                 )
     if csv_path is not None:
-        write_bench_csv(csv_path, results)
+        write_csv(csv_path, ["variant", "n", "T", "k", "median_secs",
+                             "mac_count"],
+                  [[r.variant, r.n, r.t_steps, r.k, f"{r.median_secs:.6f}",
+                    r.mac_count] for r in results])
     return results
-
-
-def write_bench_csv(path, results):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "n", "T", "k", "median_secs", "mac_count"])
-        for r in results:
-            writer.writerow(
-                [r.variant, r.n, r.t_steps, r.k, f"{r.median_secs:.6f}",
-                 r.mac_count]
-            )

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import config as cfgmod
-from .bench import scaling_sweep, write_bench_csv
+from .bench import scaling_sweep
 from .checkpoint import load_models, save_models
 from .errors import CheckpointError, ConfigError, WaitkitError
 from .evaluation import evaluate_model, k_matrix
@@ -131,11 +131,9 @@ def cmd_k_matrix(cfg):
 
 def cmd_bench(cfg):
     model_cfg = cfgmod.model_config(cfg)
-    results = scaling_sweep(
-        cfg["bench_n"], cfg["bench_k"], model_cfg,
-        trials=cfg["bench_trials"],
-    )
-    write_bench_csv(cfg["bench_out"], results)
+    results = scaling_sweep(cfg["bench_n"], cfg["bench_k"], model_cfg,
+                            csv_path=cfg["bench_out"],
+                            trials=cfg["bench_trials"])
     print(f"{len(results)} rows at {cfg['bench_out']}")
     return EXIT_OK
 

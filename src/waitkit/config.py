@@ -8,7 +8,7 @@ both places.
 from __future__ import annotations
 
 from .errors import ConfigError
-from .training import MODES, SyntheticTaskSpec, TrainConfig
+from .training import MODES, SyntheticTaskSpec, TrainConfig, read_lines
 from .transformer import ModelConfig
 
 
@@ -93,16 +93,15 @@ def parse_value(key, text):
 def load_config(path=None, overrides=()):
     """Defaults, then the file, then key=value override strings."""
     cfg = default_config()
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, text = line.split("=", 1)
-                cfg[key.strip()] = parse_value(key.strip(), text.strip())
+    lines = read_lines(path, ConfigError) if path else []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, text = line.split("=", 1)
+        cfg[key.strip()] = parse_value(key.strip(), text.strip())
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
@@ -134,17 +133,17 @@ def model_config(cfg, src_vocab_size=None, tgt_vocab_size=None):
         raise ConfigError(f"model config: {exc}") from None
 
 
-def train_config(cfg, k=None, seed=None, lam=None, mode=None):
+def train_config(cfg, k=None):
     return TrainConfig(
-        lambda_distill=cfg["lambda"] if lam is None else lam,
+        lambda_distill=cfg["lambda"],
         lr=cfg["lr"],
         beta1=cfg["beta1"],
         beta2=cfg["beta2"],
         adam_eps=cfg["adam_eps"],
         batch_size=cfg["batch_size"],
         max_steps=cfg["max_steps"],
-        seed=cfg["seed"] if seed is None else seed,
-        mode=cfg["mode"] if mode is None else mode,
+        seed=cfg["seed"],
+        mode=cfg["mode"],
         k=cfg["k"] if k is None else k,
         distill_detach_teacher=cfg["distill_detach_teacher"],
         early_stop_loss=cfg["early_stop_loss"],

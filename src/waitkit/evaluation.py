@@ -33,17 +33,22 @@ class EvalReport:
               "mean_hidden_l2", "sentences")
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.FIELDS)
-            writer.writerow([
-                f"{self.corpus_bleu:.4f}",
-                f"{self.mean_al:.4f}",
-                f"{self.absent_1gram:.4f}",
-                f"{self.present_1gram:.4f}",
-                f"{self.mean_hidden_l2:.6f}",
-                self.sentences,
-            ])
+        write_csv(path, self.FIELDS, [[
+            f"{self.corpus_bleu:.4f}",
+            f"{self.mean_al:.4f}",
+            f"{self.absent_1gram:.4f}",
+            f"{self.present_1gram:.4f}",
+            f"{self.mean_hidden_l2:.6f}",
+            self.sentences,
+        ]])
+
+
+def write_csv(path, header, rows):
+    """Write the header row, then rows, to the CSV file path."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _ngram_counts(tokens, order):
@@ -214,11 +219,7 @@ def k_matrix(students_by_k, test_ks, dataset, csv_path=None):
             report = evaluate_model(model, dataset, test_k)
             matrix[i, j] = report.corpus_bleu
     if csv_path is not None:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["train_k"] + [f"test_k={k}" for k in test_ks])
-            for i, train_k in enumerate(train_ks):
-                writer.writerow(
-                    [train_k] + [f"{matrix[i, j]:.4f}" for j in range(len(test_ks))]
-                )
+        write_csv(csv_path, ["train_k"] + [f"test_k={k}" for k in test_ks],
+                  [[train_k] + [f"{v:.4f}" for v in row]
+                   for train_k, row in zip(train_ks, matrix)])
     return matrix

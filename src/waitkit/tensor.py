@@ -174,58 +174,26 @@ def _record(tape, out, rule):
 
 def _op(n):
     """Make an op of a body over arrays. The op's first n positional
-    arguments are its operands, Tensors or arrays: a third may be None,
-    n = -1 takes one list of them, and n = 0 none, so the result never
-    requires grad. The body takes a flag rec, the operands' arrays and the
-    op's other arguments; it returns out, or with rec (out, rule), rule(d)
-    giving the operands' deltas in order (one operand: a bare delta). The
-    op returns a Tensor, and while a Tape records and some operand requires
-    grad, it asks for the rule and records it through _record."""
+    arguments are its operands, Tensors, arrays or None (a trailing one
+    left out takes the body's default); n = -1 takes one list of them, and
+    n = 0 none, so the result never requires grad. The body takes a flag
+    rec, the operands' arrays and the op's other arguments; it returns out,
+    or with rec (out, rule), rule(d) giving the operands' deltas in order
+    (one operand: a bare delta). The op returns a Tensor, and while a Tape
+    records and some operand requires grad, it asks for the rule and
+    records it through _record."""
     def wrap(body):
-        if n == 0:
-            def op(*args):
-                return Tensor(body(False, *args))
-        elif n == 1:
-            def op(x, *args, **kw):
-                x = as_tensor(x)
-                if (tape := _TAPES[-1]) is None or not x.requires_grad:
-                    return Tensor(body(False, x.values, *args, **kw),
-                                  x.requires_grad)
-                out, rule = body(True, x.values, *args, **kw)
-                return _record(tape, Tensor(out, True),
-                               lambda d: ((x, rule(d)),))
-        elif n == 2:
-            def op(a, b):
-                a, b = as_tensor(a), as_tensor(b)
-                req = a.requires_grad or b.requires_grad
-                if (tape := _TAPES[-1]) is None or not req:
-                    return Tensor(body(False, a.values, b.values), req)
-                out, rule = body(True, a.values, b.values)
-                return _record(tape, Tensor(out, True),
-                               lambda d: zip((a, b), rule(d)))
-        elif n == 3:
-            def op(a, b, c=None, *args, **kw):
-                a, b = as_tensor(a), as_tensor(b)
-                c = None if c is None else as_tensor(c)
-                req = (a.requires_grad or b.requires_grad
-                       or c is not None and c.requires_grad)
-                cv = None if c is None else c.values
-                if (tape := _TAPES[-1]) is None or not req:
-                    return Tensor(body(False, a.values, b.values, cv, *args,
-                                       **kw), req)
-                out, rule = body(True, a.values, b.values, cv, *args, **kw)
-                return _record(tape, Tensor(out, True),
-                               lambda d: zip((a, b, c), rule(d)))
-        else:
-            def op(xs, *args, **kw):
-                xs = [as_tensor(x) for x in xs]
-                req = any(x.requires_grad for x in xs)
-                if (tape := _TAPES[-1]) is None or not req:
-                    return Tensor(body(False, [x.values for x in xs], *args,
-                                       **kw), req)
-                out, rule = body(True, [x.values for x in xs], *args, **kw)
-                return _record(tape, Tensor(out, True),
-                               lambda d: zip(xs, rule(d)))
+        def op(*args, **kw):
+            xs = [None if x is None else as_tensor(x)
+                  for x in (args[0] if n < 0 else args[:n])]
+            arrays = [None if x is None else x.values for x in xs]
+            args = (arrays, *args[1:]) if n < 0 else (*arrays, *args[n:])
+            req = any(x is not None and x.requires_grad for x in xs)
+            if (tape := _TAPES[-1]) is None or not req:
+                return Tensor(body(False, *args, **kw), req)
+            out, rule = body(True, *args, **kw)
+            return _record(tape, Tensor(out, True), lambda d: zip(
+                xs, (rule(d),) if n == 1 else rule(d)))
         return functools.wraps(body)(op)
     return wrap
 
@@ -541,20 +509,17 @@ def _row_norm(x, eps=1e-5):
 def layer_norm(rec, x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    eps must be positive. A single row takes _row_norm's path.
+    eps must be positive.
     """
     d_last = x.shape[-1]
     if gain.shape != (d_last,) or bias.shape != (d_last,):
         raise DimensionError(
             f"gain/bias must have shape ({d_last},), got "
             f"{gain.shape} and {bias.shape}")
-    if x.size == d_last:
-        xhat, inv = _row_norm(x, eps)
-    else:
-        xc = x - np.add.reduce(x, -1, keepdims=True) / d_last
-        var = np.add.reduce(xc * xc, -1, keepdims=True) / d_last
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = xc * inv
+    xc = x - np.add.reduce(x, -1, keepdims=True) / d_last
+    var = np.add.reduce(xc * xc, -1, keepdims=True) / d_last
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
     out = xhat * gain + bias
     if not rec:
         return out

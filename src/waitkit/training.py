@@ -10,14 +10,16 @@ pulled toward the fixed teacher states.
 
 from __future__ import annotations
 
-import csv
+import functools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, IngestionError, NumericalError
+from .evaluation import write_csv
 from .tensor import Tape, no_grad
 from .transformer import IncrementalModel, TeacherModel
 from .waitk import BOS_ID, EOS_ID
@@ -48,12 +50,23 @@ class TrainConfig:
     early_stop_loss: float = 0.0
 
     def __post_init__(self):
-        if self.lambda_distill < 0:
-            raise ConfigError("lambda must be >= 0")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        # A comparison with nan is False, so each range rejects nan too.
+        for name, value, ok, rule in (
+                ("lambda", self.lambda_distill,
+                 0 <= self.lambda_distill < math.inf, "finite and >= 0"),
+                ("lr", self.lr, 0 < self.lr < math.inf, "finite and > 0"),
+                ("beta1", self.beta1, 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", self.beta2, 0 <= self.beta2 < 1, "in [0, 1)"),
+                ("adam_eps", self.adam_eps, 0 < self.adam_eps < math.inf,
+                 "finite and > 0"),
+                ("batch_size", self.batch_size, self.batch_size >= 1, ">= 1"),
+                ("max_steps", self.max_steps, self.max_steps >= 1, ">= 1"),
+                ("early_stop_loss", self.early_stop_loss,
+                 not math.isnan(self.early_stop_loss), "a number")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass
@@ -145,13 +158,17 @@ def generate_synthetic(spec, count):
     return examples
 
 
-def _read_lines(path):
+def read_lines(path, error=IngestionError):
+    """The lines of a UTF-8 text file, split at line ends only (a form feed
+    or a Unicode line separator is whitespace inside a line); a byte that
+    does not decode raises error, naming the file and the byte's offset."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
+            lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
-        raise IngestionError(f"{path} is not UTF-8: byte {exc.start} "
-                             "cannot be decoded") from None
+        raise error(f"{path} is not UTF-8: byte {exc.start} "
+                    "cannot be decoded") from None
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def load_corpus(src_path, tgt_path, src_vocab=None, tgt_vocab=None):
@@ -161,7 +178,7 @@ def load_corpus(src_path, tgt_path, src_vocab=None, tgt_vocab=None):
     side is empty are skipped and counted; raises IngestionError when no
     pair is left. Returns (examples, src_vocab, tgt_vocab, skipped).
     """
-    src_lines, tgt_lines = _read_lines(src_path), _read_lines(tgt_path)
+    src_lines, tgt_lines = read_lines(src_path), read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise IngestionError(
             f"line counts differ: {len(src_lines)} in {src_path} vs "
@@ -323,21 +340,30 @@ def make_batches(examples, batch_size, rng):
     return [batches[i] for i in batch_order]
 
 
-def _check_finite(components, allow_nan=()):
-    for name, value in components.items():
-        if not name.startswith("loss_"):
-            continue
-        if name in allow_nan and np.isnan(value):
-            continue
-        if not np.isfinite(value):
-            raise NumericalError(f"non-finite {name}: {value}")
+def _update(optimizer, objective, allow_nan=()):
+    """One Adam update of optimizer.params. Under a Tape, objective()
+    returns (loss, record); each loss_ value of the record must be finite,
+    or nan where its name is in allow_nan (a term the step does not
+    compute). Returns the record with the gradient norm added."""
+    with Tape() as tape:
+        loss, record = objective()
+        for name, value in record.items():
+            if not (np.isfinite(value) or name in allow_nan
+                    and np.isnan(value)):
+                raise NumericalError(f"non-finite {name}: {value}")
+        tape.backward(loss)
+    record["grad_norm"] = grad_norm(optimizer.params)
+    optimizer.step()
+    optimizer.zero_grad()
+    return record
 
 
 def train_step(teacher, student, batch, optimizer, cfg):
     """One optimizer update on a batch; returns the logged metric record."""
     src, tgt_in, tgt_out, mask = pad_batch(batch)
     frozen_teacher = cfg.mode == "pretrain_fixed_teacher"
-    with Tape() as tape:
+
+    def objective():
         if frozen_teacher:
             with no_grad():
                 _, z_full = teacher.forward(src, tgt_in)
@@ -345,67 +371,26 @@ def train_step(teacher, student, batch, optimizer, cfg):
         else:
             t_logits, z_full = teacher.forward(src, tgt_in)
         s_logits, z_incr = student.forward(src, tgt_in, cfg.k)
-        loss, components = total_loss(
-            s_logits, t_logits, tgt_out, z_incr, z_full,
-            cfg.lambda_distill, cfg.mode, mask,
-            detach_teacher_states=cfg.distill_detach_teacher,
-        )
-        _check_finite(
-            components,
-            allow_nan=("loss_teacher",) if frozen_teacher else (),
-        )
-        tape.backward(loss)
-    components["grad_norm"] = grad_norm(optimizer.params)
-    optimizer.step()
-    optimizer.zero_grad()
-    return components
+        return total_loss(s_logits, t_logits, tgt_out, z_incr, z_full,
+                          cfg.lambda_distill, cfg.mode, mask,
+                          detach_teacher_states=cfg.distill_detach_teacher)
+    return _update(optimizer, objective,
+                   ("loss_teacher",) if frozen_teacher else ())
 
 
 def _teacher_step(teacher, batch, optimizer):
     src, tgt_in, tgt_out, mask = pad_batch(batch)
-    with Tape() as tape:
-        logits, _ = teacher.forward(src, tgt_in)
-        loss = T.cross_entropy(logits, tgt_out, mask)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise NumericalError(f"non-finite loss_teacher: {value}")
-        tape.backward(loss)
-    record = {
-        "loss_student": float("nan"),
-        "loss_teacher": value,
-        "loss_distill": float("nan"),
-        "grad_norm": grad_norm(optimizer.params),
-    }
-    optimizer.step()
-    optimizer.zero_grad()
-    return record
+
+    def objective():
+        loss = T.cross_entropy(teacher.forward(src, tgt_in)[0], tgt_out, mask)
+        return loss, {"loss_student": float("nan"),
+                      "loss_teacher": loss.item(),
+                      "loss_distill": float("nan")}
+    return _update(optimizer, objective, ("loss_student", "loss_distill"))
 
 
-class MetricsWriter:
-    """CSV log with the fixed step,loss_student,loss_teacher,loss_distill,
-    grad_norm header."""
-
-    FIELDS = ("step", "loss_student", "loss_teacher", "loss_distill",
-              "grad_norm")
-
-    def __init__(self, path):
-        self.rows = []
-        self.path = path
-
-    def log(self, step, record):
-        self.rows.append((step, record["loss_student"], record["loss_teacher"],
-                          record["loss_distill"], record["grad_norm"]))
-
-    def write(self):
-        if self.path is None:
-            return
-        with open(self.path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.FIELDS)
-            for step, ls, lt, ld, gn in self.rows:
-                writer.writerow(
-                    [step, f"{ls:.6f}", f"{lt:.6f}", f"{ld:.6f}", f"{gn:.6f}"]
-                )
+METRICS_HEADER = ("step", "loss_student", "loss_teacher", "loss_distill",
+                  "grad_norm")
 
 
 def _batch_stream(examples, batch_size, rng):
@@ -419,43 +404,40 @@ def train(examples, model_cfg, cfg, metrics_path=None):
 
     joint mode updates both models every step. pretrain_fixed_teacher first
     trains the teacher alone for max_steps, then the student for max_steps
-    with the teacher bit-frozen. Fully deterministic under cfg.seed.
-    Returns (teacher, student, metrics rows).
+    with the teacher bit-frozen. Each phase stops early once its watched
+    loss converges. Fully deterministic under cfg.seed. Returns (teacher,
+    student, metrics rows), a row holding the METRICS_HEADER values; they
+    are also written to the CSV file metrics_path unless it is None.
     """
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     teacher = TeacherModel(model_cfg, seed=seeds[0])
     student = IncrementalModel(model_cfg, seed=seeds[1])
     order_rng = np.random.default_rng(seeds[2])
     batches = _batch_stream(examples, cfg.batch_size, order_rng)
-    metrics = MetricsWriter(metrics_path)
-    step = 0
-
+    student_step = functools.partial(train_step, teacher, student, cfg=cfg)
+    # (trained parameters, step, watched loss) per phase
     if cfg.mode == "pretrain_fixed_teacher":
-        t_opt = Adam(teacher.parameters(), cfg.lr, cfg.beta1, cfg.beta2,
-                     cfg.adam_eps)
+        phases = [(teacher.parameters(),
+                   functools.partial(_teacher_step, teacher), "loss_teacher"),
+                  (student.parameters(), student_step, "loss_student")]
+    else:
+        phases = [(teacher.parameters() + student.parameters(), student_step,
+                   "loss_student")]
+    rows = []
+    for params, run_step, watched in phases:
+        optimizer = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         recent = []
         for _ in range(cfg.max_steps):
-            step += 1
-            record = _teacher_step(teacher, next(batches), t_opt)
-            metrics.log(step, record)
-            recent.append(record["loss_teacher"])
+            record = run_step(next(batches), optimizer)
+            rows.append((len(rows) + 1,
+                         *(record[name] for name in METRICS_HEADER[1:])))
+            recent.append(record[watched])
             if _converged(recent, cfg.early_stop_loss):
                 break
-        trainable = student.parameters()
-    else:
-        trainable = teacher.parameters() + student.parameters()
-
-    optimizer = Adam(trainable, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    recent = []
-    for _ in range(cfg.max_steps):
-        step += 1
-        record = train_step(teacher, student, next(batches), optimizer, cfg)
-        metrics.log(step, record)
-        recent.append(record["loss_student"])
-        if _converged(recent, cfg.early_stop_loss):
-            break
-    metrics.write()
-    return teacher, student, metrics.rows
+    if metrics_path is not None:
+        write_csv(metrics_path, METRICS_HEADER,
+                  [(row[0], *(f"{v:.6f}" for v in row[1:])) for row in rows])
+    return teacher, student, rows
 
 
 def _converged(recent, threshold, window=20):

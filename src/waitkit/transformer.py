@@ -378,8 +378,7 @@ class Decoder(_Stack):
         bridge [b, t, d] goes to the last layer's attend_rows.
         """
         t = ids.shape[-1]
-        self_mask = None if t == 1 else np.tril(    # one row sees all rows
-            np.ones((t, t), dtype=bool))
+        self_mask = np.tril(np.ones((t, t), dtype=bool))
         return self._layers(self.embed_positions(ids), memory, self_mask,
                             cross_mask, bridge,
                             [(None, None)] * len(self.layers))

@@ -9,15 +9,22 @@ Each line is a name, a digest and the multiply-accumulates counted while it
 ran. It covers the parameters and metric records of 60 joint train() steps
 and of 60 + 60 pretrain_fixed_teacher steps, the pushed states and the
 streamed and re-used-state logits over the 60 random models of
-test_array_mode.py, and the tape entries of train_joint-shaped steps.
+test_array_mode.py, the tape entries of train_joint-shaped steps, and the
+bytes the command line writes for a small copy-task run.
 Pytest does not collect this file (its name does not start with test_).
 """
 
+import csv
 import hashlib
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
 from waitkit import tensor as T
+from waitkit.cli import main as cli_main
 from waitkit.training import (Adam, SyntheticTaskSpec, TrainConfig,
                               generate_synthetic, train, train_step)
 from waitkit.transformer import IncrementalModel, ModelConfig, TeacherModel
@@ -115,12 +122,53 @@ def tape_entries():
     return " ".join(map(str, lengths))
 
 
+def cli_outputs_digest():
+    """The files `waitkit train`, `eval`, `k-matrix` and `bench` write for
+    a small copy-task run, in that order; the bench CSV without its
+    median_secs column, which is a timing."""
+    digest = Digest()
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {key: os.path.join(tmp, name) for key, name in (
+            ("checkpoint", "model.ckpt"), ("metrics", "metrics.csv"),
+            ("report", "eval.csv"), ("traces", "traces.jsonl"),
+            ("matrix_out", "matrix.csv"), ("bench_out", "bench.csv"))}
+        base = [f"{key}={path}" for key, path in files.items()] + [
+            "task=copy", "vocab_size=16", "min_len=3", "max_len=6",
+            "train_count=64", "test_count=8", "d_model=16", "d_ff=32",
+            "batch_size=16", "k=2", "seed=0", "max_seq_len=16"]
+
+        def run(command, *extra):
+            with redirect_stdout(io.StringIO()), \
+                    redirect_stderr(io.StringIO()):
+                if cli_main([command, *base, *extra]) != 0:
+                    raise SystemExit(f"waitkit {command} failed")
+
+        run("train", "max_steps=30")
+        run("eval")
+        run("k-matrix", "max_steps=10", "train_ks=1,2", "test_ks=1,2")
+        # bench repeats its timed runs for as long as a sample lasts, so
+        # the MACs it counts vary: leave them out.
+        macs = T.mac_counter.count
+        run("bench", "bench_n=8", "bench_k=1,3", "bench_trials=1")
+        T.mac_counter.count = macs
+        for key in ("metrics", "checkpoint", "report", "traces",
+                    "matrix_out"):
+            with open(files[key], "rb") as fh:
+                digest.sha.update(fh.read())
+        with open(files["bench_out"], newline="", encoding="utf-8") as fh:
+            for row in csv.reader(fh):
+                del row[4]                      # median_secs
+                digest.sha.update(",".join(row).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def main():
     for name, run in (("train_joint", lambda: training_digest("joint")),
                       ("train_pretrain_fixed_teacher",
                        lambda: training_digest("pretrain_fixed_teacher")),
                       ("decode_suite", decode_digest),
-                      ("tape_entries", tape_entries)):
+                      ("tape_entries", tape_entries),
+                      ("cli_outputs", cli_outputs_digest)):
         before = T.mac_counter.count
         result = run()
         print(f"{name} {result} macs={T.mac_counter.count - before}")

@@ -68,6 +68,13 @@ class TestExitCodes:
         cfg.write_text("this is not a pair\n", encoding="utf-8")
         assert main(["train", "--config", str(cfg)]) == 2
 
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"k=3\nseed=\xff\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg} is not UTF-8: byte 9 cannot be decoded"]
+
 
 class TestGenData:
     def test_writes_corpus_and_alignments(self, tmp_path):
@@ -220,6 +227,16 @@ EXIT_CODES = [
     ("train", {"k": "banana"}, 2),
     ("train", {"zzz": 1}, 2),
     ("train", {"batch_size": 0}, 2),
+    ("train", {"lr": -1}, 2),
+    ("train", {"lr": "nan"}, 2),
+    ("train", {"beta1": 1}, 2),
+    ("train", {"beta2": 1.5}, 2),
+    ("train", {"adam_eps": 0}, 2),
+    ("train", {"lambda": "nan"}, 2),
+    ("train", {"lambda": "inf"}, 2),
+    ("train", {"max_steps": 0}, 2),
+    ("train", {"max_steps": -3}, 2),
+    ("train", {"early_stop_loss": "nan"}, 2),
     ("bench", {"bench_n": 0}, 2),
     ("bench", {"bench_k": 0}, 2),
     ("eval", {"test_k": -1}, 2),

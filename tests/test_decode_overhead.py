@@ -1,8 +1,8 @@
 """The per-emission overhead cuts of the cached decode against copies of the
 code they replace (conftest): the unmasked softmax for masks that keep every
-entry, layer_norm without np.mean and its one-row path, the write-in-place,
-inference-only KVCache, and ops that build no backward rule when nothing
-records."""
+entry, layer_norm without np.mean, LayerNorm's one-row path, the
+write-in-place, inference-only KVCache, and ops that build no backward rule
+when nothing records."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,8 @@ from waitkit import tensor as T
 from waitkit.tensor import Tensor
 from waitkit.training import (Adam, SyntheticTaskSpec, TrainConfig,
                               generate_synthetic, train_step)
-from waitkit.transformer import (IncrementalModel, KVCache, ModelConfig,
-                                 TeacherModel)
+from waitkit.transformer import (IncrementalModel, KVCache, LayerNorm,
+                                 ModelConfig, TeacherModel)
 
 from conftest import reference_layer_norm, reference_softmax
 
@@ -116,21 +116,26 @@ def one_rows(rng, d):
 @pytest.mark.parametrize("lead", [(), (1,), (1, 1)])
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 32, 64])
 def test_one_row_layer_norm_equals_reference(lead, d):
-    """A single row takes the Python-float statistics: the same output and
-    gradients, bit for bit, as the array path of the reference, nan and inf
-    included."""
+    """A single row gives the same output and gradients, bit for bit, as the
+    array path of the reference, nan and inf included; so does the output
+    of LayerNorm's streamed row branch, which takes the Python-float
+    statistics of tensor._row_norm."""
     rng = np.random.default_rng(d)
+    norm = LayerNorm(d)
     for row in one_rows(rng, d):
         values = row.reshape(*lead, d)
         w = rng.normal(size=values.shape)
         gain_v, bias_v = rng.normal(size=d), rng.normal(size=d)
+        norm.gain.values, norm.bias.values = gain_v, bias_v
         with np.errstate(all="ignore"):
             got = layer_norm_results(T.layer_norm, values, w, gain_v, bias_v)
             want = layer_norm_results(reference_layer_norm, values, w,
                                       gain_v, bias_v)
+            streamed = norm(row)
         for g, r in zip(got, want):
             assert g.shape == r.shape
             assert np.array_equal(g, r, equal_nan=True)
+        assert np.array_equal(streamed, want[0].reshape(d), equal_nan=True)
 
 
 def op_cases(rng):

@@ -180,6 +180,29 @@ class TestAdamAndSteps:
         with pytest.raises(ConfigError, match="batch_size"):
             TrainConfig(batch_size=-1)
 
+    def test_detached_teacher_states(self, small_model_cfg):
+        """With distill_detach_teacher the distillation term moves only the
+        student: after one joint lambda=0.1 step the teacher equals the
+        teacher of a lambda=0 step, and the student the student of a
+        lambda=0.1 step without the option, bit for bit."""
+        batch = _copy_examples(8, lo=6, hi=6, seed=5)
+
+        def step(lam, detach):
+            teacher = TeacherModel(small_model_cfg, seed=0)
+            student = IncrementalModel(small_model_cfg, seed=1)
+            opt = Adam(teacher.parameters() + student.parameters())
+            train_step(teacher, student, batch, opt, TrainConfig(
+                lambda_distill=lam, k=2, distill_detach_teacher=detach))
+            return teacher.parameters(), student.parameters()
+
+        teacher, student = step(0.1, True)
+        for got, want in zip(teacher + student,
+                             step(0.0, False)[0] + step(0.1, False)[1],
+                             strict=True):
+            assert np.array_equal(got.values, want.values)
+        assert not all(np.array_equal(a.values, b.values) for a, b in zip(
+            teacher, step(0.1, False)[0]))
+
 
 class TestSyntheticTasks:
     def test_copy_alignment_is_diagonal(self):
@@ -244,6 +267,19 @@ class TestLoadCorpus:
         assert len(examples) == 1
         assert examples[0].alignment is None
         assert skipped == 0
+
+    def test_separators_inside_a_line_keep_it_one_sentence(self, tmp_path):
+        """A form feed, an information separator or a Unicode line or
+        paragraph separator splits tokens, not sentences: each file below
+        holds one line, so the pair stays aligned."""
+        src = tmp_path / "f.src"
+        tgt = tmp_path / "f.tgt"
+        src.write_text("a\fb\x1cc\u2028d\r\n", encoding="utf-8")
+        tgt.write_text("x\u2029y\x85z\n", encoding="utf-8")
+        examples, sv, tv, skipped = load_corpus(src, tgt)
+        assert skipped == 0
+        assert [sv.decode(ex.src) for ex in examples] == [list("abcd")]
+        assert [tv.decode(ex.tgt) for ex in examples] == [list("xyz")]
 
     def test_empty_lines_skipped_and_counted(self, tmp_path):
         src = tmp_path / "b.src"
