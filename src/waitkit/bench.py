@@ -105,7 +105,8 @@ def bench_forward(variant, n, k, cfg, t_steps=None, trials=5, seed=0):
     A warm-up run, whose MACs are counted, precedes timing. Each trial is
     the mean of repeated runs lasting at least MIN_SAMPLE_SECS, in the
     manner of timeit's autorange; timing runs are pinned to a single BLAS
-    thread when thread control is available.
+    thread when thread control is available. The call adds mac_count to
+    tensor.mac_counter, however many runs the timing took.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -117,6 +118,7 @@ def bench_forward(variant, n, k, cfg, t_steps=None, trials=5, seed=0):
         macs = T.mac_counter.count - macs0
         with _single_thread():
             times = [_timed_sample(run) for _ in range(trials)]
+        T.mac_counter.count = macs0 + macs
     return BenchResult(
         variant=variant,
         n=n,
@@ -128,14 +130,14 @@ def bench_forward(variant, n, k, cfg, t_steps=None, trials=5, seed=0):
     )
 
 
-def scaling_sweep(n_values, k_values, cfg, csv_path=None, trials=5, seed=0):
+def scaling_sweep(n_values, k_values, cfg, csv_path=None, trials=5):
     """BenchResult rows for all variants over the n x k grid (t_steps = n)."""
     results = []
     for n in n_values:
         for k in k_values:
             for variant in VARIANTS:
                 results.append(
-                    bench_forward(variant, n, k, cfg, trials=trials, seed=seed)
+                    bench_forward(variant, n, k, cfg, trials=trials)
                 )
     if csv_path is not None:
         write_csv(csv_path, ["variant", "n", "T", "k", "median_secs",

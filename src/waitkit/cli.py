@@ -26,6 +26,7 @@ EXIT_IO = 3
 
 
 def _load_synthetic(cfg, split):
+    cfgmod.model_config(cfg)    # the size bound, before the vocabulary
     spec = cfgmod.task_spec(cfg, seed_offset=0 if split == "train" else 1)
     count = cfg["train_count"] if split == "train" else cfg["test_count"]
     return generate_synthetic(spec, count), synthetic_vocab(cfg["vocab_size"])
@@ -44,10 +45,9 @@ def _train_data(cfg):
 def cmd_gen_data(cfg):
     if cfg["task"] == "files":
         raise ConfigError("gen-data only applies to synthetic tasks")
-    os.makedirs(cfg["data_dir"], exist_ok=True)
-    vocab = synthetic_vocab(cfg["vocab_size"])
     for split in ("train", "test"):
-        examples, _ = _load_synthetic(cfg, split)
+        examples, vocab = _load_synthetic(cfg, split)
+        os.makedirs(cfg["data_dir"], exist_ok=True)
         base = os.path.join(cfg["data_dir"], split)
         with open(base + ".src", "w", encoding="utf-8") as fh:
             for ex in examples:

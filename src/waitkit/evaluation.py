@@ -18,6 +18,7 @@ from .tensor import no_grad
 from .waitk import average_lagging, streaming_decode
 
 BLEU_EPSILON = 1e-9
+BLEU_MAX_ORDER = 4
 
 
 @dataclass
@@ -62,7 +63,7 @@ def _closest_ref_len(cand_len, refs):
     return min((abs(len(r) - cand_len), len(r)) for r in refs)[1]
 
 
-def corpus_bleu(candidates, references, max_order=4):
+def corpus_bleu(candidates, references):
     """Corpus-level BLEU on a 0..100 scale.
 
     Geometric mean of modified n-gram precisions (clip counts maximized
@@ -77,8 +78,8 @@ def corpus_bleu(candidates, references, max_order=4):
         raise ValueError(
             f"{len(candidates)} candidates vs {len(references)} reference lists"
         )
-    matched = [0] * max_order
-    totals = [0] * max_order
+    matched = [0] * BLEU_MAX_ORDER
+    totals = [0] * BLEU_MAX_ORDER
     cand_len = 0
     ref_len = 0
     for cand, refs in zip(candidates, references):
@@ -87,7 +88,7 @@ def corpus_bleu(candidates, references, max_order=4):
         cand = list(cand)
         cand_len += len(cand)
         ref_len += _closest_ref_len(len(cand), refs)
-        for order in range(1, max_order + 1):
+        for order in range(1, BLEU_MAX_ORDER + 1):
             counts = _ngram_counts(cand, order)
             if not counts:
                 continue
@@ -102,14 +103,14 @@ def corpus_bleu(candidates, references, max_order=4):
                 min(c, clip[gram]) for gram, c in counts.items()
             )
     precisions = []
-    for order in range(1, max_order + 1):
+    for order in range(1, BLEU_MAX_ORDER + 1):
         if totals[order - 1] == 0:
             precisions.append(BLEU_EPSILON if order >= 2 else 0.0)
         else:
             precisions.append(matched[order - 1] / totals[order - 1])
     if any(p == 0.0 for p in precisions):
         return 0.0
-    log_mean = sum(np.log(p) for p in precisions) / max_order
+    log_mean = sum(np.log(p) for p in precisions) / BLEU_MAX_ORDER
     if cand_len == 0:
         return 0.0
     bp = 1.0 if cand_len > ref_len else float(np.exp(1.0 - ref_len / cand_len))

@@ -22,12 +22,11 @@ import numpy as np
 
 __all__ = [
     "DimensionError", "GradientError", "Tensor", "Tape", "no_grad",
-    "backward", "mac_counter", "as_tensor",
+    "mac_counter", "as_tensor",
     # operations
-    "add", "sub", "mul", "scale", "matmul", "linear", "relu", "reshape",
-    "transpose", "transpose_last", "concat", "tslice", "gather_rows",
-    "embedding", "masked_cumulative_mean", "masked_softmax", "attention",
-    "layer_norm", "cross_entropy", "l2_distance_loss", "tsum", "detach",
+    "add", "scale", "matmul", "linear", "relu", "transpose_last", "tslice",
+    "gather_rows", "embedding", "masked_cumulative_mean", "attention",
+    "layer_norm", "cross_entropy", "l2_distance_loss", "detach",
 ]
 
 
@@ -45,9 +44,6 @@ class _MacCounter:
     __slots__ = ("count",)
 
     def __init__(self):
-        self.count = 0
-
-    def reset(self):
         self.count = 0
 
 
@@ -85,9 +81,6 @@ class Tensor:
 
     def item(self):
         return float(self.values.reshape(-1)[0])
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -160,13 +153,6 @@ class no_grad(_Context):
         _TAPES.append(None)
 
 
-def backward(loss):
-    """Run the backward pass of the currently active tape."""
-    if not isinstance(tape := _TAPES[-1], Tape):
-        raise GradientError("backward requires an active tape")
-    tape.backward(loss)
-
-
 def _record(tape, out, rule):
     tape._entries.append((out, rule))
     return out
@@ -227,18 +213,6 @@ def add(rec, a, b):
     return (a + b, _broadcast_rule(a, b, lambda d: (d, d))) if rec else a + b
 
 
-@_op(2)
-def sub(rec, a, b):
-    return (a - b, _broadcast_rule(a, b, lambda d: (d, -d))) if rec else a - b
-
-
-@_op(2)
-def mul(rec, a, b):
-    if not rec:
-        return a * b
-    return a * b, _broadcast_rule(a, b, lambda d: (d * b, d * a))
-
-
 @_op(1)
 def scale(rec, x, c):
     c = float(c)
@@ -252,34 +226,12 @@ def relu(rec, x):
 
 
 @_op(1)
-def reshape(rec, x, shape):
-    out = x.reshape(shape)
-    return (out, lambda d: d.reshape(x.shape)) if rec else out
-
-
-@_op(1)
-def transpose(rec, x, axes):
-    axes = tuple(axes)
-    out = x.transpose(axes)
-    return (out, lambda d: d.transpose(np.argsort(axes))) if rec else out
-
-
-@_op(1)
 def transpose_last(rec, x):
     """Swap the two trailing axes."""
     if x.ndim < 2:
         raise DimensionError(f"transpose_last needs >= 2 dims, got shape {x.shape}")
     out = np.swapaxes(x, -1, -2)
     return (out, lambda d: np.swapaxes(d, -1, -2)) if rec else out
-
-
-@_op(-1)
-def concat(rec, arrays, axis=0):
-    out = np.concatenate(arrays, axis=axis)
-    if not rec:
-        return out
-    cuts = np.cumsum([a.shape[axis] for a in arrays[:-1]])
-    return out, lambda d: np.split(d, cuts, axis=axis)
 
 
 @_op(1)
@@ -397,7 +349,8 @@ def masked_cumulative_mean(rec, x):
 
 
 def _softmax(x, mask):
-    """Masked softmax of an array over its last axis; see masked_softmax.
+    """Softmax over the last axis of the entries that mask, None or a bool
+    array broadcastable to x, keeps (True); the rest come out exactly 0.0.
 
     A mask that keeps every entry takes the unmasked path: a row of all
     -inf scores comes out nan under it, as with no mask, and zeros under a
@@ -433,17 +386,6 @@ def _softmax_grad(p, d):
     return p * (d - (d * p).sum(axis=-1, keepdims=True))
 
 
-@_op(1)
-def masked_softmax(rec, scores, mask=None):
-    """Softmax over the last axis restricted to unmasked positions.
-
-    mask is a boolean array broadcastable to scores (True keeps an entry).
-    Masked entries come out exactly 0.0; a fully masked row is all zeros.
-    """
-    p = _softmax(scores, mask)
-    return (p, lambda d: _softmax_grad(p, d)) if rec else p
-
-
 @_op(3)
 def attention(rec, q, k, v, n_heads, scale, mask=None):
     """Multi-head scaled dot-product attention as one recorded operation.
@@ -452,7 +394,8 @@ def attention(rec, q, k, v, n_heads, scale, mask=None):
     into n_heads heads; mask broadcasts to the scores [..., heads, tq, tk]
     (True keeps). Returns the merged heads [..., tq, d]. Values, gradients
     and MACs equal, bit for bit, those of the chain of reshape, transpose,
-    matmul, scale and masked_softmax operations it replaces.
+    matmul, scale and masked softmax ops it replaces (the tests keep that
+    chain as its reference).
     """
     *lead, tq, d = q.shape
     tk = k.shape[-2]
@@ -493,7 +436,12 @@ def attention(rec, q, k, v, n_heads, scale, mask=None):
     return out, rule
 
 
-def _row_norm(x, eps=1e-5):
+# The variance floor of every layer norm. layer_norm and _row_norm share
+# it, or a streamed row would lose the bits of the batched path.
+NORM_EPS = 1e-5
+
+
+def _row_norm(x):
     """(xhat, 1 / std) of the one row an array holds. Its mean, variance and
     scale are Python floats: IEEE doubles like numpy's, and math.sqrt
     rounds correctly like np.sqrt, so the bits are those of layer_norm's
@@ -501,16 +449,15 @@ def _row_norm(x, eps=1e-5):
     computes, without its Python wrappers."""
     d = x.shape[-1]
     xc = x - float(np.add.reduce(x, None)) / d
-    inv = 1.0 / math.sqrt(float(np.add.reduce(xc * xc, None)) / d + eps)
+    var = float(np.add.reduce(xc * xc, None)) / d
+    inv = 1.0 / math.sqrt(var + NORM_EPS)
     return xc * inv, inv
 
 
 @_op(3)
-def layer_norm(rec, x, gain, bias, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then affine.
-
-    eps must be positive.
-    """
+def layer_norm(rec, x, gain, bias):
+    """Normalize the last axis to zero mean / unit variance (NORM_EPS added
+    to the variance), then affine."""
     d_last = x.shape[-1]
     if gain.shape != (d_last,) or bias.shape != (d_last,):
         raise DimensionError(
@@ -518,7 +465,7 @@ def layer_norm(rec, x, gain, bias, eps=1e-5):
             f"{gain.shape} and {bias.shape}")
     xc = x - np.add.reduce(x, -1, keepdims=True) / d_last
     var = np.add.reduce(xc * xc, -1, keepdims=True) / d_last
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = xc * inv
     out = xhat * gain + bias
     if not rec:
@@ -595,11 +542,6 @@ def l2_distance_loss(rec, a, b):
         g = diff * (2.0 * float(d) / rows)
         return g, -g
     return out, rule
-
-
-@_op(1)
-def tsum(rec, x):
-    return (x.sum(), lambda d: np.full_like(x, float(d))) if rec else x.sum()
 
 
 @_op(0)

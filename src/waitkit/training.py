@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, IngestionError, NumericalError
+from .errors import ConfigError, IngestionError, LengthError, NumericalError
 from .evaluation import write_csv
 from .tensor import Tape, no_grad
 from .transformer import IncrementalModel, TeacherModel
@@ -32,6 +32,7 @@ FILLER_ID = 3
 N_RESERVED = 4
 
 MODES = ("joint", "pretrain_fixed_teacher")
+CONVERGENCE_WINDOW = 20         # steps whose mean loss early_stop_loss bounds
 
 
 @dataclass
@@ -122,13 +123,13 @@ def synthetic_vocab(vocab_size):
     return Vocabulary(tokens)
 
 
-def build_vocab(sentences, unk_token="<unk>"):
+def build_vocab(sentences):
     counts = {}
     for sent in sentences:
         for w in sent:
             counts[w] = counts.get(w, 0) + 1
     ordered = sorted(counts, key=lambda w: (-counts[w], w))
-    return Vocabulary(["<pad>", "<bos>", "<eos>", unk_token] + ordered)
+    return Vocabulary(["<pad>", "<bos>", "<eos>", "<unk>"] + ordered)
 
 
 def generate_synthetic(spec, count):
@@ -408,7 +409,16 @@ def train(examples, model_cfg, cfg, metrics_path=None):
     loss converges. Fully deterministic under cfg.seed. Returns (teacher,
     student, metrics rows), a row holding the METRICS_HEADER values; they
     are also written to the CSV file metrics_path unless it is None.
+
+    Every example is checked before the first step: its source, and its
+    target after pad_batch's bos, must fit model_cfg.max_len.
     """
+    for i, ex in enumerate(examples, 1):
+        if max(len(ex.src), len(ex.tgt) + 1) > model_cfg.max_len:
+            raise LengthError(
+                f"training example {i} of {len(examples)} (source length "
+                f"{len(ex.src)}, target length {len(ex.tgt)} plus bos) "
+                f"exceeds maximum {model_cfg.max_len}")
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     teacher = TeacherModel(model_cfg, seed=seeds[0])
     student = IncrementalModel(model_cfg, seed=seeds[1])
@@ -440,7 +450,7 @@ def train(examples, model_cfg, cfg, metrics_path=None):
     return teacher, student, rows
 
 
-def _converged(recent, threshold, window=20):
-    if threshold <= 0 or len(recent) < window:
+def _converged(recent, threshold):
+    if threshold <= 0 or len(recent) < CONVERGENCE_WINDOW:
         return False
-    return float(np.mean(recent[-window:])) < threshold
+    return float(np.mean(recent[-CONVERGENCE_WINDOW:])) < threshold

@@ -28,6 +28,11 @@ from .tensor import Tensor
 from .waitk import WaitKSchedule, build_masks
 
 
+# The most float64 values a teacher and student pair may hold (see
+# ModelConfig.n_values): 128 MiB, checked before anything is allocated.
+MAX_MODEL_VALUES = 2 ** 24
+
+
 @dataclass
 class ModelConfig:
     """Shared dimensioning for teacher, student and baseline variants."""
@@ -50,6 +55,23 @@ class ModelConfig:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
+        if self.n_values > MAX_MODEL_VALUES:
+            raise ValueError(
+                f"a teacher and student of this size hold {self.n_values} "
+                f"values, more than the limit {MAX_MODEL_VALUES}")
+
+    @property
+    def n_values(self):
+        """Float64 values of the TeacherModel and IncrementalModel this
+        config builds: their parameters and the four position tables."""
+        d, ff = self.d_model, self.d_ff
+        attn, norm = 4 * (d * d + d), 2 * d
+        block = 2 * d * ff + ff + d + norm       # feed-forward, its norm
+        encoder = (self.src_vocab * d + self.max_len * d + norm
+                   + self.n_layers * (attn + norm + block))
+        decoder = (self.tgt_vocab * (2 * d + 1) + self.max_len * d + norm
+                   + self.n_layers * (2 * attn + 2 * norm + block))
+        return 2 * (encoder + decoder) + d * d   # + the student's bridge
 
     @property
     def d_k(self):
@@ -109,14 +131,13 @@ def _product(x, w, b=None):
 
 
 class Linear(Module):
-    def __init__(self, rng, n_out, n_in, bound, bias=True):
+    def __init__(self, rng, n_out, n_in, bound):
         self.w = uniform_init(rng, (n_out, n_in), bound)
-        self.b = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
+        self.b = Tensor(np.zeros(n_out), requires_grad=True)
 
     def __call__(self, x):
         if type(x) is np.ndarray:           # streamed rows
-            return _product(x, self.w.values,
-                            None if self.b is None else self.b.values)
+            return _product(x, self.w.values, self.b.values)
         return T.linear(x, self.w, self.b)
 
 
@@ -522,7 +543,7 @@ class IncrementalModel(_Model):
         n = src_ids.shape[-1]
         t = tgt_ids.shape[-1]
         schedule = WaitKSchedule(k, n)
-        _, cross = build_masks(schedule, t)
+        cross = build_masks(schedule, t)
 
         z, e = self.encoder.forward(src_ids, self.causal)
         means = T.masked_cumulative_mean(e)
@@ -616,12 +637,6 @@ class StreamingEncoder:
         self._f[self.count - 1] = _product(self.running_sum / self.count,
                                            self.model.bridge_w.values)
         return z_row
-
-    def mean_embedding(self):
-        """Running mean of the consumed, position-augmented inputs."""
-        if self.count == 0:
-            raise ScheduleError("no tokens consumed")
-        return self.running_sum / self.count
 
     @property
     def states(self):

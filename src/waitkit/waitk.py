@@ -78,31 +78,20 @@ class DecodeTrace:
             separators=(",", ":"),
         )
 
-    @classmethod
-    def from_json_line(cls, line):
-        rec = json.loads(line)
-        return cls(rec["g"], rec["src_len"], rec["tokens"])
-
 
 def build_masks(schedule, t_steps):
-    """Boolean masks for single-pass batched wait-k training.
-
-    Returns (causal [n, n], cross [t_steps, n]): the causal mask lets source
-    position i see positions <= i; cross row t exposes the first read_count(t)
-    source positions to the decoder.
-    """
+    """Decoder cross mask [t_steps, n] for single-pass batched wait-k
+    training: row t exposes the first read_count(t) source positions."""
     if t_steps < 1:
         raise ScheduleError(f"t_steps must be >= 1, got {t_steps}")
-    n = schedule.n
-    causal = np.tril(np.ones((n, n), dtype=bool))
-    cross = np.zeros((t_steps, n), dtype=bool)
+    cross = np.zeros((t_steps, schedule.n), dtype=bool)
     for t in range(1, t_steps + 1):
         cross[t - 1, : schedule.read_count(t)] = True
-    return causal, cross
+    return cross
 
 
-def streaming_decode(model, source, k, max_len=None, bos_id=BOS_ID,
-                     eos_id=EOS_ID, on_emit=None):
+def streaming_decode(model, source, k, max_len=None, eos_id=EOS_ID,
+                     on_emit=None):
     """Greedy wait-k decode over a source token stream.
 
     source may be any iterable of token ids; tokens are pulled lazily, so
@@ -143,7 +132,7 @@ def streaming_decode(model, source, k, max_len=None, bos_id=BOS_ID,
             if consumed == 0:
                 raise ScheduleError("cannot decode an empty source")
             g_t = min(k + t - 1, consumed)
-            prefix = [bos_id] + tokens
+            prefix = [BOS_ID] + tokens
             logits = model.decode_step(prefix, encoder_state.states, g_t, k)
             next_id = int(np.argmax(logits.values))
             if next_id == eos_id:

@@ -4,9 +4,69 @@ import numpy as np
 import pytest
 
 from waitkit import tensor as T
-from waitkit.tensor import Tensor
+from waitkit.tensor import (Tensor, _broadcast_rule, _op, _softmax,
+                            _softmax_grad)
 from waitkit.transformer import IncrementalStates, ModelConfig
 from waitkit.waitk import ScheduleError
+
+
+# Reference ops: no package module calls them. They run on the package's
+# one scaffold, T._op, so the composed attention chain below and the
+# gradient checks use them as they use the package's own ops.
+
+
+@_op(2)
+def sub(rec, a, b):
+    return (a - b, _broadcast_rule(a, b, lambda d: (d, -d))) if rec else a - b
+
+
+@_op(2)
+def mul(rec, a, b):
+    if not rec:
+        return a * b
+    return a * b, _broadcast_rule(a, b, lambda d: (d * b, d * a))
+
+
+@_op(1)
+def reshape(rec, x, shape):
+    out = x.reshape(shape)
+    return (out, lambda d: d.reshape(x.shape)) if rec else out
+
+
+@_op(1)
+def transpose(rec, x, axes):
+    axes = tuple(axes)
+    out = x.transpose(axes)
+    return (out, lambda d: d.transpose(np.argsort(axes))) if rec else out
+
+
+@_op(-1)
+def concat(rec, arrays, axis=0):
+    out = np.concatenate(arrays, axis=axis)
+    if not rec:
+        return out
+    cuts = np.cumsum([a.shape[axis] for a in arrays[:-1]])
+    return out, lambda d: np.split(d, cuts, axis=axis)
+
+
+@_op(1)
+def masked_softmax(rec, scores, mask=None):
+    """Softmax over the last axis restricted to unmasked positions.
+
+    mask is a boolean array broadcastable to scores (True keeps an entry).
+    Masked entries come out exactly 0.0; a fully masked row is all zeros.
+    """
+    p = _softmax(scores, mask)
+    return (p, lambda d: _softmax_grad(p, d)) if rec else p
+
+
+@_op(1)
+def tsum(rec, x):
+    return (x.sum(), lambda d: np.full_like(x, float(d))) if rec else x.sum()
+
+
+REFERENCE_OPS = ("sub", "mul", "reshape", "transpose", "concat",
+                 "masked_softmax", "tsum")
 
 
 def central_difference(fn, tensors, step=1e-5):
@@ -39,7 +99,7 @@ def check_gradients(build, inputs, rtol=1e-4, step=1e-5, atol=1e-7):
     tensors (requires_grad set). Raises on mismatch.
     """
     for t in inputs:
-        t.zero_grad()
+        t.grad[...] = 0.0
     with T.Tape() as tape:
         loss = build()
         tape.backward(loss)
@@ -92,10 +152,10 @@ def full_h(inc):
     """Oracle: dense [n, n, d] bridge memory of IncrementalStates inc;
     entry [i, j] is f[i] + z[j], and zero for j > i."""
     n, d = inc.z.shape
-    f3 = T.reshape(inc.f, (n, 1, d))
-    z3 = T.reshape(inc.z, (1, n, d))
+    f3 = reshape(inc.f, (n, 1, d))
+    z3 = reshape(inc.z, (1, n, d))
     keep = np.tril(np.ones((n, n)))[:, :, None]
-    return T.mul(T.add(f3, z3), Tensor(keep))
+    return mul(T.add(f3, z3), Tensor(keep))
 
 
 def eager_backward(tape, loss):
@@ -154,10 +214,10 @@ def reference_named_parameters(model):
 def _split_heads(x, n_heads):
     # [..., t, d] -> [..., heads, t, d_k]
     *lead, t, d = x.shape
-    x = T.reshape(x, (*lead, t, n_heads, d // n_heads))
+    x = reshape(x, (*lead, t, n_heads, d // n_heads))
     nd = len(lead) + 3
     axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-    return T.transpose(x, axes)
+    return transpose(x, axes)
 
 
 def _merge_heads(x):
@@ -165,8 +225,8 @@ def _merge_heads(x):
     *lead, h, t, dk = x.shape
     nd = len(lead) + 3
     axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-    x = T.transpose(x, axes)
-    return T.reshape(x, (*lead, t, h * dk))
+    x = transpose(x, axes)
+    return reshape(x, (*lead, t, h * dk))
 
 
 def composed_attention(q, k, v, n_heads, scale, mask=None):
@@ -174,7 +234,7 @@ def composed_attention(q, k, v, n_heads, scale, mask=None):
     scale and masked_softmax operations it fuses, one tape entry each."""
     qh, kh, vh = (_split_heads(x, n_heads) for x in (q, k, v))
     scores = T.scale(T.matmul(qh, T.transpose_last(kh)), scale)
-    att = T.masked_softmax(scores, mask)
+    att = masked_softmax(scores, mask)
     return _merge_heads(T.matmul(att, vh))
 
 
@@ -270,7 +330,7 @@ class ReferenceKV:
 
     def join(self, k, v):
         if self.k is not None:
-            k, v = T.concat([self.k, k], axis=-2), T.concat([self.v, v],
+            k, v = concat([self.k, k], axis=-2), concat([self.v, v],
                                                             axis=-2)
         self.k, self.v = k, v
         return k, v
@@ -355,8 +415,8 @@ def reference_decode_step(model, prefix_ids, states, g_t, k=None):
         z_new = T.tslice(states.z, (slice(read, None),))
         logits = reference_decoder(
             model.decoder, np.array([prefix[r:]]),
-            T.reshape(z_new, (1, c - read, d)), cross,
-            T.reshape(bridge, (1, t - r, d)), cache.layers)
+            reshape(z_new, (1, c - read, d)), cross,
+            reshape(bridge, (1, t - r, d)), cache.layers)
         cache.ids, cache.gs = prefix, gs
         return T.tslice(logits, (0, -1))
 

@@ -40,7 +40,8 @@ from waitkit.waitk import (
     streaming_decode,
 )
 
-from conftest import check_gradients, full_h, sign_test
+from conftest import (check_gradients, concat, full_h, masked_softmax, mul,
+                      reshape, sign_test, sub, transpose, tsum)
 
 
 def report(number, name, passed, detail=""):
@@ -146,33 +147,33 @@ def test_criterion_1_gradient_suite(rng):
     for shape in shapes3:
         a, b = rand(*shape), rand(*shape)
         w = rng.normal(size=shape)
-        weighted(lambda: T.tsum(T.mul(T.add(a, b), Tensor(w))), [a, b])
-        weighted(lambda: T.tsum(T.mul(T.sub(a, b), Tensor(w))), [a, b])
-        weighted(lambda: T.tsum(T.mul(T.mul(a, b), Tensor(w))), [a, b])
-        weighted(lambda: T.tsum(T.scale(a, 1.7)), [a])
+        weighted(lambda: tsum(mul(T.add(a, b), Tensor(w))), [a, b])
+        weighted(lambda: tsum(mul(sub(a, b), Tensor(w))), [a, b])
+        weighted(lambda: tsum(mul(mul(a, b), Tensor(w))), [a, b])
+        weighted(lambda: tsum(T.scale(a, 1.7)), [a])
 
     for m, p, q in [(2, 3, 4), (3, 3, 3), (4, 2, 5)]:
         a, b = rand(m, p), rand(p, q)
         w = rng.normal(size=(m, q))
-        weighted(lambda: T.tsum(T.mul(T.matmul(a, b), Tensor(w))), [a, b])
+        weighted(lambda: tsum(mul(T.matmul(a, b), Tensor(w))), [a, b])
 
     for shape, n_out in [((3, 4), 5), ((2, 3, 4), 2), ((4, 8), 3)]:
         x, wt, bias = rand(*shape), rand(n_out, shape[-1]), rand(n_out)
         w = rng.normal(size=shape[:-1] + (n_out,))
-        weighted(lambda: T.tsum(T.mul(T.linear(x, wt, bias), Tensor(w))),
+        weighted(lambda: tsum(mul(T.linear(x, wt, bias), Tensor(w))),
                  [x, wt, bias])
 
     for shape in shapes3:
         vals = rng.uniform(0.1, 1.0, size=shape) * rng.choice([-1, 1], shape)
         x = Tensor(vals, requires_grad=True)
         w = rng.normal(size=shape)
-        weighted(lambda: T.tsum(T.mul(T.relu(x), Tensor(w))), [x])
+        weighted(lambda: tsum(mul(T.relu(x), Tensor(w))), [x])
 
     for ids_shape, vocab, dim in [((3,), 5, 4), ((2, 3), 6, 3), ((4,), 4, 8)]:
         weight = rand(vocab, dim)
         ids = rng.integers(0, vocab, size=ids_shape)
         w = rng.normal(size=ids_shape + (dim,))
-        weighted(lambda: T.tsum(T.mul(T.embedding(weight, ids), Tensor(w))),
+        weighted(lambda: tsum(mul(T.embedding(weight, ids), Tensor(w))),
                  [weight])
 
     for shape in [(3, 4), (2, 4, 4), (4, 4, 8)]:
@@ -181,14 +182,14 @@ def test_criterion_1_gradient_suite(rng):
         mask[..., 0] = True
         w = rng.normal(size=shape)
         weighted(
-            lambda: T.tsum(T.mul(T.masked_softmax(x, mask), Tensor(w))), [x]
+            lambda: tsum(mul(masked_softmax(x, mask), Tensor(w))), [x]
         )
 
     for shape in [(3, 4), (2, 3, 8), (4, 4, 8)]:
         x, gain, bias = rand(*shape), rand(shape[-1]), rand(shape[-1])
         w = rng.normal(size=shape)
         weighted(
-            lambda: T.tsum(T.mul(T.layer_norm(x, gain, bias), Tensor(w))),
+            lambda: tsum(mul(T.layer_norm(x, gain, bias), Tensor(w))),
             [x, gain, bias],
         )
 
@@ -205,7 +206,7 @@ def test_criterion_1_gradient_suite(rng):
         x = rand(*shape)
         w = rng.normal(size=shape)
         weighted(
-            lambda: T.tsum(T.mul(T.masked_cumulative_mean(x), Tensor(w))), [x]
+            lambda: tsum(mul(T.masked_cumulative_mean(x), Tensor(w))), [x]
         )
 
     for shape, axes in [((2, 3), (1, 0)), ((2, 3, 4), (2, 0, 1)),
@@ -213,13 +214,13 @@ def test_criterion_1_gradient_suite(rng):
         x = rand(*shape)
         w = rng.normal(size=tuple(shape[a] for a in axes))
         weighted(
-            lambda: T.tsum(T.mul(T.transpose(x, axes), Tensor(w))), [x]
+            lambda: tsum(mul(transpose(x, axes), Tensor(w))), [x]
         )
 
     for shape, new in [((2, 6), (3, 4)), ((4, 2), (8,)), ((2, 2, 3), (6, 2))]:
         x = rand(*shape)
         w = rng.normal(size=new)
-        weighted(lambda: T.tsum(T.mul(T.reshape(x, new), Tensor(w))), [x])
+        weighted(lambda: tsum(mul(reshape(x, new), Tensor(w))), [x])
 
     for axis in (0, 1):
         for _ in range(3):
@@ -227,20 +228,20 @@ def test_criterion_1_gradient_suite(rng):
             shape = (4, 3) if axis == 0 else (2, 6)
             w = rng.normal(size=shape)
             weighted(
-                lambda: T.tsum(T.mul(T.concat([a, b], axis), Tensor(w))),
+                lambda: tsum(mul(concat([a, b], axis), Tensor(w))),
                 [a, b],
             )
 
     for key in [(slice(0, 2),), (slice(1, 3), slice(0, 2)), (1,)]:
         x = rand(3, 4)
         w = rng.normal(size=x.values[key].shape)
-        weighted(lambda: T.tsum(T.mul(T.tslice(x, key), Tensor(w))), [x])
+        weighted(lambda: tsum(mul(T.tslice(x, key), Tensor(w))), [x])
 
     for idx in [np.array([0, 2]), np.array([1, 1, 3]), np.array([2])]:
         x = rand(4, 3)
         w = rng.normal(size=(len(idx), 3))
         weighted(
-            lambda: T.tsum(T.mul(T.gather_rows(x, idx, 0), Tensor(w))), [x]
+            lambda: tsum(mul(T.gather_rows(x, idx, 0), Tensor(w))), [x]
         )
 
     # composite objective through both full models, ten sampled parameters

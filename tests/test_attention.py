@@ -28,6 +28,8 @@ from conftest import (
     check_gradients,
     composed_attention,
     composed_attention_call,
+    mul,
+    tsum,
 )
 
 
@@ -60,7 +62,7 @@ def run(attention, q, k, v, n_heads, scale, mask, w):
     with T.Tape() as tape:
         out = attention(q, k, v, n_heads, scale, mask)
         macs = T.mac_counter.count - before
-        tape.backward(T.tsum(T.mul(out, Tensor(w))))
+        tape.backward(tsum(mul(out, Tensor(w))))
     return out.values, [x.grad.copy() for x in (q, k, v)], macs
 
 
@@ -87,7 +89,7 @@ def test_gradients_match_central_differences():
     mask = np.tril(np.ones((3, 5), dtype=bool), k=2)
     w = rng.normal(size=(2, 3, 4))
     check_gradients(
-        lambda: T.tsum(T.mul(T.attention(q, k, v, 2, 0.7, mask), Tensor(w))),
+        lambda: tsum(mul(T.attention(q, k, v, 2, 0.7, mask), Tensor(w))),
         [q, k, v])
 
 

@@ -102,7 +102,7 @@ class TestStreamingCost:
         bridge = d * d
         rng = np.random.default_rng(0)
         for t in range(1, 41):
-            T.mac_counter.reset()
+            T.mac_counter.count = 0
             stream.push(int(rng.integers(4, cfg.src_vocab)))
             expected = cfg.n_layers * (per_layer_fixed + 2 * h * t * dk) + bridge
             assert T.mac_counter.count == expected
@@ -116,6 +116,18 @@ class TestTiming:
         assert r.median_secs > 0
         assert r.mac_count > 0
         assert r.trials == 5
+
+    def test_call_adds_exactly_its_mac_count(self, monkeypatch):
+        """However many timed runs fill a sample, a call grows the global
+        tally by its mac_count, the MACs of one forward pass."""
+        from waitkit import bench
+        from waitkit import tensor as T
+
+        for secs in (0.005, 0.02):
+            monkeypatch.setattr(bench, "MIN_SAMPLE_SECS", secs)
+            before = T.mac_counter.count
+            r = bench_forward("incremental_ael", 8, 1, bench_cfg(), trials=2)
+            assert T.mac_counter.count - before == r.mac_count, secs
 
     def test_trials_validated(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 """End-to-end command line runs, exit codes, and file outputs."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -120,6 +121,13 @@ def write_bad_inputs(tmp_path):
         (tmp_path / name).write_bytes(
             b"\n".join(line for line in lines if line is not None)
             + b"\nend_header\n" + payload)
+    # More values than MAX_MODEL_VALUES, under a checksum that matches.
+    lines = [b"d_model=4096" if line.startswith(b"d_model=") else line
+             for line in header.split(b"\n")[:-1]]
+    covered = b"\n".join(lines) + b"\n"
+    digest = hashlib.sha256(covered + payload).hexdigest().encode()
+    (tmp_path / "bad_huge_d_model.ckpt").write_bytes(
+        covered + b"checksum=" + digest + b"\nend_header\n" + payload)
     lines = header.split(b"\n")
     i, j = (lines.index(b"param teacher.encoder.layers.0.attn.%s.w 16 16" % w)
             for w in (b"wq", b"wk"))
@@ -237,6 +245,9 @@ EXIT_CODES = [
     ("train", {"max_steps": 0}, 2),
     ("train", {"max_steps": -3}, 2),
     ("train", {"early_stop_loss": "nan"}, 2),
+    ("train", {"vocab_size": 10 ** 11}, 2),
+    ("gen-data", {"vocab_size": 10 ** 11}, 2),
+    ("bench", {"max_seq_len": 10 ** 9}, 2),
     ("bench", {"bench_n": 0}, 2),
     ("bench", {"bench_k": 0}, 2),
     ("eval", {"test_k": -1}, 2),
@@ -261,6 +272,7 @@ EXIT_CODES = [
     ("eval", {"checkpoint": "bad_swapped_params.ckpt"}, 3),
     ("eval", {"checkpoint": "bad_edited_k.ckpt"}, 3),
     ("eval", {"checkpoint": "bad_v1.ckpt"}, 3),
+    ("eval", {"checkpoint": "bad_huge_d_model.ckpt"}, 3),
 ]
 
 
@@ -306,6 +318,30 @@ def test_checksum_covers_the_header(trained, capsys):
         assert main(["eval"] + overrides
                     + [f"checkpoint={tmp_path / name}"]) == 3
         assert error in capsys.readouterr().err
+
+
+def test_checkpoint_over_the_size_bound(trained, capsys):
+    """A header under a matching checksum may still ask for any size; one
+    over MAX_MODEL_VALUES is refused before a model is built."""
+    tmp_path, overrides = trained
+    path = tmp_path / "bad_huge_d_model.ckpt"
+    assert main(["eval"] + overrides + [f"checkpoint={path}"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: a teacher and student of this size hold "
+        "826048800 values, more than the limit 16777216"]
+
+
+def test_over_length_example_found_before_the_first_step(tmp_path, capsys):
+    """Of 8 copy sentences of length 5 to 70, three (64, 66 and 67) do not
+    fit max_seq_len=64 with bos. The run is refused before its first step,
+    whichever batches its 2 steps would draw, and saves no checkpoint."""
+    overrides = base_overrides(tmp_path, train_count=8, max_steps=2,
+                               min_len=5, max_len=70)
+    assert main(["train"] + overrides) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: training example 3 of 8 (source length 64, target length "
+        "64 plus bos) exceeds maximum 64"]
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def test_train_odd_width(tmp_path):

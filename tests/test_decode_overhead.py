@@ -4,6 +4,9 @@ entry, layer_norm without np.mean, LayerNorm's one-row path, the
 write-in-place, inference-only KVCache, and ops that build no backward rule
 when nothing records."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,10 @@ from waitkit.training import (Adam, SyntheticTaskSpec, TrainConfig,
 from waitkit.transformer import (IncrementalModel, KVCache, LayerNorm,
                                  ModelConfig, TeacherModel)
 
-from conftest import reference_layer_norm, reference_softmax
+import conftest
+from conftest import (REFERENCE_OPS, concat, masked_softmax, mul,
+                      reference_layer_norm, reference_softmax, reshape, sub,
+                      transpose, tsum)
 
 MASK_KINDS = ("none", "all_true", "broadcast", "mixed", "fully_masked_rows")
 
@@ -44,7 +50,7 @@ def test_softmax_equals_reference(kind):
     rng = np.random.default_rng(MASK_KINDS.index(kind))
     for _ in range(40):
         x, mask = random_scores(rng, kind)
-        got = T.masked_softmax(Tensor(x), mask).values
+        got = masked_softmax(Tensor(x), mask).values
         assert np.array_equal(got, reference_softmax(x, mask))
 
 
@@ -53,7 +59,7 @@ def test_mask_shape_still_checked():
     for shape in [(4, 3), (3, 3), (2, 2, 3, 4), (5,)]:
         for mask in (np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)):
             with pytest.raises(T.DimensionError):
-                T.masked_softmax(Tensor(x), mask)
+                masked_softmax(Tensor(x), mask)
 
 
 def test_all_true_mask_on_all_minus_inf_row_gives_nan():
@@ -63,10 +69,10 @@ def test_all_true_mask_on_all_minus_inf_row_gives_nan():
     x = np.array([[-np.inf] * 3, [0.0, 1.0, 2.0]])
     keep = np.ones((2, 3), dtype=bool)
     with np.errstate(invalid="ignore"):
-        got = T.masked_softmax(Tensor(x), keep).values
-        unmasked = T.masked_softmax(Tensor(x)).values
+        got = masked_softmax(Tensor(x), keep).values
+        unmasked = masked_softmax(Tensor(x)).values
         old = reference_softmax(x, keep)
-        partial = T.masked_softmax(Tensor(x), [[True] * 3, [True, True, False]])
+        partial = masked_softmax(Tensor(x), [[True] * 3, [True, True, False]])
     assert np.isnan(got[0]).all()
     assert np.array_equal(got, unmasked, equal_nan=True)
     assert np.array_equal(old[0], np.zeros(3))
@@ -81,7 +87,7 @@ def layer_norm_results(layer_norm, values, w, gain_v, bias_v):
     bias = Tensor(bias_v, requires_grad=True)
     with T.Tape() as tape:
         out = layer_norm(x, gain, bias)
-        tape.backward(T.tsum(T.mul(out, Tensor(w))))
+        tape.backward(tsum(mul(out, Tensor(w))))
     return out.values, x.grad, gain.grad, bias.grad
 
 
@@ -153,35 +159,35 @@ def op_cases(rng):
     mask[:, 0] = True
     return [
         ("add", lambda: T.add(a, b)),
-        ("sub", lambda: T.sub(b, b)),
-        ("mul", lambda: T.mul(a, b)),
+        ("sub", lambda: sub(b, b)),
+        ("mul", lambda: mul(a, b)),
         ("scale", lambda: T.scale(a, 0.5)),
         ("matmul", lambda: T.matmul(a, m)),
         ("linear", lambda: T.linear(a, w, p(5))),
         ("linear_nobias", lambda: T.linear(b, c(5, 4))),
         ("linear_nobias_grad", lambda: T.linear(a, w)),
         ("relu", lambda: T.relu(a)),
-        ("reshape", lambda: T.reshape(a, (6, 4))),
-        ("transpose", lambda: T.transpose(a, (2, 0, 1))),
+        ("reshape", lambda: reshape(a, (6, 4))),
+        ("transpose", lambda: transpose(a, (2, 0, 1))),
         ("transpose_last", lambda: T.transpose_last(b)),
-        ("concat", lambda: T.concat([a, b], axis=1)),
+        ("concat", lambda: concat([a, b], axis=1)),
         ("tslice", lambda: T.tslice(a, (slice(None), 1))),
         ("gather_rows", lambda: T.gather_rows(a, [2, 0, 2], axis=1)),
         ("embedding", lambda: T.embedding(m, [[1, 3], [0, 0]])),
         ("masked_cumulative_mean", lambda: T.masked_cumulative_mean(a)),
-        ("masked_softmax", lambda: T.masked_softmax(a)),
+        ("masked_softmax", lambda: masked_softmax(a)),
         ("attention", lambda: T.attention(q, k, k, 2, 0.5, mask)),
         ("layer_norm", lambda: T.layer_norm(a, p(4), c(4))),
         ("layer_norm_row", lambda: T.layer_norm(c(1, 4), p(4), p(4))),
         ("cross_entropy", lambda: T.cross_entropy(a, [[0, 1, 2]] * 2)),
         ("l2_distance_loss", lambda: T.l2_distance_loss(a, b)),
-        ("tsum", lambda: T.tsum(b)),
+        ("tsum", lambda: tsum(b)),
         ("detach", lambda: T.detach(a)),
     ]
 
 
 PUBLIC_OPS = [name for name in T.__all__ if name[0].islower() and name not in
-              ("no_grad", "backward", "mac_counter", "as_tensor")]
+              ("no_grad", "mac_counter", "as_tensor")]
 
 
 def code_names(code):
@@ -195,13 +201,15 @@ def code_names(code):
 
 
 def test_every_op_is_built_by_the_scaffold():
-    """Every op in tensor.__all__ is a body under the one scaffold, T._op:
-    the op runs the scaffold's code and wraps its body, and no body reads
-    the recording context, records or builds a Tensor itself (detach may
-    test for one). op_cases covers every op."""
+    """Every op in tensor.__all__, and every reference op in conftest, is a
+    body under the one scaffold, T._op: the op runs the scaffold's code and
+    wraps its body, and no body reads the recording context, records or
+    builds a Tensor itself (detach may test for one). op_cases covers every
+    op."""
     built = {T._op(n)(lambda rec: None).__code__ for n in (-1, 0, 1, 2, 3)}
-    for name in PUBLIC_OPS:
-        op = getattr(T, name)
+    ops = {name: getattr(T, name) for name in PUBLIC_OPS}
+    ops.update((name, getattr(conftest, name)) for name in REFERENCE_OPS)
+    for name, op in ops.items():
         assert op.__code__ in built, name
         body = op.__wrapped__
         assert body.__code__.co_varnames[0] == "rec", name
@@ -210,7 +218,42 @@ def test_every_op_is_built_by_the_scaffold():
         assert name == "detach" or "Tensor" not in code_names(
             body.__code__), name
     covered = {name for name, _ in op_cases(np.random.default_rng(0))}
-    assert set(PUBLIC_OPS) <= covered
+    assert set(ops) <= covered
+
+
+def package_calls():
+    """Names of tensor's functions that the package's other modules call,
+    as an attribute of the tensor module or by a name imported from it."""
+    called = set()
+    for path in pathlib.Path(T.__file__).parent.glob("*.py"):
+        if path.name == "tensor.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules, names = set(), {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name == "tensor":
+                        modules.add(alias.asname or alias.name)
+                    elif node.module == "tensor":
+                        names[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                    and f.value.id in modules):
+                called.add(f.attr)
+            elif isinstance(f, ast.Name) and f.id in names:
+                called.add(names[f.id])
+    return called
+
+
+def test_every_op_is_called_by_the_package():
+    """No op in tensor.__all__ serves the tests alone: a package module
+    other than tensor.py calls each one. Reference ops that only tests
+    use live in conftest."""
+    assert sorted(set(PUBLIC_OPS) - package_calls()) == []
 
 
 def test_ops_under_no_grad_match_recorded_ops():

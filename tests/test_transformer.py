@@ -25,7 +25,8 @@ from waitkit.transformer import (
 )
 from waitkit.waitk import ScheduleError, WaitKSchedule
 
-from conftest import full_h, h_slice, reference_named_parameters
+from conftest import (full_h, h_slice, reference_named_parameters,
+                      reshape)
 
 
 def _tokens(rng, cfg, n):
@@ -43,6 +44,33 @@ class TestModelConfig:
 
     def test_d_k(self):
         assert ModelConfig(d_model=32, n_heads=4).d_k == 8
+
+    def test_n_values_counts_what_the_pair_holds(self):
+        """n_values is the parameters of a TeacherModel and an
+        IncrementalModel plus their four position tables."""
+        for cfg in (ModelConfig(),
+                    ModelConfig(n_layers=3, d_model=12, n_heads=3, d_ff=7,
+                                src_vocab=11, tgt_vocab=13, max_len=9)):
+            models = TeacherModel(cfg), IncrementalModel(cfg)
+            held = sum(p.values.size for m in models for p in m.parameters())
+            held += sum(m.encoder.pe.size + m.decoder.pe.size for m in models)
+            assert cfg.n_values == held
+
+    def test_size_bound(self, monkeypatch):
+        """A config over MAX_MODEL_VALUES raises from its arithmetic alone:
+        no model of it is built."""
+        import waitkit.transformer as tr
+
+        with pytest.raises(ValueError, match="more than the limit"):
+            ModelConfig(src_vocab=10 ** 11)
+        with pytest.raises(ValueError, match="more than the limit"):
+            ModelConfig(max_len=10 ** 9)
+        n = ModelConfig().n_values
+        monkeypatch.setattr(tr, "MAX_MODEL_VALUES", n)
+        ModelConfig()
+        monkeypatch.setattr(tr, "MAX_MODEL_VALUES", n - 1)
+        with pytest.raises(ValueError, match="more than the limit"):
+            ModelConfig()
 
 
 class TestMultiHeadAttention:
@@ -167,7 +195,8 @@ class TestStreamingEncoder:
         for i, tok in enumerate(ids):
             stream.push(int(tok))
             expected = inputs.values[0, : i + 1].mean(axis=0)
-            assert np.abs(stream.mean_embedding() - expected).max() <= 1e-12
+            mean = stream.running_sum / stream.count
+            assert np.abs(mean - expected).max() <= 1e-12
 
     def test_overlength_rejected(self, tiny_cfg):
         model = IncrementalModel(tiny_cfg, seed=6)
@@ -278,7 +307,7 @@ class TestDecoding:
         with T.no_grad():
             logits = model.decode_step(prefix, states, g_t=5, k=99).values
             # separate decoder pass whose last layer reads the raw states
-            z = T.reshape(states.z, (1, 5, tiny_cfg.d_model))
+            z = reshape(states.z, (1, 5, tiny_cfg.d_model))
             plain = model.decoder.forward(
                 np.array([prefix]), z, cross_mask=None
             ).values[0, -1]
