@@ -43,7 +43,6 @@ from .training import (
     train_step,
 )
 from .transformer import (
-    EncoderOutput,
     IncrementalModel,
     IncrementalStates,
     ModelConfig,
@@ -56,7 +55,6 @@ from .waitk import (
     DecodeTrace,
     WaitKSchedule,
     average_lagging,
-    build_masks,
     streaming_decode,
 )
 

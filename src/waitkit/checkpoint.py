@@ -5,7 +5,8 @@ the raw little-endian float64 parameter payload. The header carries a
 version tag, config key=value lines, both vocabularies, one `param` line
 per block (name and shape, in payload order), and, last, a sha256 checksum
 of the header lines before it and the payload: an edited config value or
-two swapped `param` lines of one shape fail it. Round-trips are bit-exact.
+two swapped `param` lines of one shape fail it. Each `param` line must name
+a parameter of the teacher/student pair. Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -24,36 +25,41 @@ MAGIC = "waitkit-checkpoint"
 VERSION = 2
 
 
-def save_checkpoint(path, model_cfg, src_vocab, tgt_vocab, named_params,
-                    meta=None):
-    """Write config, vocabularies and named float64 parameter blocks."""
+def _named(teacher, student):
+    return {**teacher.named_parameters("teacher."),
+            **student.named_parameters("student.")}
+
+
+def save_models(path, teacher, student, src_vocab, tgt_vocab, meta=None):
+    """Write a teacher/student pair: config, vocabularies and every named
+    float64 parameter block."""
     payload = bytearray()
     param_lines = []
-    for name, tensor in named_params.items():
+    for name, tensor in _named(teacher, student).items():
         arr = np.ascontiguousarray(tensor.values, dtype="<f8")
         dims = " ".join(str(d) for d in arr.shape) or "0"
         param_lines.append(f"param {name} {dims}")
         payload += arr.tobytes()
 
     lines = [f"{MAGIC} v{VERSION}"]
-    for key, value in dataclasses.asdict(model_cfg).items():
-        lines.append(f"{key}={value}")
-    for key, value in (meta or {}).items():
-        lines.append(f"{key}={value}")
-    lines.append("vocab_src=" + " ".join(src_vocab.tokens))
-    lines.append("vocab_tgt=" + " ".join(tgt_vocab.tokens))
-    lines.extend(param_lines)
+    for fields in (dataclasses.asdict(student.cfg), meta or {}):
+        lines += [f"{key}={value}" for key, value in fields.items()]
+    lines += ["vocab_src=" + " ".join(src_vocab.tokens),
+              "vocab_tgt=" + " ".join(tgt_vocab.tokens), *param_lines]
     header = ("\n".join(lines) + "\n").encode("utf-8")
     digest = hashlib.sha256(header + payload).hexdigest()
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(f"checksum={digest}\nend_header\n".encode("utf-8"))
-        fh.write(bytes(payload))
+        fh.write(header + f"checksum={digest}\nend_header\n".encode("utf-8")
+                 + payload)
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; returns (config dict, meta dict, src_vocab,
-    tgt_vocab, {name: ndarray})."""
+def load_models(path):
+    """Rebuild the (teacher, student) pair saved by save_models; each
+    block is read into the parameter its param line names, which must be
+    one of the pair's.
+
+    Returns (teacher, student, src_vocab, tgt_vocab, meta dict).
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     # A whole line: a vocabulary line may end in the token end_header.
@@ -99,23 +105,35 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: missing {key} line")
     vocab_src = Vocabulary(fields.pop("vocab_src").split())
     vocab_tgt = Vocabulary(fields.pop("vocab_tgt").split())
-    arrays = {}
+    try:
+        cfg = ModelConfig(**{f.name: _int(path, fields.pop(f.name))
+                             for f in dataclasses.fields(ModelConfig)
+                             if f.name in fields})
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    teacher = TeacherModel(cfg, seed=0)
+    student = IncrementalModel(cfg, seed=0)
+    named = _named(teacher, student)
     offset = 0
     for name, shape in params:
-        count = math.prod(shape)       # Python ints: no overflow
-        size = count * 8
-        if offset + size > len(payload):
+        if name not in named:
+            raise CheckpointError(
+                f"{path}: unknown or repeated parameter {name}")
+        values = named.pop(name).values
+        if shape != values.shape:
+            raise CheckpointError(
+                f"{path}: {name} has shape {shape}, expected {values.shape}")
+        count = math.prod(shape)
+        if offset + 8 * count > len(payload):
             raise CheckpointError(f"{path}: payload too short for {name}")
-        arrays[name] = np.frombuffer(
-            payload, dtype="<f8", count=count, offset=offset
-        ).reshape(shape).copy()
-        offset += size
+        values[...] = np.frombuffer(
+            payload, dtype="<f8", count=count, offset=offset).reshape(shape)
+        offset += 8 * count
+    if named:
+        raise CheckpointError(f"{path}: missing parameter {next(iter(named))}")
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} trailing bytes")
-
-    config = {f.name: _int(path, fields.pop(f.name))
-              for f in dataclasses.fields(ModelConfig) if f.name in fields}
-    return config, fields, vocab_src, vocab_tgt, arrays
+    return teacher, student, vocab_src, vocab_tgt, fields
 
 
 def _int(path, text):
@@ -124,36 +142,3 @@ def _int(path, text):
     except ValueError:
         raise CheckpointError(
             f"{path}: header value {text!r} is not an integer") from None
-
-
-def save_models(path, teacher, student, src_vocab, tgt_vocab, meta=None):
-    """Bundle a trained teacher/student pair into one checkpoint."""
-    named = {**teacher.named_parameters("teacher."),
-             **student.named_parameters("student.")}
-    save_checkpoint(path, student.cfg, src_vocab, tgt_vocab, named, meta)
-
-
-def load_models(path):
-    """Rebuild the (teacher, student) pair saved by save_models.
-
-    Returns (teacher, student, src_vocab, tgt_vocab, meta dict).
-    """
-    config, meta, vocab_src, vocab_tgt, arrays = load_checkpoint(path)
-    try:
-        cfg = ModelConfig(**config)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
-    teacher = TeacherModel(cfg, seed=0)
-    student = IncrementalModel(cfg, seed=0)
-    named = {**teacher.named_parameters("teacher."),
-             **student.named_parameters("student.")}
-    for key, tensor in named.items():
-        if key not in arrays:
-            raise CheckpointError(f"{path}: missing parameter {key}")
-        if arrays[key].shape != tensor.values.shape:
-            raise CheckpointError(
-                f"{path}: {key} has shape {arrays[key].shape}, "
-                f"expected {tensor.values.shape}"
-            )
-        tensor.values[...] = arrays[key]
-    return teacher, student, vocab_src, vocab_tgt, meta

@@ -111,6 +111,9 @@ def load_config(path=None, overrides=()):
         raise ConfigError(f"mode must be one of {MODES}")
     if cfg["test_k"] < 0:
         raise ConfigError("test_k must be >= 0 (0 means the training k)")
+    for key in ("train_ks", "test_ks", "bench_n", "bench_k"):
+        if not cfg[key]:
+            raise ConfigError(f"{key} must list at least one value")
     if any(k < 1 for k in cfg["train_ks"] + cfg["test_ks"]):
         raise ConfigError("train_ks and test_ks must hold positive k values")
     return cfg

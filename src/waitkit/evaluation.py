@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import no_grad
-from .waitk import average_lagging, streaming_decode
+from .waitk import average_lagging, check_k, read_count, streaming_decode
 
 BLEU_EPSILON = 1e-9
 BLEU_MAX_ORDER = 4
@@ -129,10 +129,12 @@ def present_absent_split(example, generated, alignment, k):
     been read when they were emitted.
 
     With 1-based positions, generated token i aligned to source j is
-    "present" iff j <= min(i + k - 1, n). Generated positions past the oracle
-    alignment are treated as aligned to the final source token. Returns None
-    when no alignment is available.
+    "present" iff j <= waitk.read_count(k, i, n). Generated positions past
+    the oracle alignment are treated as aligned to the final source token.
+    Returns None when no alignment is available; raises ScheduleError if
+    k < 1.
     """
+    check_k(k)
     if alignment is None:
         return None
     n = len(example.src)
@@ -140,7 +142,7 @@ def present_absent_split(example, generated, alignment, k):
     present, absent = [], []
     for i0, token in enumerate(generated):
         j0 = align_map.get(i0, n - 1)
-        if (j0 + 1) <= min(i0 + k, n):
+        if j0 + 1 <= read_count(k, i0 + 1, n):
             present.append(token)
         else:
             absent.append(token)
@@ -153,8 +155,8 @@ def hidden_distance_stats(student, teacher, dataset):
     total = 0.0
     with no_grad():
         for ex in dataset:
-            z_s = student.encode(ex.src).states
-            z_t = teacher.encode(ex.src).states
+            z_s = student.encode(ex.src)
+            z_t = teacher.encode(ex.src)
             total += T.l2_distance_loss(z_s, z_t).item()
     return total / len(dataset)
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .errors import LengthError, NumericalError, ScheduleError
 from .tensor import Tensor
-from .waitk import WaitKSchedule, build_masks
+from .waitk import WaitKSchedule, check_k, read_count
 
 
 # The most float64 values a teacher and student pair may hold (see
@@ -76,14 +76,6 @@ class ModelConfig:
     @property
     def d_k(self):
         return self.d_model // self.n_heads
-
-
-@dataclass
-class EncoderOutput:
-    """Final-layer encoder states for one sentence."""
-
-    states: Tensor
-    n: int
 
 
 def sinusoidal_positions(max_len, d_model):
@@ -429,8 +421,8 @@ class Decoder(_Stack):
 class DecoderCache:
     """What decode_step computed over one source: per decoder layer, a
     (self-attention, cross-attention) KVCache pair, and the target id of
-    each cached row. Row s of r rows read min(k + s - 1, g) source rows
-    and row r read g, for the k and g of the last call, so (k, g) decide
+    each cached row. Row s of r rows read waitk.read_count(k, s, g) source
+    rows and row r read g, for the k and g of the last call, so (k, g) decide
     which calls may extend the rows. decoder is the Decoder whose rows
     these are, or None when no call may extend them."""
 
@@ -488,14 +480,18 @@ class _Model(Module):
 
     causal: bool
 
+    def _encode_one(self, ids):
+        """(states, inputs) [n, d] of one sentence (see Encoder.forward)."""
+        z, e = self.encoder.forward(np.asarray(ids)[None, :], self.causal)
+        return T.tslice(z, (0,)), T.tslice(e, (0,))
+
     def encode(self, ids):
-        """Encoder states of one sentence; raises NumericalError if any is
-        not finite."""
-        z, _ = self.encoder.forward(np.asarray(ids)[None, :], self.causal)
-        out = T.tslice(z, (0,))
-        if not np.isfinite(out.values).all():
+        """Encoder states [n, d] of one sentence; raises NumericalError if
+        any is not finite."""
+        z, _ = self._encode_one(ids)
+        if not np.isfinite(z.values).all():
             raise NumericalError("non-finite encoder states")
-        return EncoderOutput(out, len(ids))
+        return z
 
 
 class TeacherModel(_Model):
@@ -541,30 +537,27 @@ class IncrementalModel(_Model):
         tgt_ids = np.asarray(tgt_ids)
         k = self.cfg.k if k is None else k
         n = src_ids.shape[-1]
-        t = tgt_ids.shape[-1]
-        schedule = WaitKSchedule(k, n)
-        cross = build_masks(schedule, t)
+        g = WaitKSchedule(k, n).read_counts(tgt_ids.shape[-1])
 
         z, e = self.encoder.forward(src_ids, self.causal)
         means = T.masked_cumulative_mean(e)
         f = T.matmul(means, T.transpose_last(self.bridge_w))   # [b, n, d]
-        g_idx = np.array([schedule.read_count(s) - 1 for s in range(1, t + 1)])
-        bridge = T.gather_rows(f, g_idx, axis=1)               # [b, t, d]
-        logits = self.decoder.forward(tgt_ids, z, cross, bridge)
+        bridge = T.gather_rows(f, g - 1, axis=1)               # [b, t, d]
+        logits = self.decoder.forward(tgt_ids, z, np.arange(n) < g[:, None],
+                                      bridge)
         return logits, z
 
     def incremental_states(self, ids):
         """One-shot causal encoding packaged with the averaging bridge."""
-        z, e = self.encoder.forward(np.asarray(ids)[None, :], self.causal)
-        return average_embedding_states(
-            T.tslice(e, (0,)), T.tslice(z, (0,)), self.bridge_w)
+        z, e = self._encode_one(ids)
+        return average_embedding_states(e, z, self.bridge_w)
 
     def decode_step(self, prefix_ids, states, g_t, k=None):
         """Next-token logits for one sentence given a decoder prefix.
 
         states covers the consumed source (IncrementalStates); row s of the
         prefix uses the wait-k coverage for step s, and the current step
-        uses g_t consumed tokens. Only the rows states.cache lacks are
+        uses g_t consumed tokens; k < 1 raises ScheduleError. Only the rows states.cache lacks are
         computed, one at a time (Decoder.step): the cache is kept while the
         prefix extends the cached ids and the cached rows keep their read
         counts, and rebuilt from row 0 otherwise. The rows are plain arrays
@@ -573,6 +566,7 @@ class IncrementalModel(_Model):
         if isinstance(T._TAPES[-1], T.Tape):
             raise T.GradientError("decode_step under a recording tape")
         k = self.cfg.k if k is None else k
+        check_k(k)
         c = states.n
         if not 1 <= g_t <= c:
             raise ScheduleError(f"g_t {g_t} outside 1..{c}")
@@ -587,14 +581,14 @@ class IncrementalModel(_Model):
         # Rows 1..r-1 keep their read counts whenever row r does (see
         # DecoderCache).
         if (cache.decoder is not self.decoder or not 0 < r < t
-                or k != cache.k or min(k + r - 1, g_t) != cache.g
+                or k != cache.k or read_count(k, r, g_t) != cache.g
                 or cache.ids != prefix_ids[:r]):
             cache.reset(self.decoder, max(c, self.cfg.max_len))
             r = 0
         cache.decoder = None        # a row that raises leaves it to rebuild
         z, f = states.z.values, states.f.values
         for s in range(r, t):
-            g = g_t if s == t - 1 else min(k + s, g_t)
+            g = g_t if s == t - 1 else read_count(k, s + 1, g_t)
             logits = self.decoder.step(prefix_ids[s], z, g, f[g - 1],
                                        cache.layers)
         cache.ids += prefix_ids[r:]
@@ -658,21 +652,14 @@ def encode_waitk_recompute(encoder, ids, schedule, t_steps):
     read), and reuses the previous pass while the prefix is unchanged.
     Returns [t_steps, n, d] with rows past the prefix zeroed.
     """
-    if t_steps < 1:
-        raise ScheduleError(f"t_steps must be >= 1, got {t_steps}")
+    counts = schedule.read_counts(t_steps)
     ids = np.asarray(ids)
     n = ids.shape[-1]
     out = np.zeros((t_steps, n, encoder.cfg.d_model))
-    prev_g = None
-    current = None
-    for t in range(1, t_steps + 1):
-        g = schedule.read_count(t)
-        if g != prev_g:
+    for t, g in enumerate(counts):
+        if t == 0 or g != counts[t - 1]:
             mask = np.zeros((n, n), dtype=bool)
             mask[:g, :g] = True
             z, _ = encoder.forward(ids[None, :], causal=False, mask=mask)
-            current = np.zeros((n, encoder.cfg.d_model))
-            current[:g] = z.values[0, :g]
-            prev_g = g
-        out[t - 1] = current
+        out[t, :g] = z.values[0, :g]
     return Tensor(out)

@@ -1,5 +1,5 @@
-"""Wait-k read/write scheduling, mask construction, streaming greedy
-decoding, and the Average Lagging latency metric.
+"""Wait-k read/write scheduling, streaming greedy decoding, and the
+Average Lagging latency metric. This module alone computes read counts.
 
 The schedule reads k source tokens up front, then alternates one write with
 one read; after the source runs out, writes continue unconstrained until an
@@ -28,8 +28,7 @@ class WaitKSchedule:
     n: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ScheduleError(f"k must be positive, got {self.k}")
+        check_k(self.k)
         if self.n < 1:
             raise ScheduleError(f"source length must be positive, got {self.n}")
 
@@ -37,7 +36,26 @@ class WaitKSchedule:
         """Number of source tokens consumed when emitting target token t."""
         if t < 1:
             raise ScheduleError(f"step index must be >= 1, got {t}")
-        return min(self.k + t - 1, self.n)
+        return read_count(self.k, t, self.n)
+
+    def read_counts(self, t_steps):
+        """read_count(t) for t = 1 .. t_steps, as an int array."""
+        if t_steps < 1:
+            raise ScheduleError(f"t_steps must be >= 1, got {t_steps}")
+        return np.minimum(np.arange(self.k, self.k + t_steps), self.n)
+
+
+def check_k(k):
+    """Raise ScheduleError unless k is a wait-k lag, k >= 1."""
+    if k < 1:
+        raise ScheduleError(f"k must be positive, got {k}")
+
+
+def read_count(k, t, n):
+    """g(t) = min(k + t - 1, n), the wait-k read count (Ma et al. 2019):
+    the source tokens read when target token t >= 1 is emitted, of n
+    readable. k is checked by check_k, not here."""
+    return min(k + t - 1, n)
 
 
 @dataclass
@@ -79,17 +97,6 @@ class DecodeTrace:
         )
 
 
-def build_masks(schedule, t_steps):
-    """Decoder cross mask [t_steps, n] for single-pass batched wait-k
-    training: row t exposes the first read_count(t) source positions."""
-    if t_steps < 1:
-        raise ScheduleError(f"t_steps must be >= 1, got {t_steps}")
-    cross = np.zeros((t_steps, schedule.n), dtype=bool)
-    for t in range(1, t_steps + 1):
-        cross[t - 1, : schedule.read_count(t)] = True
-    return cross
-
-
 def streaming_decode(model, source, k, max_len=None, eos_id=EOS_ID,
                      on_emit=None):
     """Greedy wait-k decode over a source token stream.
@@ -103,8 +110,7 @@ def streaming_decode(model, source, k, max_len=None, eos_id=EOS_ID,
 
     Returns (emitted token ids, DecodeTrace); eos is not part of either.
     """
-    if k < 1:
-        raise ScheduleError(f"k must be positive, got {k}")
+    check_k(k)
     if max_len is not None and max_len < 1:
         raise ScheduleError(f"max_len must be >= 1, got {max_len}")
     stream = iter(source)
@@ -131,7 +137,7 @@ def streaming_decode(model, source, k, max_len=None, eos_id=EOS_ID,
                 read_one()
             if consumed == 0:
                 raise ScheduleError("cannot decode an empty source")
-            g_t = min(k + t - 1, consumed)
+            g_t = read_count(k, t, consumed)
             prefix = [BOS_ID] + tokens
             logits = model.decode_step(prefix, encoder_state.states, g_t, k)
             next_id = int(np.argmax(logits.values))

@@ -388,6 +388,18 @@ def reference_decoder(decoder, ids, memory, cross, bridge, caches):
     return decoder.out(decoder.final_ln(x))
 
 
+def build_masks(schedule, t_steps):
+    """Decoder cross mask [t_steps, n] for single-pass batched wait-k
+    training: row t exposes the first read_count(t) source positions. The
+    per-row reference for IncrementalModel.forward's mask."""
+    if t_steps < 1:
+        raise ScheduleError(f"t_steps must be >= 1, got {t_steps}")
+    cross = np.zeros((t_steps, schedule.n), dtype=bool)
+    for t in range(1, t_steps + 1):
+        cross[t - 1, : schedule.read_count(t)] = True
+    return cross
+
+
 def reference_decode_step(model, prefix_ids, states, g_t, k=None):
     """Reference for IncrementalModel.decode_step before the row branches:
     ops on Tensors under no_grad, separate q/k/v products, all new rows in

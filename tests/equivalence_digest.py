@@ -146,11 +146,7 @@ def cli_outputs_digest():
         run("train", "max_steps=30")
         run("eval")
         run("k-matrix", "max_steps=10", "train_ks=1,2", "test_ks=1,2")
-        # bench repeats its timed runs for as long as a sample lasts, so
-        # the MACs it counts vary: leave them out.
-        macs = T.mac_counter.count
         run("bench", "bench_n=8", "bench_k=1,3", "bench_trials=1")
-        T.mac_counter.count = macs
         for key in ("metrics", "checkpoint", "report", "traces",
                     "matrix_out"):
             with open(files[key], "rb") as fh:

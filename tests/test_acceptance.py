@@ -303,9 +303,9 @@ def test_criterion_2_prefix_stability():
         for _ in range(200):
             n = int(rng.integers(1, 17))
             ids = rng.integers(4, 24, size=n)
-            full = model.encode(ids).states.values
+            full = model.encode(ids).values
             for p in range(1, n + 1):
-                part = model.encode(ids[:p]).states.values
+                part = model.encode(ids[:p]).values
                 worst = max(worst, float(np.abs(full[:p] - part).max()))
     report(2, "prefix-truncation equality, 200 sentences", worst <= 1e-12,
            f"max deviation {worst:.2e}")
@@ -365,7 +365,7 @@ def test_criterion_4_recompute_fidelity():
                                          t_steps).values
             for t in range(1, t_steps + 1):
                 g = sched.read_count(t)
-                ref = model.encode(ids[:g]).states.values
+                ref = model.encode(ids[:g]).values
                 worst = max(worst, float(np.abs(out[t - 1, :g] - ref).max()))
                 assert np.all(out[t - 1, g:] == 0.0)
     report(4, "recompute rows equal fresh truncated encodings",

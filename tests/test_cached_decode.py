@@ -8,10 +8,10 @@ import pytest
 from waitkit import tensor as T
 from waitkit.tensor import Tensor
 from waitkit.transformer import IncrementalModel, ModelConfig
-from waitkit.waitk import WaitKSchedule, build_masks, streaming_decode
+from waitkit.waitk import WaitKSchedule, streaming_decode
 
-from conftest import (_merge_heads, _split_heads, masked_softmax, mul,
-                      reshape, transpose)
+from conftest import (_merge_heads, _split_heads, build_masks,
+                      masked_softmax, mul, reshape, transpose)
 
 
 def ref_attend_rows(attn, queries, row_memory, mask):

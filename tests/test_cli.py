@@ -98,8 +98,9 @@ class TestGenData:
 
 def write_bad_inputs(tmp_path):
     """A blank and a non-UTF-8 corpus, copies of the run's checkpoint with
-    one header line changed (None: removed), and one with two param lines
-    of one shape swapped."""
+    one header line changed (None: removed), one with two param lines of
+    one shape swapped, and two under a checksum that matches: one over the
+    size bound and one with a block the pair has no parameter for."""
     (tmp_path / "blank.txt").write_text("\n \n", encoding="utf-8")
     (tmp_path / "bad_utf8.txt").write_bytes(b"a b\n\xff c\n")
     header, payload = (tmp_path / "model.ckpt").read_bytes().split(
@@ -121,13 +122,19 @@ def write_bad_inputs(tmp_path):
         (tmp_path / name).write_bytes(
             b"\n".join(line for line in lines if line is not None)
             + b"\nend_header\n" + payload)
-    # More values than MAX_MODEL_VALUES, under a checksum that matches.
-    lines = [b"d_model=4096" if line.startswith(b"d_model=") else line
-             for line in header.split(b"\n")[:-1]]
-    covered = b"\n".join(lines) + b"\n"
-    digest = hashlib.sha256(covered + payload).hexdigest().encode()
-    (tmp_path / "bad_huge_d_model.ckpt").write_bytes(
-        covered + b"checksum=" + digest + b"\nend_header\n" + payload)
+
+    def sealed(name, lines, payload):
+        covered = b"\n".join(lines) + b"\n"
+        digest = hashlib.sha256(covered + payload).hexdigest().encode()
+        (tmp_path / name).write_bytes(
+            covered + b"checksum=" + digest + b"\nend_header\n" + payload)
+
+    lines = header.split(b"\n")[:-1]           # without the checksum
+    sealed("bad_huge_d_model.ckpt",
+           [b"d_model=4096" if line.startswith(b"d_model=") else line
+            for line in lines], payload)
+    sealed("bad_extra_param.ckpt",
+           lines + [b"param student.extra_layer.w 2"], payload + bytes(16))
     lines = header.split(b"\n")
     i, j = (lines.index(b"param teacher.encoder.layers.0.attn.%s.w 16 16" % w)
             for w in (b"wq", b"wk"))
@@ -254,6 +261,10 @@ EXIT_CODES = [
     ("decode", {"test_k": -1}, 2),
     ("k-matrix", {"test_ks": "1,-1"}, 2),
     ("k-matrix", {"train_ks": "0,1"}, 2),
+    ("k-matrix", {"train_ks": ""}, 2),
+    ("k-matrix", {"test_ks": ","}, 2),
+    ("bench", {"bench_n": ""}, 2),
+    ("bench", {"bench_k": ""}, 2),
     ("eval", {"checkpoint": "missing.ckpt"}, 3),
     ("eval", {"task": "files", "src_file": "missing.src",
               "tgt_file": "missing.tgt"}, 3),
@@ -273,6 +284,7 @@ EXIT_CODES = [
     ("eval", {"checkpoint": "bad_edited_k.ckpt"}, 3),
     ("eval", {"checkpoint": "bad_v1.ckpt"}, 3),
     ("eval", {"checkpoint": "bad_huge_d_model.ckpt"}, 3),
+    ("eval", {"checkpoint": "bad_extra_param.ckpt"}, 3),
 ]
 
 

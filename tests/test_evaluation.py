@@ -16,7 +16,7 @@ from waitkit.evaluation import (
 )
 from waitkit.training import ParallelExample, SyntheticTaskSpec, generate_synthetic
 from waitkit.transformer import IncrementalModel, TeacherModel
-from waitkit.waitk import streaming_decode
+from waitkit.waitk import ScheduleError, streaming_decode
 
 
 class TestCorpusBleu:
@@ -191,6 +191,13 @@ class TestPresentAbsentSplit:
                 else:
                     brute_a += 1
         assert (total_p, total_a) == (brute_p, brute_a)
+
+    @pytest.mark.parametrize("alignment", [[(0, 0), (1, 1)], None])
+    def test_non_positive_k_rejected(self, alignment):
+        """With k=0 token 1 would count as having read no source token."""
+        ex = ParallelExample([4, 5], [4, 5], alignment)
+        with pytest.raises(ScheduleError, match="k must be positive, got 0"):
+            present_absent_split(ex, [4, 5], ex.alignment, 0)
 
     def test_missing_alignment_skipped(self):
         ex = ParallelExample([4, 5], [4, 5])

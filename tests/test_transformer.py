@@ -1,16 +1,14 @@
 """Encoder variants, the averaged-embedding bridge, decoder parity, and
 checkpoint round-trips."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from waitkit import tensor as T
-from waitkit.checkpoint import (
-    CheckpointError,
-    load_models,
-    save_checkpoint,
-    save_models,
-)
+from waitkit.checkpoint import CheckpointError, load_models, save_models
 from waitkit.errors import NumericalError
 from waitkit.tensor import Tensor
 from waitkit.training import synthetic_vocab
@@ -119,15 +117,15 @@ class TestBidirectionalEncoder:
         model = TeacherModel(tiny_cfg, seed=0)
         for n in (1, 5, 12):
             out = model.encode(_tokens(rng, tiny_cfg, n))
-            assert out.states.shape == (n, tiny_cfg.d_model)
-            assert out.n == n
+            assert out.shape == (n, tiny_cfg.d_model)
+            assert out.shape[0] == n
 
     def test_position_sensitivity(self, tiny_cfg):
         model = TeacherModel(tiny_cfg, seed=1)
         ids = np.array([4, 5, 6, 7])
         swapped = np.array([5, 4, 6, 7])
-        a = model.encode(ids).states.values
-        b = model.encode(swapped).states.values
+        a = model.encode(ids).values
+        b = model.encode(swapped).values
         # swapping tokens does not just permute rows: positions matter
         assert not np.allclose(a[[1, 0, 2, 3]], b)
 
@@ -136,7 +134,7 @@ class TestBidirectionalEncoder:
         for _ in range(100):
             n = int(rng.integers(1, tiny_cfg.max_len + 1))
             out = model.encode(_tokens(rng, tiny_cfg, n))
-            assert np.isfinite(out.states.values).all()
+            assert np.isfinite(out.values).all()
 
     def test_overlength_rejected(self, tiny_cfg, rng):
         model = TeacherModel(tiny_cfg, seed=0)
@@ -148,23 +146,23 @@ class TestUnidirectionalEncoder:
     def test_first_row_stable(self, tiny_cfg, rng):
         model = IncrementalModel(tiny_cfg, seed=3)
         ids = _tokens(rng, tiny_cfg, 8)
-        full = model.encode(ids).states.values
-        one = model.encode(ids[:1]).states.values
+        full = model.encode(ids).values
+        one = model.encode(ids[:1]).values
         assert np.abs(full[0] - one[0]).max() <= 1e-12
 
     def test_prefix_truncation_equality(self, tiny_cfg, rng):
         model = IncrementalModel(tiny_cfg, seed=4)
         ids = _tokens(rng, tiny_cfg, 11)
-        full = model.encode(ids).states.values
+        full = model.encode(ids).values
         for p in range(1, 12):
-            part = model.encode(ids[:p]).states.values
+            part = model.encode(ids[:p]).values
             assert np.abs(full[:p] - part).max() <= 1e-12
 
     def test_appending_token_preserves_rows(self, tiny_cfg, rng):
         model = IncrementalModel(tiny_cfg, seed=5)
         ids = _tokens(rng, tiny_cfg, 9)
-        before = model.encode(ids[:8]).states.values
-        after = model.encode(ids).states.values
+        before = model.encode(ids[:8]).values
+        after = model.encode(ids).values
         assert np.abs(after[:8] - before).max() <= 1e-12
 
 
@@ -174,7 +172,7 @@ class TestStreamingEncoder:
         ids = _tokens(rng, tiny_cfg, 1)
         stream = model.start_stream()
         row = stream.push(int(ids[0]))
-        batch = model.encode(ids).states.values
+        batch = model.encode(ids).values
         assert np.abs(row - batch[0]).max() <= 1e-12
 
     def test_token_by_token_matches_batch(self, tiny_cfg, rng):
@@ -182,7 +180,7 @@ class TestStreamingEncoder:
         ids = _tokens(rng, tiny_cfg, 13)
         stream = model.start_stream()
         rows = np.array([stream.push(int(t)) for t in ids])
-        batch = model.encode(ids).states.values
+        batch = model.encode(ids).values
         assert np.abs(rows - batch).max() <= 1e-12
 
     def test_running_mean_invariant(self, tiny_cfg, rng):
@@ -213,7 +211,7 @@ class TestRecomputeEncoder:
         ids = _tokens(rng, tiny_cfg, 6)
         sched = WaitKSchedule(6, 6)   # g(1) = 6 immediately
         out = encode_waitk_recompute(model.encoder, ids, sched, 3).values
-        ref = model.encode(ids).states.values
+        ref = model.encode(ids).values
         for t in range(3):
             assert np.abs(out[t] - ref).max() <= 1e-12
 
@@ -224,7 +222,7 @@ class TestRecomputeEncoder:
         out = encode_waitk_recompute(model.encoder, ids, sched, 9).values
         for t in range(1, 10):
             g = sched.read_count(t)
-            ref = model.encode(ids[:g]).states.values
+            ref = model.encode(ids[:g]).values
             assert np.abs(out[t - 1, :g] - ref).max() <= 1e-12
             assert np.all(out[t - 1, g:] == 0.0)
 
@@ -330,6 +328,24 @@ class TestDecoding:
         with pytest.raises(ScheduleError):
             model.decode_step([1], states, g_t=0)
 
+    @pytest.mark.parametrize("prefix", [[1], [1, 5, 6]])
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_non_positive_k_rejected(self, tiny_cfg, rng, k, prefix):
+        """With k < 1, row 0 would read no source row but add a bridge row.
+        The call is refused before any row is computed, so the cached rows
+        serve the next call as fresh states would."""
+        model = IncrementalModel(tiny_cfg, seed=13)
+        src = _tokens(rng, tiny_cfg, 4)
+        states = model.incremental_states(src)
+        model.decode_step([1, 5], states, 2, 2)
+        message = f"k must be positive, got {k}"
+        with pytest.raises(ScheduleError, match=message):
+            model.decode_step(prefix, states, 3, k)
+        after = model.decode_step([1, 5, 6], states, 3, 2).values
+        fresh = model.decode_step([1, 5, 6], model.incremental_states(src),
+                                  3, 2).values
+        assert np.array_equal(after, fresh)
+
     def test_batched_forward_matches_step_loop(self, tiny_cfg, rng):
         model = IncrementalModel(tiny_cfg, seed=14)
         k = 2
@@ -390,6 +406,24 @@ def test_non_finite_encoder_states_raise(tiny_cfg, model_cls):
     model.encoder.final_ln.gain.values[0] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
         model.encode(np.array([4, 5, 6]))
+
+
+def write_checkpoint(path, cfg, vocab, blocks):
+    """A version 2 checkpoint of (name, Tensor) blocks in the order given,
+    with vocab as both vocabularies: the layout save_models writes."""
+    lines = (["waitkit-checkpoint v2"]
+             + [f"{key}={value}"
+                for key, value in dataclasses.asdict(cfg).items()]
+             + [f"vocab_{side}=" + " ".join(vocab.tokens)
+                for side in ("src", "tgt")]
+             + [f"param {name} " + " ".join(map(str, p.shape))
+                for name, p in blocks])
+    header = ("\n".join(lines) + "\n").encode()
+    payload = b"".join(p.values.astype("<f8").tobytes()
+                       for _, p in blocks)
+    digest = hashlib.sha256(header + payload).hexdigest()
+    path.write_bytes(header + f"checksum={digest}\nend_header\n".encode()
+                     + payload)
 
 
 class TestCheckpoint:
@@ -469,11 +503,41 @@ class TestCheckpoint:
                                *student.named_parameters("student.")]
         vocab = synthetic_vocab(20)
         path = tmp_path / "bfs.ckpt"
-        save_checkpoint(path, tiny_cfg, vocab, vocab, named)
+        write_checkpoint(path, tiny_cfg, vocab, list(named.items()))
         teacher2, student2, _, _, _ = load_models(path)
         for a, b in zip(teacher.parameters() + student.parameters(),
                         teacher2.parameters() + student2.parameters()):
             assert np.array_equal(a.values, b.values)
+
+    def test_writer_matches_save_models(self, tiny_cfg, tmp_path):
+        """write_checkpoint, which the tests here use to write what
+        save_models would not, writes save_models' bytes for its order."""
+        teacher = TeacherModel(tiny_cfg, seed=18)
+        student = IncrementalModel(tiny_cfg, seed=19)
+        vocab = synthetic_vocab(20)
+        save_models(tmp_path / "a.ckpt", teacher, student, vocab, vocab)
+        write_checkpoint(tmp_path / "b.ckpt", tiny_cfg, vocab,
+                         [*teacher.named_parameters("teacher.").items(),
+                          *student.named_parameters("student.").items()])
+        assert ((tmp_path / "a.ckpt").read_bytes()
+                == (tmp_path / "b.ckpt").read_bytes())
+
+    @pytest.mark.parametrize("extra", ["student.extra_layer.w",
+                                       "teacher.decoder.out.w"])
+    def test_unknown_or_repeated_param_rejected(self, tiny_cfg, tmp_path,
+                                                extra):
+        """A block that names no parameter of the pair, or one already
+        read, is refused; a loader that skipped it would load silently."""
+        teacher = TeacherModel(tiny_cfg, seed=18)
+        student = IncrementalModel(tiny_cfg, seed=19)
+        blocks = [*teacher.named_parameters("teacher.").items(),
+                  *student.named_parameters("student.").items(),
+                  (extra, teacher.decoder.out.w)]
+        path = tmp_path / "extra.ckpt"
+        write_checkpoint(path, tiny_cfg, synthetic_vocab(20), blocks)
+        with pytest.raises(CheckpointError,
+                           match=f"unknown or repeated parameter {extra}$"):
+            load_models(path)
 
     def test_missing_marker_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -12,9 +12,10 @@ from waitkit.waitk import (
     ScheduleError,
     WaitKSchedule,
     average_lagging,
-    build_masks,
     streaming_decode,
 )
+
+from conftest import build_masks
 
 
 class TestSchedule:
@@ -38,6 +39,20 @@ class TestSchedule:
     def test_bad_step(self):
         with pytest.raises(ScheduleError):
             WaitKSchedule(2, 5).read_count(0)
+
+    def test_read_counts_match_read_count(self):
+        for k in (1, 2, 3, 7):
+            for n in (1, 4, 9):
+                sched = WaitKSchedule(k, n)
+                for t_steps in (1, 2, 5, 13):
+                    counts = sched.read_counts(t_steps)
+                    assert counts.dtype.kind == "i"
+                    assert counts.tolist() == [
+                        sched.read_count(t) for t in range(1, t_steps + 1)]
+
+    def test_read_counts_bad_steps(self):
+        with pytest.raises(ScheduleError):
+            WaitKSchedule(2, 5).read_counts(0)
 
     def test_bad_parameters(self):
         with pytest.raises(ScheduleError):
