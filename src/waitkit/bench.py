@@ -1,16 +1,14 @@
 """Forward-cost benchmark: recompute baseline vs incremental pipeline.
 
-Reports median single-threaded wall time and the exact multiply-accumulate
-tally of one forward pass per variant, at matched model dimensions. Only
-matrix-product MACs are counted (the dominant term).
+Reports median wall time and the exact multiply-accumulate tally of one
+forward pass per variant, at matched model dimensions. Only matrix-product
+MACs are counted (the dominant term). To time one thread, start the process
+with OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1.
 """
 
 from __future__ import annotations
 
-import functools
-import sys
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,32 +17,12 @@ from . import tensor as T
 from .errors import ConfigError
 from .evaluation import write_csv
 from .tensor import no_grad
-from .training import N_RESERVED
 from .transformer import IncrementalModel, TeacherModel, encode_waitk_recompute
-from .waitk import WaitKSchedule
+from .waitk import N_RESERVED, WaitKSchedule
 
 VARIANTS = ("baseline_bi", "incremental_ael", "offline")
 
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_limits = None
-
-
 MIN_SAMPLE_SECS = 0.02
-
-
-@functools.cache
-def _note_unpinned():
-    print("waitkit bench: threadpoolctl is not installed, so BLAS threads "
-          "are not pinned", file=sys.stderr)
-
-
-def _single_thread():
-    if threadpool_limits is None:
-        _note_unpinned()
-        return nullcontext()
-    return threadpool_limits(limits=1)
 
 
 def _timed_sample(run):
@@ -104,9 +82,9 @@ def bench_forward(variant, n, k, cfg, t_steps=None, trials=5, seed=0):
 
     A warm-up run, whose MACs are counted, precedes timing. Each trial is
     the mean of repeated runs lasting at least MIN_SAMPLE_SECS, in the
-    manner of timeit's autorange; timing runs are pinned to a single BLAS
-    thread when thread control is available. The call adds mac_count to
-    tensor.mac_counter, however many runs the timing took.
+    manner of timeit's autorange, on as many BLAS threads as the process
+    has. The call adds mac_count to tensor.mac_counter, however many runs
+    the timing took.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -116,8 +94,7 @@ def bench_forward(variant, n, k, cfg, t_steps=None, trials=5, seed=0):
         macs0 = T.mac_counter.count
         run()
         macs = T.mac_counter.count - macs0
-        with _single_thread():
-            times = [_timed_sample(run) for _ in range(trials)]
+        times = [_timed_sample(run) for _ in range(trials)]
         T.mac_counter.count = macs0 + macs
     return BenchResult(
         variant=variant,

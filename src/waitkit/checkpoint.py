@@ -100,17 +100,21 @@ def load_models(path):
             != header[-1].split("=", 1)[1]):
         raise CheckpointError(f"{path}: checksum mismatch")
 
-    for key in ("vocab_src", "vocab_tgt"):
-        if key not in fields:
-            raise CheckpointError(f"{path}: missing {key} line")
-    vocab_src = Vocabulary(fields.pop("vocab_src").split())
-    vocab_tgt = Vocabulary(fields.pop("vocab_tgt").split())
+    sizes = {f.name: _int(path, fields.pop(f.name))
+             for f in dataclasses.fields(ModelConfig) if f.name in fields}
     try:
-        cfg = ModelConfig(**{f.name: _int(path, fields.pop(f.name))
-                             for f in dataclasses.fields(ModelConfig)
-                             if f.name in fields})
+        cfg = ModelConfig(**sizes)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
+    vocabs = []
+    for key, size in (("vocab_src", cfg.src_vocab),
+                      ("vocab_tgt", cfg.tgt_vocab)):
+        if key not in fields:
+            raise CheckpointError(f"{path}: missing {key} line")
+        vocabs.append(Vocabulary(fields.pop(key).split()))
+        if len(vocabs[-1]) != size:
+            raise CheckpointError(f"{path}: {key} holds {len(vocabs[-1])} "
+                                  f"tokens, the model {size}")
     teacher = TeacherModel(cfg, seed=0)
     student = IncrementalModel(cfg, seed=0)
     named = _named(teacher, student)
@@ -133,7 +137,7 @@ def load_models(path):
         raise CheckpointError(f"{path}: missing parameter {next(iter(named))}")
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} trailing bytes")
-    return teacher, student, vocab_src, vocab_tgt, fields
+    return teacher, student, *vocabs, fields
 
 
 def _int(path, text):

@@ -114,8 +114,9 @@ def load_config(path=None, overrides=()):
     for key in ("train_ks", "test_ks", "bench_n", "bench_k"):
         if not cfg[key]:
             raise ConfigError(f"{key} must list at least one value")
-    if any(k < 1 for k in cfg["train_ks"] + cfg["test_ks"]):
-        raise ConfigError("train_ks and test_ks must hold positive k values")
+        if min(cfg[key]) < 1:
+            raise ConfigError(f"{key} must hold positive values, "
+                              f"got {min(cfg[key])}")
     return cfg
 
 

@@ -111,8 +111,6 @@ def corpus_bleu(candidates, references):
     if any(p == 0.0 for p in precisions):
         return 0.0
     log_mean = sum(np.log(p) for p in precisions) / BLEU_MAX_ORDER
-    if cand_len == 0:
-        return 0.0
     bp = 1.0 if cand_len > ref_len else float(np.exp(1.0 - ref_len / cand_len))
     return float(100.0 * bp * np.exp(log_mean))
 
@@ -174,7 +172,6 @@ def evaluate_model(student, dataset, k, teacher=None, trace_path=None):
     traces = []
     ab_match, ab_total = 0, 0
     pr_match, pr_total = 0, 0
-    have_alignments = False
     for ex in dataset:
         tokens, trace = streaming_decode(student, ex.src, k)
         traces.append(trace)
@@ -184,7 +181,6 @@ def evaluate_model(student, dataset, k, teacher=None, trace_path=None):
             al_values.append(average_lagging(trace))
         split = present_absent_split(ex, tokens, ex.alignment, k)
         if split is not None:
-            have_alignments = True
             present, absent = split
             pr_match += _clipped_matches(present, ex.tgt)
             pr_total += len(present)
@@ -197,10 +193,8 @@ def evaluate_model(student, dataset, k, teacher=None, trace_path=None):
     report = EvalReport(
         corpus_bleu=corpus_bleu(candidates, references),
         mean_al=float(np.mean(al_values)) if al_values else float("nan"),
-        absent_1gram=(ab_match / ab_total
-                      if have_alignments and ab_total else float("nan")),
-        present_1gram=(pr_match / pr_total
-                       if have_alignments and pr_total else float("nan")),
+        absent_1gram=ab_match / ab_total if ab_total else float("nan"),
+        present_1gram=pr_match / pr_total if pr_total else float("nan"),
         mean_hidden_l2=(hidden_distance_stats(student, teacher, dataset)
                         if teacher is not None else float("nan")),
         sentences=len(dataset),

@@ -22,14 +22,10 @@ from .errors import ConfigError, IngestionError, LengthError, NumericalError
 from .evaluation import write_csv
 from .tensor import Tape, no_grad
 from .transformer import IncrementalModel, TeacherModel
-from .waitk import BOS_ID, EOS_ID
+from .waitk import (BOS_ID, EOS_ID, FILLER_ID, N_RESERVED, PAD_ID,
+                    SHARED_TOKENS, UNK_ID)
 
 logger = logging.getLogger(__name__)
-
-PAD_ID = 0                      # BOS_ID = 1 and EOS_ID = 2 come from waitk
-UNK_ID = 3
-FILLER_ID = 3
-N_RESERVED = 4
 
 MODES = ("joint", "pretrain_fixed_teacher")
 CONVERGENCE_WINDOW = 20         # steps whose mean loss early_stop_loss bounds
@@ -64,6 +60,7 @@ class TrainConfig:
                  "finite and > 0"),
                 ("batch_size", self.batch_size, self.batch_size >= 1, ">= 1"),
                 ("max_steps", self.max_steps, self.max_steps >= 1, ">= 1"),
+                ("seed", self.seed, self.seed >= 0, ">= 0"),
                 ("early_stop_loss", self.early_stop_loss,
                  not math.isnan(self.early_stop_loss), "a number")):
             if not ok:
@@ -96,6 +93,8 @@ class SyntheticTaskSpec:
             )
         if self.lag < 0:
             raise ConfigError("lag must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.min_len <= self.max_len:
             raise ConfigError("need 1 <= min_len <= max_len")
 
@@ -118,9 +117,8 @@ class Vocabulary:
 
 
 def synthetic_vocab(vocab_size):
-    tokens = ["<pad>", "<bos>", "<eos>", "<filler>"]
-    tokens += [f"w{i:02d}" for i in range(vocab_size - N_RESERVED)]
-    return Vocabulary(tokens)
+    return Vocabulary([*SHARED_TOKENS, "<filler>"]
+                      + [f"w{i:02d}" for i in range(vocab_size - N_RESERVED)])
 
 
 def build_vocab(sentences):
@@ -129,7 +127,7 @@ def build_vocab(sentences):
         for w in sent:
             counts[w] = counts.get(w, 0) + 1
     ordered = sorted(counts, key=lambda w: (-counts[w], w))
-    return Vocabulary(["<pad>", "<bos>", "<eos>", "<unk>"] + ordered)
+    return Vocabulary([*SHARED_TOKENS, "<unk>", *ordered])
 
 
 def generate_synthetic(spec, count):

@@ -16,8 +16,12 @@ import numpy as np
 from .errors import ScheduleError
 from .tensor import no_grad
 
-BOS_ID = 1
-EOS_ID = 2
+# The reserved ids open every vocabulary. Id 3 is <unk> in a corpus
+# vocabulary and the filler token of the synthetic lagged_map task.
+PAD_ID, BOS_ID, EOS_ID, UNK_ID = range(4)
+FILLER_ID = UNK_ID
+N_RESERVED = 4
+SHARED_TOKENS = ("<pad>", "<bos>", "<eos>")
 
 
 @dataclass
@@ -32,14 +36,8 @@ class WaitKSchedule:
         if self.n < 1:
             raise ScheduleError(f"source length must be positive, got {self.n}")
 
-    def read_count(self, t):
-        """Number of source tokens consumed when emitting target token t."""
-        if t < 1:
-            raise ScheduleError(f"step index must be >= 1, got {t}")
-        return read_count(self.k, t, self.n)
-
     def read_counts(self, t_steps):
-        """read_count(t) for t = 1 .. t_steps, as an int array."""
+        """read_count(k, t, n) for t = 1 .. t_steps, as an int array."""
         if t_steps < 1:
             raise ScheduleError(f"t_steps must be >= 1, got {t_steps}")
         return np.minimum(np.arange(self.k, self.k + t_steps), self.n)
@@ -97,6 +95,9 @@ class DecodeTrace:
         )
 
 
+_END = object()        # next(stream, _END) past the last source token
+
+
 def streaming_decode(model, source, k, max_len=None, eos_id=EOS_ID,
                      on_emit=None):
     """Greedy wait-k decode over a source token stream.
@@ -115,29 +116,20 @@ def streaming_decode(model, source, k, max_len=None, eos_id=EOS_ID,
         raise ScheduleError(f"max_len must be >= 1, got {max_len}")
     stream = iter(source)
     encoder_state = model.start_stream()
-    consumed = 0
     exhausted = False
-
-    def read_one():
-        nonlocal consumed, exhausted
-        try:
-            token = next(stream)
-        except StopIteration:
-            exhausted = True
-            return
-        encoder_state.push(token)
-        consumed += 1
-
     tokens = []
     g_values = []
     with no_grad():
-        t = 1
         while True:
-            while not exhausted and consumed < k + t - 1:
-                read_one()
-            if consumed == 0:
+            while not exhausted and encoder_state.count < k + len(tokens):
+                token = next(stream, _END)
+                exhausted = token is _END
+                if not exhausted:
+                    encoder_state.push(token)
+            n_read = encoder_state.count
+            if n_read == 0:
                 raise ScheduleError("cannot decode an empty source")
-            g_t = read_count(k, t, consumed)
+            g_t = read_count(k, len(tokens) + 1, n_read)
             prefix = [BOS_ID] + tokens
             logits = model.decode_step(prefix, encoder_state.states, g_t, k)
             next_id = int(np.argmax(logits.values))
@@ -148,12 +140,11 @@ def streaming_decode(model, source, k, max_len=None, eos_id=EOS_ID,
             if on_emit is not None:
                 on_emit(next_id)
             cap = max_len if max_len is not None else (
-                2 * consumed + 5 if exhausted else model.cfg.max_len
+                2 * n_read + 5 if exhausted else model.cfg.max_len
             )
             if len(tokens) >= min(cap, model.cfg.max_len):
                 break
-            t += 1
-    return tokens, DecodeTrace(g_values, consumed, tokens)
+    return tokens, DecodeTrace(g_values, encoder_state.count, tokens)
 
 
 def average_lagging(trace):

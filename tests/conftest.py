@@ -7,7 +7,7 @@ from waitkit import tensor as T
 from waitkit.tensor import (Tensor, _broadcast_rule, _op, _softmax,
                             _softmax_grad)
 from waitkit.transformer import IncrementalStates, ModelConfig
-from waitkit.waitk import ScheduleError
+from waitkit.waitk import ScheduleError, read_count
 
 
 # Reference ops: no package module calls them. They run on the package's
@@ -390,13 +390,13 @@ def reference_decoder(decoder, ids, memory, cross, bridge, caches):
 
 def build_masks(schedule, t_steps):
     """Decoder cross mask [t_steps, n] for single-pass batched wait-k
-    training: row t exposes the first read_count(t) source positions. The
+    training: row t exposes the first read_count(k, t, n) source positions. The
     per-row reference for IncrementalModel.forward's mask."""
     if t_steps < 1:
         raise ScheduleError(f"t_steps must be >= 1, got {t_steps}")
     cross = np.zeros((t_steps, schedule.n), dtype=bool)
     for t in range(1, t_steps + 1):
-        cross[t - 1, : schedule.read_count(t)] = True
+        cross[t - 1, : read_count(schedule.k, t, schedule.n)] = True
     return cross
 
 

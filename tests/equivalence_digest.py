@@ -28,7 +28,7 @@ from waitkit.cli import main as cli_main
 from waitkit.training import (Adam, SyntheticTaskSpec, TrainConfig,
                               generate_synthetic, train, train_step)
 from waitkit.transformer import IncrementalModel, ModelConfig, TeacherModel
-from waitkit.waitk import WaitKSchedule
+from waitkit.waitk import read_count
 
 from test_array_mode import random_model
 
@@ -86,7 +86,7 @@ def decode_digest():
             digest.array(states.f.values)
             prefix = [1]
             for s in range(1, min(2 * n + 5, 48) + 1):
-                g = WaitKSchedule(k, n).read_count(s)
+                g = read_count(k, s, n)
                 while stream.count < g:
                     digest.array(stream.push(src[stream.count]))
                 digest.array(model.decode_step(prefix, stream.states, g,

@@ -37,6 +37,7 @@ from waitkit.waitk import (
     DecodeTrace,
     WaitKSchedule,
     average_lagging,
+    read_count,
     streaming_decode,
 )
 
@@ -364,7 +365,7 @@ def test_criterion_4_recompute_fidelity():
             out = encode_waitk_recompute(model.encoder, ids, sched,
                                          t_steps).values
             for t in range(1, t_steps + 1):
-                g = sched.read_count(t)
+                g = read_count(k, t, n)
                 ref = model.encode(ids[:g]).values
                 worst = max(worst, float(np.abs(out[t - 1, :g] - ref).max()))
                 assert np.all(out[t - 1, g:] == 0.0)

@@ -13,7 +13,7 @@ from waitkit.errors import LengthError, ScheduleError
 from waitkit.transformer import (IncrementalModel, IncrementalStates,
                                  KVCache, ModelConfig, MultiHeadAttention,
                                  _stacks_exactly)
-from waitkit.waitk import WaitKSchedule, streaming_decode
+from waitkit.waitk import read_count, streaming_decode
 
 from conftest import (ReferenceDecoderCache, ReferenceStream,
                       reference_decode_step)
@@ -47,7 +47,7 @@ def test_streamed_and_reused_logits_equal_reference(block):
                                        ReferenceDecoderCache())
         prefix = [1]
         for s in range(1, min(2 * n + 5, 48) + 1):
-            g = WaitKSchedule(k, n).read_count(s)
+            g = read_count(k, s, n)
             while stream.count < g:
                 token = src[stream.count]
                 assert np.array_equal(stream.push(token),
@@ -243,7 +243,7 @@ def test_rebuilt_rows_equal_single_row_extensions(cfg4, k):
         prefix = [1] + rng.integers(4, 20, size=int(
             rng.integers(0, 14))).tolist()
         t = len(prefix)
-        g_t = WaitKSchedule(k, n).read_count(t)
+        g_t = read_count(k, t, n)
         rebuilt = model.decode_step(prefix, model.incremental_states(src),
                                     g_t, k).values
         states = model.incremental_states(src)

@@ -8,7 +8,7 @@ import pytest
 from waitkit import tensor as T
 from waitkit.tensor import Tensor
 from waitkit.transformer import IncrementalModel, ModelConfig
-from waitkit.waitk import WaitKSchedule, streaming_decode
+from waitkit.waitk import WaitKSchedule, read_count, streaming_decode
 
 from conftest import (_merge_heads, _split_heads, build_masks,
                       masked_softmax, mul, reshape, transpose)
@@ -68,7 +68,7 @@ def ref_forward(model, src, tgt, k):
     z, e = model.encoder.forward(src, causal=True)
     f = T.matmul(T.masked_cumulative_mean(e),
                  T.transpose_last(model.bridge_w))
-    g_idx = [schedule.read_count(s) - 1 for s in range(1, t + 1)]
+    g_idx = [read_count(k, s, schedule.n) - 1 for s in range(1, t + 1)]
     return ref_decoder(model.decoder, tgt, z, cross,
                        T.gather_rows(f, g_idx, axis=1))
 
@@ -146,7 +146,7 @@ def test_decode_steps_match_row_memory_reference(cfg4):
             states = model.incremental_states(src)
             stream = model.start_stream()
             for s in range(1, t + 1):
-                g = WaitKSchedule(k, n).read_count(s)
+                g = read_count(k, s, n)
                 while stream.count < g:
                     stream.push(int(src[stream.count]))
                 want = ref_decode_step(model, prefix[:s], states, g, k)
@@ -213,7 +213,7 @@ def test_unread_source_leaves_row_bit_identical(cfg4):
             tgt = rng.integers(4, 20, size=(b, t))
             base, _ = model.forward(src, tgt, k)
             for s in range(1, t + 1):
-                g = WaitKSchedule(k, n).read_count(s)
+                g = read_count(k, s, n)
                 if g == n:
                     continue
                 changed = src.copy()

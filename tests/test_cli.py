@@ -1,6 +1,8 @@
 """End-to-end command line runs, exit codes, and file outputs."""
 
 import hashlib
+import io
+import math
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ import pytest
 
 from waitkit import cli
 from waitkit.cli import main
+from waitkit.config import default_config, load_config
 from waitkit.errors import WaitkitError
 
 RUNNER = [sys.executable, "-m", "waitkit.cli"]
@@ -77,6 +80,29 @@ class TestExitCodes:
             f"error: {cfg} is not UTF-8: byte 9 cannot be decoded"]
 
 
+class TestConfigFile:
+    def test_file_then_overrides(self, tmp_path):
+        """Comment and blank lines, a trailing comment, spaces around the
+        key and value and a yes boolean parse; an override replaces a value
+        from the file, and every other key keeps its default."""
+        path = tmp_path / "run.cfg"
+        path.write_text("# a run\n\nk = 5   # the lag\n  d_model = 48\n"
+                        "distill_detach_teacher=yes\nlr=0.5\n",
+                        encoding="utf-8")
+        cfg = load_config(path, ["lr=0.25"])
+        expected = default_config()
+        expected.update(k=5, d_model=48, distill_detach_teacher=True, lr=0.25)
+        assert cfg == expected
+
+    def test_bad_boolean(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("distill_detach_teacher=maybe\n", encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad value for 'distill_detach_teacher': "
+            "not a boolean: 'maybe'"]
+
+
 class TestGenData:
     def test_writes_corpus_and_alignments(self, tmp_path):
         assert main(["gen-data"] + base_overrides(tmp_path)) == 0
@@ -97,31 +123,37 @@ class TestGenData:
 
 
 def write_bad_inputs(tmp_path):
-    """A blank and a non-UTF-8 corpus, copies of the run's checkpoint with
-    one header line changed (None: removed), one with two param lines of
-    one shape swapped, and two under a checksum that matches: one over the
-    size bound and one with a block the pair has no parameter for."""
+    """A blank and a non-UTF-8 corpus, and copies of the run's checkpoint.
+    A copy with one header line changed (None: removed) under the old
+    checksum fails its header's parse or the checksum, as does one with two
+    param lines of one shape swapped. The sealed copies carry a checksum
+    that matches, so each reaches the check it is named for."""
     (tmp_path / "blank.txt").write_text("\n \n", encoding="utf-8")
     (tmp_path / "bad_utf8.txt").write_bytes(b"a b\n\xff c\n")
     header, payload = (tmp_path / "model.ckpt").read_bytes().split(
         b"\nend_header\n", 1)
+    lines = header.split(b"\n")
+
+    def edited(lines, key, new):
+        lines = [new if line.startswith(key) else line for line in lines]
+        return [line for line in lines if line is not None]
+
     embed = b"param teacher.encoder.embed "
     edits = {"bad_utf8.ckpt": (b"seed=", b"seed=\xff"),
-             "bad_d_model.ckpt": (b"d_model=", b"d_model=abc"),
-             "bad_n_heads.ckpt": (b"n_heads=", b"n_heads=3"),
-             "bad_vocab.ckpt": (b"vocab_tgt=", None),
              "bad_param_bare.ckpt": (embed, b"param "),
              "bad_param_negative.ckpt": (embed, embed + b"-16 16"),
              "bad_param_negatives.ckpt": (embed, embed + b"-16 -16"),
-             "bad_param_huge.ckpt": (embed, embed + b"8 " + b"%d" % 2 ** 62),
              "bad_edited_k.ckpt": (b"k=", b"k=7"),
              "bad_v1.ckpt": (b"waitkit-checkpoint v", b"waitkit-checkpoint v1")}
     for name, (key, new) in edits.items():
-        lines = [new if line.startswith(key) else line
-                 for line in header.split(b"\n")]
-        (tmp_path / name).write_bytes(
-            b"\n".join(line for line in lines if line is not None)
-            + b"\nend_header\n" + payload)
+        (tmp_path / name).write_bytes(b"\n".join(edited(lines, key, new))
+                                      + b"\nend_header\n" + payload)
+    i, j = (lines.index(b"param teacher.encoder.layers.0.attn.%s.w 16 16" % w)
+            for w in (b"wq", b"wk"))
+    swapped = list(lines)
+    swapped[i], swapped[j] = lines[j], lines[i]
+    (tmp_path / "bad_swapped_params.ckpt").write_bytes(
+        b"\n".join(swapped) + b"\nend_header\n" + payload)
 
     def sealed(name, lines, payload):
         covered = b"\n".join(lines) + b"\n"
@@ -129,18 +161,28 @@ def write_bad_inputs(tmp_path):
         (tmp_path / name).write_bytes(
             covered + b"checksum=" + digest + b"\nend_header\n" + payload)
 
-    lines = header.split(b"\n")[:-1]           # without the checksum
-    sealed("bad_huge_d_model.ckpt",
-           [b"d_model=4096" if line.startswith(b"d_model=") else line
+    lines = lines[:-1]                         # without the checksum
+    wq = b"param teacher.encoder.layers.0.attn.wq.w "
+    for name, (key, new) in {
+            "bad_d_model.ckpt": (b"d_model=", b"d_model=abc"),
+            "bad_n_heads.ckpt": (b"n_heads=", b"n_heads=3"),
+            "bad_vocab.ckpt": (b"vocab_tgt=", None),
+            "bad_huge_d_model.ckpt": (b"d_model=", b"d_model=4096"),
+            "bad_param_shape.ckpt": (wq, wq + b"8 32"),
+            "bad_param_huge.ckpt": (wq, wq + b"8 " + b"%d" % 2 ** 62)}.items():
+        sealed(name, edited(lines, key, new), payload)
+    sealed("bad_vocab_short.ckpt",
+           [b" ".join(line.split(b" ")[:5]) if line.startswith(b"vocab_")
+            else line for line in lines], payload)
+    sealed("bad_vocab_long.ckpt",
+           [line + b" w99" if line.startswith(b"vocab_src=") else line
             for line in lines], payload)
+    last = 8 * math.prod(int(d) for d in lines[-1].split()[2:])
+    sealed("bad_missing_param.ckpt", lines[:-1], payload[:-last])
+    sealed("bad_short_payload.ckpt", lines, payload[:-8])
+    sealed("bad_trailing_bytes.ckpt", lines, payload + bytes(8))
     sealed("bad_extra_param.ckpt",
            lines + [b"param student.extra_layer.w 2"], payload + bytes(16))
-    lines = header.split(b"\n")
-    i, j = (lines.index(b"param teacher.encoder.layers.0.attn.%s.w 16 16" % w)
-            for w in (b"wq", b"wk"))
-    lines[i], lines[j] = lines[j], lines[i]
-    (tmp_path / "bad_swapped_params.ckpt").write_bytes(
-        b"\n".join(lines) + b"\nend_header\n" + payload)
 
 
 @pytest.fixture(scope="module")
@@ -285,7 +327,44 @@ EXIT_CODES = [
     ("eval", {"checkpoint": "bad_v1.ckpt"}, 3),
     ("eval", {"checkpoint": "bad_huge_d_model.ckpt"}, 3),
     ("eval", {"checkpoint": "bad_extra_param.ckpt"}, 3),
+    ("eval", {"checkpoint": "bad_param_shape.ckpt"}, 3),
+    ("eval", {"checkpoint": "bad_short_payload.ckpt"}, 3),
+    ("eval", {"checkpoint": "bad_missing_param.ckpt"}, 3),
+    ("eval", {"checkpoint": "bad_trailing_bytes.ckpt"}, 3),
+    ("gen-data", {"seed": -1}, 2),
+    ("train", {"seed": -1}, 2),
+    ("k-matrix", {"seed": -1}, 2),
+    ("bench", {"bench_n": -5}, 2),
+    ("bench", {"bench_n": "8,-1"}, 2),
 ]
+
+# The fault each checkpoint row's one error line names after the file's
+# path: every row reaches the check it is named for.
+CHECKPOINT_FAULTS = {
+    "bad_utf8.ckpt": "header is not UTF-8",
+    "bad_d_model.ckpt": "header value 'abc' is not an integer",
+    "bad_vocab.ckpt": "missing vocab_tgt line",
+    "bad_n_heads.ckpt": "d_model 16 not divisible by n_heads 3",
+    "bad_param_bare.ckpt": "bad param line 'param '",
+    "bad_param_negative.ckpt":
+        "bad param line 'param teacher.encoder.embed -16 16'",
+    "bad_param_negatives.ckpt":
+        "bad param line 'param teacher.encoder.embed -16 -16'",
+    "bad_param_huge.ckpt": "teacher.encoder.layers.0.attn.wq.w has shape "
+                           f"(8, {2 ** 62}), expected (16, 16)",
+    "bad_swapped_params.ckpt": "checksum mismatch",
+    "bad_edited_k.ckpt": "checksum mismatch",
+    "bad_v1.ckpt": "unsupported version 1",
+    "bad_huge_d_model.ckpt": "a teacher and student of this size hold "
+                             "826048800 values, more than the limit 16777216",
+    "bad_extra_param.ckpt":
+        "unknown or repeated parameter student.extra_layer.w",
+    "bad_param_shape.ckpt": "teacher.encoder.layers.0.attn.wq.w has shape "
+                            "(8, 32), expected (16, 16)",
+    "bad_short_payload.ckpt": "payload too short for student.bridge_w",
+    "bad_missing_param.ckpt": "missing parameter student.bridge_w",
+    "bad_trailing_bytes.ckpt": "8 trailing bytes",
+}
 
 
 @pytest.mark.parametrize(
@@ -304,6 +383,9 @@ def test_exit_code_table(request, capsys, command, extra, code):
     assert len(err) == 1 and err[0].startswith("error: ")
     if files:
         assert str(tmp_path / files[0]) in err[0], err[0]
+    if files and files[0].startswith("bad") and files[0].endswith(".ckpt"):
+        assert err[0] == (f"error: {tmp_path / files[0]}: "
+                          f"{CHECKPOINT_FAULTS[files[0]]}")
 
 
 @pytest.mark.parametrize("error", WaitkitError.__subclasses__(),
@@ -330,6 +412,24 @@ def test_checksum_covers_the_header(trained, capsys):
         assert main(["eval"] + overrides
                     + [f"checkpoint={tmp_path / name}"]) == 3
         assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "decode"])
+@pytest.mark.parametrize("name, fault", [
+    ("bad_vocab_short.ckpt", "vocab_src holds 5 tokens, the model 16"),
+    ("bad_vocab_long.ckpt", "vocab_src holds 17 tokens, the model 16")],
+    ids=["short", "long"])
+def test_vocabulary_size_mismatch(trained, monkeypatch, capsys, command,
+                                  name, fault):
+    """The header gives each vocabulary's size twice, as src_vocab= and
+    tgt_vocab= and as the token count of its vocab line; a mismatch is a
+    checkpoint error before any sentence is read."""
+    tmp_path, overrides = trained
+    monkeypatch.setattr(sys, "stdin", io.StringIO("w01 w99 w02 w03\n"))
+    path = tmp_path / name
+    assert main([command] + overrides + [f"checkpoint={path}"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: {fault}"]
 
 
 def test_checkpoint_over_the_size_bound(trained, capsys):

@@ -15,10 +15,9 @@ from waitkit.checkpoint import load_models, save_models
 from waitkit.training import (MODES, SyntheticTaskSpec, TrainConfig,
                               generate_synthetic, synthetic_vocab, train)
 from waitkit.transformer import ModelConfig
-from waitkit.waitk import streaming_decode
+from waitkit.waitk import EOS_ID, streaming_decode
 
 VOCAB = 12
-EOS_ID = 2
 
 # d_model, n_heads, n_layers, max_len, k
 CONFIGS = [
