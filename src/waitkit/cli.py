@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import config as cfgmod
 from .bench import scaling_sweep
 from .checkpoint import load_models, save_models
@@ -45,9 +47,11 @@ def _train_data(cfg):
 def cmd_gen_data(cfg):
     if cfg["task"] == "files":
         raise ConfigError("gen-data only applies to synthetic tasks")
-    for split in ("train", "test"):
-        examples, vocab = _load_synthetic(cfg, split)
-        os.makedirs(cfg["data_dir"], exist_ok=True)
+    # Both splits are drawn before any file is opened, so a bad split
+    # writes nothing.
+    splits = {split: _load_synthetic(cfg, split) for split in ("train", "test")}
+    os.makedirs(cfg["data_dir"], exist_ok=True)
+    for split, (examples, vocab) in splits.items():
         base = os.path.join(cfg["data_dir"], split)
         with open(base + ".src", "w", encoding="utf-8") as fh:
             for ex in examples:
@@ -193,9 +197,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    # A non-finite value ends in NumericalError's one line, not in numpy's
+    # overflow warnings before it.
     try:
-        cfg = cfgmod.load_config(args.config, args.overrides)
-        return COMMANDS[args.command](cfg)
+        with np.errstate(all="ignore"):
+            cfg = cfgmod.load_config(args.config, args.overrides)
+            return COMMANDS[args.command](cfg)
     except WaitkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -7,6 +7,8 @@ both places.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .errors import ConfigError
 from .training import MODES, SyntheticTaskSpec, TrainConfig, read_lines
 from .transformer import ModelConfig
@@ -25,6 +27,23 @@ def _int_list(text):
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+# The command line name of a field whose own name means something else
+# there: the data keys have their own max_len, the sentence length.
+RENAMES = {"max_len": "max_seq_len", "lambda_distill": "lambda"}
+
+
+def _fields(cls):
+    """(config key, field) for each field of cls that the config sets; the
+    vocabulary sizes come from the data."""
+    return [(RENAMES.get(f.name, f.name), f) for f in fields(cls)
+            if f.name not in ("src_vocab", "tgt_vocab")]
+
+
+def _from_config(cls, cfg, **given):
+    """A cls built from the config's keys, with the given fields set."""
+    return cls(**{f.name: cfg[key] for key, f in _fields(cls)} | given)
+
+
 # key -> (parser, default)
 KEYS = {
     # data
@@ -40,25 +59,11 @@ KEYS = {
     "tgt_file": (str, ""),
     "eval_src_file": (str, ""),
     "eval_tgt_file": (str, ""),
-    # model
-    "n_layers": (int, 2),
-    "d_model": (int, 32),
-    "n_heads": (int, 2),
-    "d_ff": (int, 64),
-    "max_seq_len": (int, 64),
-    "k": (int, 3),
-    # training
-    "lambda": (float, 0.1),
-    "lr": (float, 1e-3),
-    "beta1": (float, 0.9),
-    "beta2": (float, 0.98),
-    "adam_eps": (float, 1e-9),
-    "batch_size": (int, 16),
-    "max_steps": (int, 2000),
-    "seed": (int, 0),
-    "mode": (str, "joint"),
-    "distill_detach_teacher": (_bool, False),
-    "early_stop_loss": (float, 0.0),
+    # model and training: one key per field, with its default (k sets the
+    # field of both)
+    **{key: (_bool if isinstance(f.default, bool) else type(f.default),
+             f.default)
+       for cls in (ModelConfig, TrainConfig) for key, f in _fields(cls)},
     # outputs
     "checkpoint": (str, "model.ckpt"),
     "metrics": (str, "metrics.csv"),
@@ -123,35 +128,14 @@ def load_config(path=None, overrides=()):
 def model_config(cfg, src_vocab_size=None, tgt_vocab_size=None):
     size = cfg["vocab_size"]
     try:
-        return ModelConfig(
-            n_layers=cfg["n_layers"],
-            d_model=cfg["d_model"],
-            n_heads=cfg["n_heads"],
-            d_ff=cfg["d_ff"],
-            src_vocab=src_vocab_size or size,
-            tgt_vocab=tgt_vocab_size or size,
-            max_len=cfg["max_seq_len"],
-            k=cfg["k"],
-        )
+        return _from_config(ModelConfig, cfg, src_vocab=src_vocab_size or size,
+                            tgt_vocab=tgt_vocab_size or size)
     except ValueError as exc:
         raise ConfigError(f"model config: {exc}") from None
 
 
 def train_config(cfg, k=None):
-    return TrainConfig(
-        lambda_distill=cfg["lambda"],
-        lr=cfg["lr"],
-        beta1=cfg["beta1"],
-        beta2=cfg["beta2"],
-        adam_eps=cfg["adam_eps"],
-        batch_size=cfg["batch_size"],
-        max_steps=cfg["max_steps"],
-        seed=cfg["seed"],
-        mode=cfg["mode"],
-        k=cfg["k"] if k is None else k,
-        distill_detach_teacher=cfg["distill_detach_teacher"],
-        early_stop_loss=cfg["early_stop_loss"],
-    )
+    return _from_config(TrainConfig, cfg, k=cfg["k"] if k is None else k)
 
 
 def task_spec(cfg, seed_offset=0):

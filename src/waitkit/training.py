@@ -343,7 +343,8 @@ def _update(optimizer, objective, allow_nan=()):
     """One Adam update of optimizer.params. Under a Tape, objective()
     returns (loss, record); each loss_ value of the record must be finite,
     or nan where its name is in allow_nan (a term the step does not
-    compute). Returns the record with the gradient norm added."""
+    compute). The gradient norm must be finite too, or Adam would write
+    non-finite parameters. Returns the record with the norm added."""
     with Tape() as tape:
         loss, record = objective()
         for name, value in record.items():
@@ -351,7 +352,9 @@ def _update(optimizer, objective, allow_nan=()):
                     and np.isnan(value)):
                 raise NumericalError(f"non-finite {name}: {value}")
         tape.backward(loss)
-    record["grad_norm"] = grad_norm(optimizer.params)
+    record["grad_norm"] = norm = grad_norm(optimizer.params)
+    if not np.isfinite(norm):
+        raise NumericalError(f"non-finite grad_norm: {norm}")
     optimizer.step()
     optimizer.zero_grad()
     return record

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,10 +47,9 @@ class ModelConfig:
     k: int = 3
 
     def __post_init__(self):
-        for name in ("n_layers", "d_model", "n_heads", "d_ff",
-                     "src_vocab", "tgt_vocab", "max_len", "k"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be positive")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"

@@ -4,6 +4,10 @@ Training-backed criteria share module-scoped fixtures so every expensive
 run happens once. All tolerances are pinned here, not configurable.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -403,17 +407,18 @@ def test_criterion_5_averaging_bridge_oracle():
 # 6. Complexity separation
 
 
-def test_criterion_6_complexity_separation():
-    start = time.monotonic()
+def complexity_timings():
+    """Criterion 6's MAC and wall ratios at n=T=64, k=1, and each k's
+    baseline and incremental encoder seconds."""
     cfg = ModelConfig(n_layers=2, d_model=64, n_heads=2, d_ff=256,
                       src_vocab=32, tgt_vocab=32, max_len=80, k=1)
     base = bench_forward("baseline_bi", 64, 1, cfg, trials=5, seed=0)
     incr = bench_forward("incremental_ael", 64, 1, cfg, trials=5, seed=0)
-    mac_ratio = base.mac_count / incr.mac_count
-    wall_ratio = base.median_secs / incr.median_secs
 
     # Every k is sampled once per round, for 25 rounds: a drift in machine
     # speed then lands on all k alike, not on whichever k was being timed.
+    # Each k keeps its fastest round: another process can only slow a
+    # round, so the minimum is the estimate that load moves least.
     ks = (1, 17, 33)
     samples = {(v, k): [] for v in ("baseline_bi", "incremental_ael")
                for k in ks}
@@ -422,19 +427,36 @@ def test_criterion_6_complexity_separation():
             samples[variant, k].append(
                 bench_forward(variant, 64, k, cfg, trials=1,
                               seed=0).median_secs)
-    base_times = [float(np.median(samples["baseline_bi", k])) for k in ks]
-    incr_times = [float(np.median(samples["incremental_ael", k]))
-                  for k in ks]
+    return {"mac_ratio": base.mac_count / incr.mac_count,
+            "wall_ratio": base.median_secs / incr.median_secs,
+            "base_times": [min(samples["baseline_bi", k]) for k in ks],
+            "incr_times": [min(samples["incremental_ael", k]) for k in ks]}
+
+
+def test_criterion_6_complexity_separation():
+    # Timed in a child on one BLAS thread. With two, a busy process on the
+    # other CPU stalls every threaded product, and the incremental times
+    # then spread past 1.2 under a median or a minimum alike.
+    start = time.monotonic()
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, test_acceptance as t; "
+         "print(json.dumps(t.complexity_timings()))"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    m = json.loads(proc.stdout)
+    base_times, incr_times = m["base_times"], m["incr_times"]
     baseline_monotone = all(
         later <= earlier * 1.05
         for earlier, later in zip(base_times, base_times[1:])
     )
     incr_spread = max(incr_times) / min(incr_times)
     elapsed = time.monotonic() - start
-    ok = (mac_ratio >= 32.0 and wall_ratio >= 8.0 and baseline_monotone
-          and incr_spread <= 1.2 and elapsed < 300.0)
+    ok = (m["mac_ratio"] >= 32.0 and m["wall_ratio"] >= 8.0
+          and baseline_monotone and incr_spread <= 1.2 and elapsed < 300.0)
     report(6, "complexity separation at n=T=64, k=1", ok,
-           f"mac x{mac_ratio:.1f}, wall x{wall_ratio:.1f}, "
+           f"mac x{m['mac_ratio']:.1f}, wall x{m['wall_ratio']:.1f}, "
            f"baseline times {['%.3f' % t for t in base_times]}, "
            f"incr spread {incr_spread:.2f}, {elapsed:.0f}s")
 

@@ -11,8 +11,11 @@ import pytest
 
 from waitkit import cli
 from waitkit.cli import main
-from waitkit.config import default_config, load_config
+from waitkit.config import (KEYS, _bool, _int_list, default_config,
+                            load_config, model_config, train_config)
 from waitkit.errors import WaitkitError
+from waitkit.training import TrainConfig
+from waitkit.transformer import ModelConfig
 
 RUNNER = [sys.executable, "-m", "waitkit.cli"]
 
@@ -94,6 +97,76 @@ class TestConfigFile:
         expected.update(k=5, d_model=48, distill_detach_teacher=True, lr=0.25)
         assert cfg == expected
 
+    def test_keys_parsers_and_defaults(self):
+        """The config surface, written out rather than read from
+        ModelConfig and TrainConfig, so that a changed field default or
+        type shows here."""
+        assert KEYS == {
+            "task": (str, "copy"),
+            "vocab_size": (int, 32),
+            "min_len": (int, 5),
+            "max_len": (int, 12),
+            "lag": (int, 2),
+            "train_count": (int, 2000),
+            "test_count": (int, 200),
+            "data_dir": (str, "data"),
+            "src_file": (str, ""),
+            "tgt_file": (str, ""),
+            "eval_src_file": (str, ""),
+            "eval_tgt_file": (str, ""),
+            "n_layers": (int, 2),
+            "d_model": (int, 32),
+            "n_heads": (int, 2),
+            "d_ff": (int, 64),
+            "max_seq_len": (int, 64),
+            "k": (int, 3),
+            "lambda": (float, 0.1),
+            "lr": (float, 1e-3),
+            "beta1": (float, 0.9),
+            "beta2": (float, 0.98),
+            "adam_eps": (float, 1e-9),
+            "batch_size": (int, 16),
+            "max_steps": (int, 2000),
+            "seed": (int, 0),
+            "mode": (str, "joint"),
+            "distill_detach_teacher": (_bool, False),
+            "early_stop_loss": (float, 0.0),
+            "checkpoint": (str, "model.ckpt"),
+            "metrics": (str, "metrics.csv"),
+            "report": (str, "eval.csv"),
+            "traces": (str, ""),
+            "matrix_out": (str, "k_matrix.csv"),
+            "bench_out": (str, "bench.csv"),
+            "test_k": (int, 0),
+            "train_ks": (_int_list, [1, 3, 5]),
+            "test_ks": (_int_list, [1, 3, 5]),
+            "bench_n": (_int_list, [16, 32, 64]),
+            "bench_k": (_int_list, [1, 9]),
+            "bench_trials": (int, 5),
+        }
+
+    def test_each_model_and_training_key_sets_its_field(self):
+        cfg = load_config(None, [
+            "n_layers=3", "d_model=48", "n_heads=4", "d_ff=96",
+            "max_seq_len=40", "k=5", "lambda=0.5", "lr=0.002", "beta1=0.8",
+            "beta2=0.9", "adam_eps=1e-8", "batch_size=8", "max_steps=10",
+            "seed=7", "mode=pretrain_fixed_teacher",
+            "distill_detach_teacher=yes", "early_stop_loss=0.25"])
+        assert model_config(cfg, 20, 24) == ModelConfig(
+            n_layers=3, d_model=48, n_heads=4, d_ff=96, src_vocab=20,
+            tgt_vocab=24, max_len=40, k=5)
+        assert model_config(cfg) == ModelConfig(
+            n_layers=3, d_model=48, n_heads=4, d_ff=96, src_vocab=32,
+            tgt_vocab=32, max_len=40, k=5)
+        expected = TrainConfig(
+            lambda_distill=0.5, lr=0.002, beta1=0.8, beta2=0.9,
+            adam_eps=1e-8, batch_size=8, max_steps=10, seed=7,
+            mode="pretrain_fixed_teacher", k=5, distill_detach_teacher=True,
+            early_stop_loss=0.25)
+        assert train_config(cfg) == expected
+        expected.k = 2
+        assert train_config(cfg, k=2) == expected
+
     def test_bad_boolean(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("distill_detach_teacher=maybe\n", encoding="utf-8")
@@ -114,6 +187,15 @@ class TestGenData:
         tgt_lines = (data / "train.tgt").read_text().splitlines()
         assert len(src_lines) == 96
         assert src_lines == tgt_lines   # copy task
+
+    def test_bad_split_writes_nothing(self, tmp_path, capsys):
+        """The train split is valid and the test split is not: the run
+        fails before it opens any file."""
+        assert main(["gen-data"] + base_overrides(tmp_path,
+                                                  test_count=0)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: count must be >= 1, got 0"]
+        assert list(tmp_path.glob("data/*")) == []
 
     def test_alignment_format(self, tmp_path):
         main(["gen-data"] + base_overrides(tmp_path))
@@ -336,6 +418,7 @@ EXIT_CODES = [
     ("k-matrix", {"seed": -1}, 2),
     ("bench", {"bench_n": -5}, 2),
     ("bench", {"bench_n": "8,-1"}, 2),
+    ("train", {"lambda": "1e308", "max_steps": 1}, 4),
 ]
 
 # The fault each checkpoint row's one error line names after the file's
@@ -453,6 +536,19 @@ def test_over_length_example_found_before_the_first_step(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: training example 3 of 8 (source length 64, target length "
         "64 plus bos) exceeds maximum 64"]
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_non_finite_gradient_norm_is_one_line(tmp_path):
+    """lambda=1e308 overflows the first step's gradients. The run stops
+    before Adam writes them, saves no checkpoint, and stderr holds only the
+    error line, without numpy's overflow warnings."""
+    proc = subprocess.run(
+        RUNNER + ["train"] + base_overrides(tmp_path, train_count=4,
+                                            max_steps=1, **{"lambda": 1e308}),
+        capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines() == ["error: non-finite grad_norm: nan"]
     assert not (tmp_path / "model.ckpt").exists()
 
 
