@@ -33,13 +33,11 @@ def _named(teacher, student):
 def save_models(path, teacher, student, src_vocab, tgt_vocab, meta=None):
     """Write a teacher/student pair: config, vocabularies and every named
     float64 parameter block."""
-    payload = bytearray()
-    param_lines = []
+    blocks, param_lines = [], []
     for name, tensor in _named(teacher, student).items():
-        arr = np.ascontiguousarray(tensor.values, dtype="<f8")
-        dims = " ".join(str(d) for d in arr.shape) or "0"
+        blocks.append(np.ascontiguousarray(tensor.values, dtype="<f8"))
+        dims = " ".join(str(d) for d in blocks[-1].shape) or "0"
         param_lines.append(f"param {name} {dims}")
-        payload += arr.tobytes()
 
     lines = [f"{MAGIC} v{VERSION}"]
     for fields in (dataclasses.asdict(student.cfg), meta or {}):
@@ -47,10 +45,15 @@ def save_models(path, teacher, student, src_vocab, tgt_vocab, meta=None):
     lines += ["vocab_src=" + " ".join(src_vocab.tokens),
               "vocab_tgt=" + " ".join(tgt_vocab.tokens), *param_lines]
     header = ("\n".join(lines) + "\n").encode("utf-8")
-    digest = hashlib.sha256(header + payload).hexdigest()
+    # The payload is hashed and written block by block, never copied whole.
+    sha = hashlib.sha256(header)
+    for block in blocks:
+        sha.update(block)
     with open(path, "wb") as fh:
-        fh.write(header + f"checksum={digest}\nend_header\n".encode("utf-8")
-                 + payload)
+        fh.write(header + f"checksum={sha.hexdigest()}\nend_header\n"
+                 .encode("utf-8"))
+        for block in blocks:
+            fh.write(block)
 
 
 def load_models(path):
@@ -71,7 +74,8 @@ def load_models(path):
         header = blob[:cut].decode("utf-8").splitlines()
     except UnicodeDecodeError:
         raise CheckpointError(f"{path}: header is not UTF-8") from None
-    payload = blob[cut + len(marker):]
+    view = memoryview(blob)     # its slices are views, not copies
+    payload = view[cut + len(marker):]
     if not header or not header[0].startswith(MAGIC):
         raise CheckpointError(f"{path}: bad magic line")
     version = header[0].split("v")[-1]
@@ -95,9 +99,9 @@ def load_models(path):
     if not header[-1].startswith("checksum="):
         raise CheckpointError(f"{path}: missing checksum line")
     # The bytes of every header line before the checksum line.
-    covered = blob[:blob.rfind(b"\n", 0, cut) + 1]
-    if (hashlib.sha256(covered + payload).hexdigest()
-            != header[-1].split("=", 1)[1]):
+    sha = hashlib.sha256(view[:blob.rfind(b"\n", 0, cut) + 1])
+    sha.update(payload)
+    if sha.hexdigest() != header[-1].split("=", 1)[1]:
         raise CheckpointError(f"{path}: checksum mismatch")
 
     sizes = {f.name: _int(path, fields.pop(f.name))

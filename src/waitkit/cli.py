@@ -19,7 +19,8 @@ from .bench import scaling_sweep
 from .checkpoint import load_models, save_models
 from .errors import CheckpointError, ConfigError, WaitkitError
 from .evaluation import evaluate_model, k_matrix
-from .training import generate_synthetic, load_corpus, synthetic_vocab, train
+from .training import (SyntheticTaskSpec, generate_synthetic, load_corpus,
+                       synthetic_vocab, train)
 from .waitk import streaming_decode
 
 EXIT_OK = 0
@@ -27,20 +28,35 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _load_synthetic(cfg, split):
-    cfgmod.model_config(cfg)    # the size bound, before the vocabulary
-    spec = cfgmod.task_spec(cfg, seed_offset=0 if split == "train" else 1)
-    count = cfg["train_count"] if split == "train" else cfg["test_count"]
-    return generate_synthetic(spec, count), synthetic_vocab(cfg["vocab_size"])
+def _data(cfg, split, vocabs=None):
+    """(examples, src_vocab, tgt_vocab) of split, "train" or "test".
 
-
-def _train_data(cfg):
+    task=files reads the split's files under vocabs, a (source, target)
+    pair, or under vocabularies built from them when vocabs is None. A
+    synthetic task draws from the config's vocabulary, which must have the
+    size of vocabs (a checkpoint's) when they are given.
+    """
+    test = split == "test"
     if cfg["task"] == "files":
-        if not cfg["src_file"] or not cfg["tgt_file"]:
-            raise ConfigError("task=files needs src_file and tgt_file")
-        examples, sv, tv, _ = load_corpus(cfg["src_file"], cfg["tgt_file"])
-        return examples, sv, tv
-    examples, vocab = _load_synthetic(cfg, "train")
+        src = test and cfg["eval_src_file"] or cfg["src_file"]
+        tgt = test and cfg["eval_tgt_file"] or cfg["tgt_file"]
+        if not src or not tgt:
+            prefix = "eval_" if test else ""
+            raise ConfigError(
+                f"task=files needs {prefix}src_file and {prefix}tgt_file")
+        return load_corpus(src, tgt, *(vocabs or ()))[:3]
+    size = cfg["vocab_size"]
+    if vocabs and {len(v) for v in vocabs} != {size}:
+        raise CheckpointError(
+            f"checkpoint vocabularies hold {len(vocabs[0])} and "
+            f"{len(vocabs[1])} tokens, config says vocab_size={size}")
+    cfgmod.model_config(cfg)    # the size bound, before the vocabulary
+    spec = SyntheticTaskSpec(kind=cfg["task"], vocab_size=size,
+                             min_len=cfg["min_len"], max_len=cfg["max_len"],
+                             lag=cfg["lag"], seed=cfg["seed"] + test)
+    examples = generate_synthetic(
+        spec, cfg["test_count" if test else "train_count"])
+    vocab = synthetic_vocab(size)
     return examples, vocab, vocab
 
 
@@ -49,27 +65,23 @@ def cmd_gen_data(cfg):
         raise ConfigError("gen-data only applies to synthetic tasks")
     # Both splits are drawn before any file is opened, so a bad split
     # writes nothing.
-    splits = {split: _load_synthetic(cfg, split) for split in ("train", "test")}
+    splits = {split: _data(cfg, split)[:2] for split in ("train", "test")}
     os.makedirs(cfg["data_dir"], exist_ok=True)
     for split, (examples, vocab) in splits.items():
         base = os.path.join(cfg["data_dir"], split)
-        with open(base + ".src", "w", encoding="utf-8") as fh:
-            for ex in examples:
-                fh.write(" ".join(vocab.decode(ex.src)) + "\n")
-        with open(base + ".tgt", "w", encoding="utf-8") as fh:
-            for ex in examples:
-                fh.write(" ".join(vocab.decode(ex.tgt)) + "\n")
-        with open(base + ".align", "w", encoding="utf-8") as fh:
-            for ex in examples:
-                fh.write(
-                    " ".join(f"{i}-{j}" for i, j in ex.alignment) + "\n"
-                )
+        files = {"src": [vocab.decode(ex.src) for ex in examples],
+                 "tgt": [vocab.decode(ex.tgt) for ex in examples],
+                 "align": [[f"{i}-{j}" for i, j in ex.alignment]
+                           for ex in examples]}
+        for ext, rows in files.items():
+            with open(f"{base}.{ext}", "w", encoding="utf-8") as fh:
+                fh.writelines(" ".join(row) + "\n" for row in rows)
         print(f"wrote {len(examples)} examples to {base}.{{src,tgt,align}}")
     return EXIT_OK
 
 
 def cmd_train(cfg):
-    examples, src_vocab, tgt_vocab = _train_data(cfg)
+    examples, src_vocab, tgt_vocab = _data(cfg, "train")
     model_cfg = cfgmod.model_config(cfg, len(src_vocab), len(tgt_vocab))
     train_cfg = cfgmod.train_config(cfg)
     teacher, student, rows = train(
@@ -83,18 +95,6 @@ def cmd_train(cfg):
     return EXIT_OK
 
 
-def _eval_data(cfg, src_vocab, tgt_vocab):
-    if cfg["task"] == "files":
-        src = cfg["eval_src_file"] or cfg["src_file"]
-        tgt = cfg["eval_tgt_file"] or cfg["tgt_file"]
-        if not src or not tgt:
-            raise ConfigError("task=files needs eval_src_file and eval_tgt_file")
-        examples, _, _, _ = load_corpus(src, tgt, src_vocab, tgt_vocab)
-        return examples
-    examples, _ = _load_synthetic(cfg, "test")
-    return examples
-
-
 def cmd_eval(cfg):
     teacher, student, src_vocab, tgt_vocab, meta = load_models(cfg["checkpoint"])
     if cfg["task"] != meta.get("task", cfg["task"]):
@@ -102,7 +102,7 @@ def cmd_eval(cfg):
             f"checkpoint was trained on task {meta.get('task')!r}, "
             f"config says {cfg['task']!r}"
         )
-    examples = _eval_data(cfg, src_vocab, tgt_vocab)
+    examples = _data(cfg, "test", (src_vocab, tgt_vocab))[0]
     k = cfg["test_k"] or student.cfg.k
     report = evaluate_model(
         student, examples, k, teacher=teacher,
@@ -119,8 +119,8 @@ def cmd_eval(cfg):
 def cmd_k_matrix(cfg):
     if cfg["task"] == "files":
         raise ConfigError("k-matrix runs on synthetic tasks")
-    examples, vocab = _load_synthetic(cfg, "train")
-    test_examples, _ = _load_synthetic(cfg, "test")
+    examples, vocab, _ = _data(cfg, "train")
+    test_examples = _data(cfg, "test")[0]
     model_cfg = cfgmod.model_config(cfg, len(vocab), len(vocab))
     students = {}
     for train_k in cfg["train_ks"]:

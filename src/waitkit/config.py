@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 from .errors import ConfigError
-from .training import MODES, SyntheticTaskSpec, TrainConfig, read_lines
+from .training import MODES, TrainConfig, read_lines
 from .transformer import ModelConfig
 
 
@@ -136,14 +136,3 @@ def model_config(cfg, src_vocab_size=None, tgt_vocab_size=None):
 
 def train_config(cfg, k=None):
     return _from_config(TrainConfig, cfg, k=cfg["k"] if k is None else k)
-
-
-def task_spec(cfg, seed_offset=0):
-    return SyntheticTaskSpec(
-        kind=cfg["task"],
-        vocab_size=cfg["vocab_size"],
-        min_len=cfg["min_len"],
-        max_len=cfg["max_len"],
-        lag=cfg["lag"],
-        seed=cfg["seed"] + seed_offset,
-    )

@@ -10,7 +10,8 @@ products also feed a global multiply-accumulate counter so the benchmark
 harness can report hardware-independent costs. Multi-head attention is one
 operation with one tape entry, not a chain. The streamed decode does not
 come here: it runs one row at a time on plain arrays (transformer.py),
-sharing _softmax and _row_norm and counting MACs as the ops count them.
+through the cores the ops share, _product, _attend and _row_norm, which
+count MACs as the ops do.
 """
 
 from __future__ import annotations
@@ -304,16 +305,20 @@ def matmul(rec, a, b):
     return out, rule
 
 
+def _product(x, w, b=None):
+    """x @ w.T (+ b) on arrays, its MACs counted: linear's forward."""
+    out = x @ w.T
+    mac_counter.count += out.size * x.shape[-1]
+    return out if b is None else out + b
+
+
 @_op(3)
 def linear(rec, x, weight, bias=None):
     """Affine map y = x W^T + b with weight laid out [out, in]."""
     if x.shape[-1] != weight.shape[-1]:
         raise DimensionError(
             f"linear input {x.shape} does not match weight {weight.shape}")
-    out = x @ weight.T
-    mac_counter.count += out.size * x.shape[-1]
-    if bias is not None:
-        out = out + bias
+    out = _product(x, weight, bias)
     if not rec:
         return out
 
@@ -386,6 +391,19 @@ def _softmax_grad(p, d):
     return p * (d - (d * p).sum(axis=-1, keepdims=True))
 
 
+def _attend(qh, kt, vh, scale, mask):
+    """(o, p): the heads qh [..., tq, dk] attend over keys kt [..., dk, tk]
+    and values vh [..., tk, dk]; p = softmax(qh @ kt * scale) under mask,
+    o = p @ vh, their MACs counted. attention's forward, without its shape
+    checks, head split and merge."""
+    s = qh @ kt
+    mac_counter.count += s.size * qh.shape[-1]
+    p = _softmax(s * scale, mask)
+    o = p @ vh
+    mac_counter.count += o.size * kt.shape[-1]
+    return o, p
+
+
 @_op(3)
 def attention(rec, q, k, v, n_heads, scale, mask=None):
     """Multi-head scaled dot-product attention as one recorded operation.
@@ -414,13 +432,8 @@ def attention(rec, q, k, v, n_heads, scale, mask=None):
     def merge(x, t):
         return x.transpose(heads).reshape((*lead, t, d))
 
-    qh, kh, vh = split(q, tq), split(k, tk), split(v, tk)
-    kt = kh.transpose(last)
-    s = qh @ kt
-    mac_counter.count += s.size * dk
-    p = _softmax(s * scale, mask)
-    o = p @ vh
-    mac_counter.count += o.size * tk
+    qh, kt, vh = split(q, tq), split(k, tk).transpose(last), split(v, tk)
+    o, p = _attend(qh, kt, vh, scale, mask)
     out = merge(o, tq)
     if not rec:
         return out

@@ -366,9 +366,9 @@ def train_step(teacher, student, batch, optimizer, cfg):
     frozen_teacher = cfg.mode == "pretrain_fixed_teacher"
 
     def objective():
-        if frozen_teacher:
+        if frozen_teacher:      # only the teacher's encoder states count
             with no_grad():
-                _, z_full = teacher.forward(src, tgt_in)
+                z_full, _ = teacher.encoder.forward(src, teacher.causal)
             t_logits = None
         else:
             t_logits, z_full = teacher.forward(src, tgt_in)

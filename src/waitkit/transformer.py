@@ -114,13 +114,6 @@ class Module:
         return list(self.named_parameters().values())
 
 
-def _product(x, w, b=None):
-    """x @ w.T (+ b) on arrays, its MACs counted as T.linear counts them."""
-    out = x @ w.T
-    T.mac_counter.count += out.size * x.shape[-1]
-    return out if b is None else out + b
-
-
 class Linear(Module):
     def __init__(self, rng, n_out, n_in, bound):
         self.w = uniform_init(rng, (n_out, n_in), bound)
@@ -128,7 +121,7 @@ class Linear(Module):
 
     def __call__(self, x):
         if type(x) is np.ndarray:           # streamed rows
-            return _product(x, self.w.values, self.b.values)
+            return T._product(x, self.w.values, self.b.values)
         return T.linear(x, self.w, self.b)
 
 
@@ -219,23 +212,22 @@ class MultiHeadAttention(Module):
             if w is None:
                 q, k, v = self.wq(memory), self.wk(memory), self.wv(memory)
             else:
-                qkv = _product(memory, w, cache.bias)
+                qkv = T._product(memory, w, cache.bias)
                 q, k, v = qkv[:d], qkv[d:2 * d], qkv[2 * d:]
             cache.append(k, v)
         else:
             q, new = self.wq(queries), memory[len(cache):]
             if w is not None and len(new) == 1:
-                kv = _product(new[0], w, cache.bias)
+                kv = T._product(new[0], w, cache.bias)
                 cache.append(kv[:d], kv[d:])
             elif len(new):
                 for key, value in zip(self.wk(new), self.wv(new)):
                     cache.append(key, value)
         c, h = len(cache), self.n_heads
-        s = q.reshape(h, 1, d // h) @ cache.k[:c].reshape(
-            c, h, d // h).transpose(1, 2, 0)
-        p = T._softmax(s * self.scale, mask)
-        o = p @ cache.v[:c].reshape(c, h, d // h).transpose(1, 0, 2)
-        T.mac_counter.count += 2 * c * d
+        o, _ = T._attend(q.reshape(h, 1, d // h),
+                         cache.k[:c].reshape(c, h, d // h).transpose(1, 2, 0),
+                         cache.v[:c].reshape(c, h, d // h).transpose(1, 0, 2),
+                         self.scale, mask)
         return self.wo(o.reshape(d))
 
     def kv_cache(self, capacity, self_attention):
@@ -260,8 +252,8 @@ class MultiHeadAttention(Module):
         bridge row [d].
         """
         if type(bridge) is np.ndarray:
-            shift = _product(_product(bridge, self.wv.w.values),
-                             self.wo.w.values)
+            shift = T._product(T._product(bridge, self.wv.w.values),
+                               self.wo.w.values)
             return self(queries, memory, mask, cache) + shift
         shift = T.linear(T.linear(bridge, self.wv.w), self.wo.w)
         return T.add(self(queries, memory, mask, cache), shift)
@@ -627,8 +619,8 @@ class StreamingEncoder:
         self.running_sum = self.running_sum + e
         self.count += 1
         self._z[self.count - 1] = z_row
-        self._f[self.count - 1] = _product(self.running_sum / self.count,
-                                           self.model.bridge_w.values)
+        self._f[self.count - 1] = T._product(self.running_sum / self.count,
+                                             self.model.bridge_w.values)
         return z_row
 
     @property

@@ -9,8 +9,9 @@ Each line is a name, a digest and the multiply-accumulates counted while it
 ran. It covers the parameters and metric records of 60 joint train() steps
 and of 60 + 60 pretrain_fixed_teacher steps, the pushed states and the
 streamed and re-used-state logits over the 60 random models of
-test_array_mode.py, the tape entries of train_joint-shaped steps, and the
-bytes the command line writes for a small copy-task run.
+test_array_mode.py, the tape entries of train_joint-shaped steps, the
+bytes the command line writes for a small copy-task run, and those it
+writes generating a corpus and training and evaluating on its files.
 Pytest does not collect this file (its name does not start with test_).
 """
 
@@ -122,31 +123,40 @@ def tape_entries():
     return " ".join(map(str, lengths))
 
 
+# The model and data of the command line digests.
+CLI_BASE = ["vocab_size=16", "min_len=3", "max_len=6", "train_count=64",
+            "test_count=8", "d_model=16", "d_ff=32", "batch_size=16", "k=2",
+            "seed=0", "max_seq_len=16"]
+
+
+def run_cli(command, *args):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        if cli_main([command, *CLI_BASE, *args]) != 0:
+            raise SystemExit(f"waitkit {command} failed")
+
+
+def output_files(tmp):
+    """{config key: path in tmp} of every file a command writes."""
+    return {key: os.path.join(tmp, name) for key, name in (
+        ("checkpoint", "model.ckpt"), ("metrics", "metrics.csv"),
+        ("report", "eval.csv"), ("traces", "traces.jsonl"),
+        ("matrix_out", "matrix.csv"), ("bench_out", "bench.csv"))}
+
+
 def cli_outputs_digest():
     """The files `waitkit train`, `eval`, `k-matrix` and `bench` write for
     a small copy-task run, in that order; the bench CSV without its
     median_secs column, which is a timing."""
     digest = Digest()
     with tempfile.TemporaryDirectory() as tmp:
-        files = {key: os.path.join(tmp, name) for key, name in (
-            ("checkpoint", "model.ckpt"), ("metrics", "metrics.csv"),
-            ("report", "eval.csv"), ("traces", "traces.jsonl"),
-            ("matrix_out", "matrix.csv"), ("bench_out", "bench.csv"))}
+        files = output_files(tmp)
         base = [f"{key}={path}" for key, path in files.items()] + [
-            "task=copy", "vocab_size=16", "min_len=3", "max_len=6",
-            "train_count=64", "test_count=8", "d_model=16", "d_ff=32",
-            "batch_size=16", "k=2", "seed=0", "max_seq_len=16"]
-
-        def run(command, *extra):
-            with redirect_stdout(io.StringIO()), \
-                    redirect_stderr(io.StringIO()):
-                if cli_main([command, *base, *extra]) != 0:
-                    raise SystemExit(f"waitkit {command} failed")
-
-        run("train", "max_steps=30")
-        run("eval")
-        run("k-matrix", "max_steps=10", "train_ks=1,2", "test_ks=1,2")
-        run("bench", "bench_n=8", "bench_k=1,3", "bench_trials=1")
+            "task=copy"]
+        run_cli("train", *base, "max_steps=30")
+        run_cli("eval", *base)
+        run_cli("k-matrix", *base, "max_steps=10", "train_ks=1,2",
+                "test_ks=1,2")
+        run_cli("bench", *base, "bench_n=8", "bench_k=1,3", "bench_trials=1")
         for key in ("metrics", "checkpoint", "report", "traces",
                     "matrix_out"):
             with open(files[key], "rb") as fh:
@@ -158,13 +168,37 @@ def cli_outputs_digest():
     return digest.hexdigest()
 
 
+def cli_data_digest():
+    """The files `waitkit gen-data` writes for a small copy task, then
+    those `train` and `eval` write with task=files on them."""
+    digest = Digest()
+    with tempfile.TemporaryDirectory() as tmp:
+        files = output_files(tmp)
+        data = os.path.join(tmp, "data")
+        run_cli("gen-data", "task=copy", f"data_dir={data}")
+        corpus = [os.path.join(data, f"{split}.{ext}")
+                  for split in ("train", "test")
+                  for ext in ("src", "tgt", "align")]
+        base = [f"{key}={path}" for key, path in files.items()] + [
+            "task=files", f"src_file={corpus[0]}", f"tgt_file={corpus[1]}",
+            f"eval_src_file={corpus[3]}", f"eval_tgt_file={corpus[4]}"]
+        run_cli("train", *base, "max_steps=30")
+        run_cli("eval", *base)
+        for path in corpus + [files[key] for key in (
+                "metrics", "checkpoint", "report", "traces")]:
+            with open(path, "rb") as fh:
+                digest.sha.update(fh.read())
+    return digest.hexdigest()
+
+
 def main():
     for name, run in (("train_joint", lambda: training_digest("joint")),
                       ("train_pretrain_fixed_teacher",
                        lambda: training_digest("pretrain_fixed_teacher")),
                       ("decode_suite", decode_digest),
                       ("tape_entries", tape_entries),
-                      ("cli_outputs", cli_outputs_digest)):
+                      ("cli_outputs", cli_outputs_digest),
+                      ("cli_data", cli_data_digest)):
         before = T.mac_counter.count
         result = run()
         print(f"{name} {result} macs={T.mac_counter.count - before}")

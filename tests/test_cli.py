@@ -382,6 +382,8 @@ EXIT_CODES = [
     ("bench", {"bench_n": 0}, 2),
     ("bench", {"bench_k": 0}, 2),
     ("eval", {"test_k": -1}, 2),
+    ("eval", {"vocab_size": 32}, 3),
+    ("eval", {"vocab_size": 8}, 3),
     ("decode", {"test_k": -1}, 2),
     ("k-matrix", {"test_ks": "1,-1"}, 2),
     ("k-matrix", {"train_ks": "0,1"}, 2),

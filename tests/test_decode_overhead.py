@@ -256,6 +256,27 @@ def test_every_op_is_called_by_the_package():
     assert sorted(set(PUBLIC_OPS) - package_calls()) == []
 
 
+def test_tensor_alone_counts_macs_and_attends():
+    """Matrix-product MACs and attention scores have one implementation,
+    in tensor.py: the streamed row branches of transformer.py call
+    tensor._product and tensor._attend, so transformer.py names neither
+    the counter nor the softmax, and no module but tensor.py adds to the
+    counter."""
+    for path in pathlib.Path(T.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)} | {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+        if path.name == "transformer.py":
+            assert not names & {"mac_counter", "_softmax"}
+        if path.name != "tensor.py":
+            assert not [node for node in ast.walk(tree)
+                        if isinstance(node, ast.AugAssign)
+                        and "mac_counter" in ast.unparse(node.target)], \
+                path.name
+
+
 def test_ops_under_no_grad_match_recorded_ops():
     """Under no_grad an op records nothing, yet returns the values and the
     requires_grad it returns under a Tape."""

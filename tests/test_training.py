@@ -21,7 +21,8 @@ from waitkit.training import (
     train,
     train_step,
 )
-from waitkit.transformer import IncrementalModel, ModelConfig, TeacherModel
+from waitkit.transformer import (Decoder, IncrementalModel, ModelConfig,
+                                 TeacherModel)
 
 from conftest import EagerAdam, check_gradients, eager_backward
 
@@ -167,6 +168,25 @@ class TestAdamAndSteps:
             train_step(teacher, student, fixed, opt, cfg)
         for before, p in zip(snapshot, teacher.parameters()):
             assert np.array_equal(before, p.values)
+
+    def test_frozen_teacher_runs_its_encoder_only(self, small_model_cfg,
+                                                  monkeypatch):
+        """A student step against the frozen teacher needs only the
+        teacher's encoder states: it never runs the teacher's decoder."""
+        teacher = TeacherModel(small_model_cfg, seed=0)
+        student = IncrementalModel(small_model_cfg, seed=1)
+        ran = []
+        forward = Decoder.forward
+
+        def recording(decoder, *args, **kwargs):
+            ran.append(decoder)
+            return forward(decoder, *args, **kwargs)
+
+        monkeypatch.setattr(Decoder, "forward", recording)
+        train_step(teacher, student, _copy_examples(8, lo=5, hi=5, seed=7),
+                   Adam(student.parameters()),
+                   TrainConfig(mode="pretrain_fixed_teacher", k=2))
+        assert student.decoder in ran and teacher.decoder not in ran
 
     def test_mode_validation(self):
         with pytest.raises(ConfigError):

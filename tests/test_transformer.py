@@ -3,6 +3,7 @@ checkpoint round-trips."""
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -450,6 +451,35 @@ class TestCheckpoint:
             la, _ = student.forward(src, tgt, 2)
             lb, _ = student2.forward(src, tgt, 2)
         assert np.array_equal(la.values, lb.values)
+
+    def test_save_and_load_copy_the_payload_at_most_once(self, tmp_path):
+        """save_models hashes and writes the parameter blocks where they
+        lie, and load_models hashes and reads views of the file's bytes:
+        the traced peak of a save stays under half the payload, and that
+        of a load, which holds the file's bytes and builds the pair, under
+        2.5 times it."""
+        cfg = ModelConfig(n_layers=2, d_model=64, n_heads=4, d_ff=128,
+                          src_vocab=32, tgt_vocab=32, max_len=64)
+        teacher = TeacherModel(cfg, seed=0)
+        student = IncrementalModel(cfg, seed=1)
+        payload = 8 * sum(p.values.size for p in
+                          teacher.parameters() + student.parameters())
+        vocab = synthetic_vocab(32)
+        path = tmp_path / "model.ckpt"
+        peaks = []
+        tracemalloc.start()
+        try:
+            for run in (lambda: save_models(path, teacher, student, vocab,
+                                            vocab),
+                        lambda: load_models(path)):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                run()
+                peaks.append((tracemalloc.get_traced_memory()[1] - base)
+                             / payload)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < 0.5 and peaks[1] < 2.5, peaks
 
     def test_corrupted_payload_rejected(self, tiny_cfg, tmp_path):
         teacher = TeacherModel(tiny_cfg, seed=18)
