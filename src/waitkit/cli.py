@@ -32,18 +32,20 @@ def _data(cfg, split, vocabs=None):
     """(examples, src_vocab, tgt_vocab) of split, "train" or "test".
 
     task=files reads the split's files under vocabs, a (source, target)
-    pair, or under vocabularies built from them when vocabs is None. A
-    synthetic task draws from the config's vocabulary, which must have the
-    size of vocabs (a checkpoint's) when they are given.
+    pair, or under vocabularies built from them when vocabs is None; the
+    test split reads both eval files, or the training files when neither
+    is set. A synthetic task draws from the config's vocabulary, which must
+    have the size of vocabs (a checkpoint's) when they are given.
     """
     test = split == "test"
     if cfg["task"] == "files":
-        src = test and cfg["eval_src_file"] or cfg["src_file"]
-        tgt = test and cfg["eval_tgt_file"] or cfg["tgt_file"]
+        prefix = "eval_" if test and (cfg["eval_src_file"]
+                                      or cfg["eval_tgt_file"]) else ""
+        src, tgt = cfg[prefix + "src_file"], cfg[prefix + "tgt_file"]
         if not src or not tgt:
-            prefix = "eval_" if test else ""
             raise ConfigError(
-                f"task=files needs {prefix}src_file and {prefix}tgt_file")
+                f"task=files needs {prefix}src_file and {prefix}tgt_file"
+                + (f", not only {src or tgt}" if src or tgt else ""))
         return load_corpus(src, tgt, *(vocabs or ()))[:3]
     size = cfg["vocab_size"]
     if vocabs and {len(v) for v in vocabs} != {size}:

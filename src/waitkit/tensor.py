@@ -3,20 +3,22 @@
 Eager tensor library: every operation computes its result immediately and,
 when a Tape records (outside no_grad), appends its backward rule to it.
 Replaying the tape in reverse sums one delta per tensor and adds only the
-leaves' into .grad. Every operation is a body over arrays under one
-scaffold, _op, which alone unwraps the operands, builds the Tensor and
-records; a body builds its backward rule only when asked to. Matrix
-products also feed a global multiply-accumulate counter so the benchmark
-harness can report hardware-independent costs. Multi-head attention is one
-operation with one tape entry, not a chain. The streamed decode does not
-come here: it runs one row at a time on plain arrays (transformer.py),
-through the cores the ops share, _product, _attend and _row_norm, which
-count MACs as the ops do.
+leaves' into .grad. A tape holds only what backward reads (see Tape).
+Every operation is a body over arrays under one scaffold, _op, which alone
+unwraps the operands, builds the Tensor and records; a body builds its
+backward rule only when asked to. Matrix products also feed a global
+multiply-accumulate counter so the benchmark harness can report
+hardware-independent costs. Multi-head attention is one operation with one
+tape entry, not a chain. The streamed decode does not come here: it runs
+one row at a time on plain arrays (transformer.py), through the cores the
+ops share, _product, _attend and _row_norm, which count MACs as the ops
+do.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -56,15 +58,17 @@ class Tensor:
 
     The gradient buffer is allocated on first read, as zeros; backward writes
     it only on leaves (tensors no recorded operation produced). Tensors
-    created while no tape is active are plain values.
+    created while no tape is active are plain values. A recorded tensor
+    carries the serial key of its tape entry, None on any other.
     """
 
-    __slots__ = ("values", "_grad", "requires_grad")
+    __slots__ = ("values", "_grad", "requires_grad", "_key")
 
     def __init__(self, values, requires_grad=False):
         self.values = np.asarray(values, dtype=np.float64)
         self._grad = None
         self.requires_grad = bool(requires_grad)
+        self._key = None
 
     @property
     def grad(self):
@@ -115,6 +119,14 @@ class Tape(_Context):
     Entries are appended in execution order; backward() replays them in
     reverse, visiting every recorded operation exactly once. Leaf gradients
     add into .grad, so repeated backward calls accumulate.
+
+    An entry is (key, refs, rule): the serial key of the output, one ref
+    per operand and rule(d), the operands' deltas in order. A ref is the
+    key of a recorded operand, the Tensor itself for a leaf that requires
+    grad, or None. The entry holds no output and no operand but leaves, so
+    a key is never id(): a freed tensor's id can be reused. A rule holds
+    only the arrays it reads, so a recorded output that no rule reads is
+    freed once its caller drops it.
     """
 
     def __init__(self):
@@ -128,23 +140,22 @@ class Tape(_Context):
             raise GradientError(
                 f"backward target must be a scalar, got shape {loss.shape}"
             )
-        # An intermediate's summed delta is complete when its own entry is
-        # replayed; what is left belongs to leaves (0 + delta is exact).
-        deltas = {}
-        if loss.requires_grad:
-            deltas[id(loss)] = (loss, np.ones_like(loss.values))
-        for out, rule in reversed(self._entries):
-            entry = deltas.pop(id(out), None)
-            if entry is None:
+        # Deltas are summed per ref. An intermediate's sum is complete when
+        # its own entry is replayed. Of what is left, the leaves' add into
+        # .grad in the order backward first reached them (0 + delta is
+        # exact); a key recorded on another tape names no leaf.
+        deltas = {_ref(loss): np.ones_like(loss.values)}
+        for key, refs, rule in reversed(self._entries):
+            d = deltas.pop(key, None)
+            if d is None:
                 continue
-            for t, dt in rule(entry[1]):
-                if not t.requires_grad:
-                    continue
-                key = id(t)
-                prev = deltas.get(key)
-                deltas[key] = (t, dt if prev is None else prev[1] + dt)
-        for t, d in deltas.values():
-            t.grad += d
+            for ref, dt in zip(refs, rule(d)):
+                if ref is not None:
+                    prev = deltas.get(ref)
+                    deltas[ref] = dt if prev is None else prev + dt
+        for ref, d in deltas.items():
+            if isinstance(ref, Tensor):
+                ref.grad += d
 
 
 class no_grad(_Context):
@@ -154,33 +165,44 @@ class no_grad(_Context):
         _TAPES.append(None)
 
 
-def _record(tape, out, rule):
-    tape._entries.append((out, rule))
+_KEYS = itertools.count(1)
+
+
+def _ref(x):
+    """An operand's ref in a tape entry (see Tape)."""
+    if x is None or not x.requires_grad:
+        return None
+    return x if x._key is None else x._key
+
+
+def _record(tape, out, operands, rule):
+    """Append out's entry, rule(d) giving the deltas of operands in order,
+    and give out its key."""
+    out._key = key = next(_KEYS)
+    tape._entries.append((key, tuple(map(_ref, operands)), rule))
     return out
 
 
 def _op(n):
     """Make an op of a body over arrays. The op's first n positional
     arguments are its operands, Tensors, arrays or None (a trailing one
-    left out takes the body's default); n = -1 takes one list of them, and
-    n = 0 none, so the result never requires grad. The body takes a flag
-    rec, the operands' arrays and the op's other arguments; it returns out,
-    or with rec (out, rule), rule(d) giving the operands' deltas in order
-    (one operand: a bare delta). The op returns a Tensor, and while a Tape
-    records and some operand requires grad, it asks for the rule and
-    records it through _record."""
+    left out takes the body's default); with n = 0 the result never
+    requires grad. The body takes a flag rec, the operands' arrays and the
+    op's other arguments; it returns out, or with rec (out, rule), rule(d)
+    giving the operands' deltas in order (one operand: a bare delta). The
+    op returns a Tensor, and while a Tape records and some operand requires
+    grad, it asks for the rule and records it through _record."""
     def wrap(body):
         def op(*args, **kw):
-            xs = [None if x is None else as_tensor(x)
-                  for x in (args[0] if n < 0 else args[:n])]
-            arrays = [None if x is None else x.values for x in xs]
-            args = (arrays, *args[1:]) if n < 0 else (*arrays, *args[n:])
+            xs = [None if x is None else as_tensor(x) for x in args[:n]]
             req = any(x is not None and x.requires_grad for x in xs)
+            args = (*(None if x is None else x.values for x in xs),
+                    *args[n:])
             if (tape := _TAPES[-1]) is None or not req:
                 return Tensor(body(False, *args, **kw), req)
             out, rule = body(True, *args, **kw)
-            return _record(tape, Tensor(out, True), lambda d: zip(
-                xs, (rule(d),) if n == 1 else rule(d)))
+            return _record(tape, Tensor(out, True), xs,
+                           rule if n > 1 else lambda d: (rule(d),))
         return functools.wraps(body)(op)
     return wrap
 
@@ -202,10 +224,12 @@ def _unbroadcast(grad, shape):
 
 def _broadcast_rule(a, b, deltas):
     """The rule of two broadcasting operands: deltas(d), each summed back
-    to its operand's shape."""
+    to its operand's shape. It keeps the shapes, not the operands."""
+    sa, sb = a.shape, b.shape
+
     def rule(d):
         da, db = deltas(d)
-        return _unbroadcast(da, a.shape), _unbroadcast(db, b.shape)
+        return _unbroadcast(da, sa), _unbroadcast(db, sb)
     return rule
 
 
@@ -223,7 +247,10 @@ def scale(rec, x, c):
 @_op(1)
 def relu(rec, x):
     out = np.maximum(x, 0.0)
-    return (out, lambda d: d * (x > 0.0)) if rec else out
+    if not rec:
+        return out
+    keep = x > 0.0
+    return out, lambda d: d * keep
 
 
 @_op(1)
@@ -240,9 +267,10 @@ def tslice(rec, x, key):
     """Basic slicing; the backward pass scatters into the sliced region."""
     if not rec:
         return x[key]
+    shape = x.shape
 
     def rule(d):
-        dx = np.zeros_like(x)
+        dx = np.zeros(shape)
         dx[key] += d
         return dx
     return x[key], rule
@@ -255,9 +283,10 @@ def gather_rows(rec, x, indices, axis=0):
     out = np.take(x, idx, axis=axis)
     if not rec:
         return out
+    shape = x.shape
 
     def rule(d):
-        dx = np.zeros_like(x)
+        dx = np.zeros(shape)
         np.add.at(np.moveaxis(dx, axis, 0), idx, np.moveaxis(d, axis, 0))
         return dx
     return out, rule

@@ -262,6 +262,7 @@ class Adam:
         self._values = np.concatenate([p.values.ravel() for p in self.params])
         self._grads = np.concatenate([p.grad.ravel() for p in self.params])
         self._m, self._v = np.zeros((2, self._values.size))
+        self._scratch = np.zeros((2, self._values.size))
         cuts = np.cumsum([p.values.size for p in self.params])[:-1]
         for p, v, g in zip(self.params, np.split(self._values, cuts),
                            np.split(self._grads, cuts)):
@@ -277,11 +278,19 @@ class Adam:
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         g, m, v = self._grads, self._m, self._v
+        # In place, in the operation order of
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+        # values -= lr (m / bias1) / (sqrt(v / bias2) + eps).
+        a, b = self._scratch
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=a)
         v *= b2
-        v += (1.0 - b2) * g * g
-        self._values -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        np.multiply(1.0 - b2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.multiply(self.lr, np.divide(m, bias1, out=a), out=a)
+        np.sqrt(np.divide(v, bias2, out=b), out=b)
+        b += self.eps
+        self._values -= np.divide(a, b, out=a)
 
     def zero_grad(self):
         self._grads.fill(0.0)
@@ -352,6 +361,7 @@ def _update(optimizer, objective, allow_nan=()):
                     and np.isnan(value)):
                 raise NumericalError(f"non-finite {name}: {value}")
         tape.backward(loss)
+    del tape, loss      # what backward read goes before Adam's step
     record["grad_norm"] = norm = grad_norm(optimizer.params)
     if not np.isfinite(norm):
         raise NumericalError(f"non-finite grad_norm: {norm}")

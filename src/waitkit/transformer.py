@@ -62,7 +62,8 @@ class ModelConfig:
     @property
     def n_values(self):
         """Float64 values of the TeacherModel and IncrementalModel this
-        config builds: their parameters and the four position tables."""
+        config builds: their parameters and the four position tables (one
+        shared table, counted four times as a bound)."""
         d, ff = self.d_model, self.d_ff
         attn, norm = 4 * (d * d + d), 2 * d
         block = 2 * d * ff + ff + d + norm       # feed-forward, its norm
@@ -77,14 +78,17 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
 
+@functools.cache
 def sinusoidal_positions(max_len, d_model):
-    """Fixed sine/cosine position table, one row per absolute position."""
+    """Fixed sine/cosine position table, one row per absolute position.
+    One read-only table per shape, shared by every model of that shape."""
     pos = np.arange(max_len, dtype=np.float64)[:, None]
     dim = np.arange(0, d_model, 2, dtype=np.float64)
     div = np.exp(dim * (-math.log(10000.0) / d_model))
     table = np.zeros((max_len, d_model))
     table[:, 0::2] = np.sin(pos * div)
     table[:, 1::2] = np.cos(pos * div[: d_model // 2])
+    table.flags.writeable = False
     return table
 
 

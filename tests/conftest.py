@@ -40,13 +40,13 @@ def transpose(rec, x, axes):
     return (out, lambda d: d.transpose(np.argsort(axes))) if rec else out
 
 
-@_op(-1)
-def concat(rec, arrays, axis=0):
-    out = np.concatenate(arrays, axis=axis)
+@_op(2)
+def concat(rec, a, b, axis=0):
+    out = np.concatenate([a, b], axis=axis)
     if not rec:
         return out
-    cuts = np.cumsum([a.shape[axis] for a in arrays[:-1]])
-    return out, lambda d: np.split(d, cuts, axis=axis)
+    cut = a.shape[axis]
+    return out, lambda d: np.split(d, [cut], axis=axis)
 
 
 @_op(1)
@@ -160,28 +160,29 @@ def full_h(inc):
 
 def eager_backward(tape, loss):
     """Reference for Tape.backward: the eager-grad replay it replaced, which
-    adds every delta into .grad on every tensor it reaches, intermediates
-    included, as well as into the per-call delta dict."""
+    adds every delta into .grad as soon as it reaches a leaf, and sums an
+    intermediate's deltas in the per-call delta dict. (It wrote the
+    intermediates' .grad too, when a tape entry held its output.)"""
     if loss.values.size != 1:
         raise T.GradientError(
             f"backward target must be a scalar, got shape {loss.shape}"
         )
-    deltas = {id(loss): np.ones_like(loss.values)}
+    deltas = {loss._key: np.ones_like(loss.values)}
     if loss.requires_grad:
         loss.grad += 1.0
-    for out, rule in reversed(tape._entries):
-        d = deltas.pop(id(out), None)
+    for key, refs, rule in reversed(tape._entries):
+        d = deltas.pop(key, None)
         if d is None:
             continue
-        for t, dt in rule(d):
-            if not t.requires_grad:
+        for ref, dt in zip(refs, rule(d)):
+            if ref is None:
                 continue
-            t.grad += dt
-            key = id(t)
-            if key in deltas:
-                deltas[key] = deltas[key] + dt
+            if type(ref) is not int:
+                ref.grad += dt
+            elif ref in deltas:
+                deltas[ref] = deltas[ref] + dt
             else:
-                deltas[key] = dt
+                deltas[ref] = dt
 
 
 def reference_named_parameters(model):
@@ -311,10 +312,10 @@ def reference_layer_norm(x, gain, bias, eps=1e-5):
             - dxhat.mean(axis=-1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
-        return ((x, dx), (gain, dgain), (bias, dbias))
+        return dx, dgain, dbias
 
     if (tape := T._TAPES[-1]) is not None and out.requires_grad:
-        T._record(tape, out, rule)
+        T._record(tape, out, (x, gain, bias), rule)
     return out
 
 
@@ -330,8 +331,7 @@ class ReferenceKV:
 
     def join(self, k, v):
         if self.k is not None:
-            k, v = concat([self.k, k], axis=-2), concat([self.v, v],
-                                                            axis=-2)
+            k, v = concat(self.k, k, axis=-2), concat(self.v, v, axis=-2)
         self.k, self.v = k, v
         return k, v
 

@@ -233,7 +233,7 @@ def test_criterion_1_gradient_suite(rng):
             shape = (4, 3) if axis == 0 else (2, 6)
             w = rng.normal(size=shape)
             weighted(
-                lambda: tsum(mul(concat([a, b], axis), Tensor(w))),
+                lambda: tsum(mul(concat(a, b, axis), Tensor(w))),
                 [a, b],
             )
 

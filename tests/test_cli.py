@@ -394,6 +394,8 @@ EXIT_CODES = [
     ("eval", {"checkpoint": "missing.ckpt"}, 3),
     ("eval", {"task": "files", "src_file": "missing.src",
               "tgt_file": "missing.tgt"}, 3),
+    ("eval", {"task": "files", "eval_src_file": "corpus.txt"}, 2),
+    ("eval", {"task": "files", "eval_tgt_file": "corpus.txt"}, 2),
     ("train", {"task": "files", "src_file": "blank.txt",
                "tgt_file": "blank.txt"}, 3),
     ("train", {"task": "files", "src_file": "bad_utf8.txt",
@@ -460,7 +462,7 @@ def test_exit_code_table(request, capsys, command, extra, code):
     run = "trained_files" if extra.get("task") == "files" else "trained"
     tmp_path, overrides = request.getfixturevalue(run)
     files = [v for v in extra.values()
-             if str(v).startswith(("missing", "blank", "bad"))]
+             if str(v).startswith(("missing", "blank", "bad", "corpus"))]
     extra = {k: tmp_path / v if v in files else v for k, v in extra.items()}
     assert main([command] + overrides
                 + [f"{k}={v}" for k, v in extra.items()]) == code

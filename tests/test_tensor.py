@@ -1,6 +1,7 @@
 """Operation semantics and gradient checks for the autodiff core."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,26 @@ class TestBackward:
         for new, ref in zip(*grads):
             assert np.array_equal(new, ref)
 
+    def test_unread_intermediate_is_freed_while_the_tape_lives(self):
+        """A tape entry holds no output and no operand but leaves, and add's
+        rule keeps only shapes: an 8 MiB scale output that add reads and no
+        rule does is freed once the caller drops it, and backward still
+        reaches the leaf."""
+        x = Tensor(np.ones(2 ** 20), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with T.Tape() as tape:
+                y = T.scale(x, 3.0)
+                z = T.add(y, 1.0)
+                held = tracemalloc.get_traced_memory()[0]
+                del y
+                freed = held - tracemalloc.get_traced_memory()[0]
+                tape.backward(tsum(z))
+        finally:
+            tracemalloc.stop()
+        assert freed >= 8 * 2 ** 20, freed
+        assert np.array_equal(x.grad, np.full(2 ** 20, 3.0))
+
     def test_tape_visits_each_entry_once(self, rng):
         x = _rand(rng, 2)
         with T.Tape() as tape:
@@ -327,11 +348,11 @@ class TestAdditionalPrimitives:
         out_shape = (4, 3) if axis == 0 else (2, 6)
         w = rng.normal(size=out_shape)
         check_gradients(
-            lambda: tsum(mul(concat([a, b], axis), Tensor(w))), [a, b]
+            lambda: tsum(mul(concat(a, b, axis), Tensor(w))), [a, b]
         )
 
     def test_concat_values(self):
-        out = concat([Tensor([[1.0]]), Tensor([[2.0]])], axis=0)
+        out = concat(Tensor([[1.0]]), Tensor([[2.0]]), axis=0)
         assert out.values.tolist() == [[1.0], [2.0]]
 
     @pytest.mark.parametrize("key", [(slice(0, 2),), (slice(1, 3), slice(0, 2)),

@@ -1,5 +1,8 @@
 """Loss composition, optimizer behavior, synthetic tasks, corpus loading."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -187,6 +190,57 @@ class TestAdamAndSteps:
                    Adam(student.parameters()),
                    TrainConfig(mode="pretrain_fixed_teacher", k=2))
         assert student.decoder in ran and teacher.decoder not in ran
+
+    def test_no_tape_lives_through_adam_step(self, small_model_cfg,
+                                             monkeypatch):
+        """A step drops its tape, and with it every array backward read,
+        before the gradient norm and Adam's step."""
+        tapes, alive = [], []
+        init, step = T.Tape.__init__, Adam.step
+
+        def tracked(tape):
+            init(tape)
+            tapes.append(weakref.ref(tape))
+
+        def checking(optimizer):
+            alive.append(sum(ref() is not None for ref in tapes))
+            step(optimizer)
+
+        monkeypatch.setattr(T.Tape, "__init__", tracked)
+        monkeypatch.setattr(Adam, "step", checking)
+        teacher = TeacherModel(small_model_cfg, seed=0)
+        student = IncrementalModel(small_model_cfg, seed=1)
+        train_step(teacher, student, _copy_examples(8, lo=5, hi=5, seed=7),
+                   Adam(teacher.parameters() + student.parameters()),
+                   TrainConfig(k=2))
+        assert len(tapes) == 1 and alive == [0]
+
+    def test_recorded_joint_forward_keeps_at_most_7_mib(self):
+        """While its tape lives, one recorded joint forward plus loss on a
+        train_joint batch (16 copy sentences of 12 tokens, d32 L2 H2 k3)
+        keeps only what backward reads: at most 7 MiB, where a tape that
+        held every output and operand kept 9.9 MiB."""
+        cfg = ModelConfig(n_layers=2, d_model=32, n_heads=2, d_ff=64,
+                          src_vocab=32, tgt_vocab=32, max_len=64, k=3)
+        teacher, student = TeacherModel(cfg, 0), IncrementalModel(cfg, 1)
+        src, tgt_in, tgt_out, mask = pad_batch(
+            _copy_examples(16, vocab=32, lo=12, hi=12, seed=12))
+        with T.no_grad():       # warms the caches the forward fills
+            student.forward(src, tgt_in, 3)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            with T.Tape() as tape:
+                t_logits, z_full = teacher.forward(src, tgt_in)
+                s_logits, z_incr = student.forward(src, tgt_in, 3)
+                loss, _ = total_loss(s_logits, t_logits, tgt_out, z_incr,
+                                     z_full, 0.1, "joint", mask)
+            del t_logits, z_full, s_logits, z_incr
+            kept = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 155 and loss.values.size == 1
+        assert kept <= 7 * 2 ** 20, kept
 
     def test_mode_validation(self):
         with pytest.raises(ConfigError):

@@ -55,6 +55,17 @@ class TestModelConfig:
             held += sum(m.encoder.pe.size + m.decoder.pe.size for m in models)
             assert cfg.n_values == held
 
+    def test_models_share_one_read_only_position_table(self):
+        """Every stack of one shape reads the same cached table, and no
+        caller can write it."""
+        cfg = ModelConfig()
+        stacks = [m.encoder for m in (TeacherModel(cfg), IncrementalModel(
+            cfg))] + [TeacherModel(cfg).decoder]
+        assert all(s.pe is stacks[0].pe for s in stacks)
+        assert not stacks[0].pe.flags.writeable
+        with pytest.raises(ValueError):
+            stacks[0].pe[0, 0] = 1.0
+
     def test_size_bound(self, monkeypatch):
         """A config over MAX_MODEL_VALUES raises from its arithmetic alone:
         no model of it is built."""
