@@ -25,6 +25,16 @@ MAGIC = "waitkit-checkpoint"
 VERSION = 2
 
 
+class _Undrawn(np.random.Generator):
+    """Gives the models load_models builds their parameter arrays without
+    drawing the initial values that the payload overwrites (the models'
+    only draws are uniform ones; np.random.default_rng passes a Generator
+    through)."""
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return np.empty(size)
+
+
 def _named(teacher, student):
     return {**teacher.named_parameters("teacher."),
             **student.named_parameters("student.")}
@@ -119,8 +129,9 @@ def load_models(path):
         if len(vocabs[-1]) != size:
             raise CheckpointError(f"{path}: {key} holds {len(vocabs[-1])} "
                                   f"tokens, the model {size}")
-    teacher = TeacherModel(cfg, seed=0)
-    student = IncrementalModel(cfg, seed=0)
+    undrawn = _Undrawn(np.random.PCG64(0))
+    teacher = TeacherModel(cfg, seed=undrawn)
+    student = IncrementalModel(cfg, seed=undrawn)
     named = _named(teacher, student)
     offset = 0
     for name, shape in params:

@@ -9,6 +9,7 @@ import pytest
 from waitkit import tensor as T
 from waitkit.tensor import Tensor
 from waitkit.training import (
+    ADAM_BLOCK,
     Adam,
     ConfigError,
     IngestionError,
@@ -314,6 +315,39 @@ class TestSyntheticTasks:
         b = generate_synthetic(spec, 50)
         assert all(x.src == y.src and x.tgt == y.tgt for x, y in zip(a, b))
 
+    def test_examples_share_pairs_in_lists_of_their_own(self):
+        """Examples of one length and lag hold the same (i, j) tuples, copy
+        being lag 0, each in its own list: changing one example's list
+        leaves the others as they were."""
+        def two(kind):
+            return generate_synthetic(SyntheticTaskSpec(
+                kind=kind, vocab_size=16, min_len=6, max_len=6, seed=3), 2)
+
+        (a, b), (c, _) = two("copy"), two("lagged_map")
+        assert a.alignment == b.alignment == c.alignment
+        assert all(x is y is z for x, y, z in zip(a.alignment, b.alignment,
+                                                  c.alignment))
+        assert a.alignment is not b.alignment and a.tgt is not a.src
+        a.alignment.append((6, 5))
+        a.tgt.append(4)
+        assert len(b.alignment) == len(c.alignment) == len(a.src) == 6
+
+    def test_2000_copy_examples_keep_at_most_1_25_mib(self):
+        """2,000 copy examples of lengths 5-12 (train_joint's corpus) keep
+        at most 1.25 MiB by tracemalloc, where a fresh (i, i) tuple per
+        position kept about 1.9 MB."""
+        spec = SyntheticTaskSpec(kind="copy", vocab_size=32, min_len=5,
+                                 max_len=12, seed=23)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            examples = generate_synthetic(spec, 2000)
+            kept = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        assert len(examples) == 2000
+        assert kept <= 1.25 * 2 ** 20, kept
+
     def test_vocab_too_small(self):
         with pytest.raises(ConfigError):
             SyntheticTaskSpec(kind="copy", vocab_size=4)
@@ -449,6 +483,52 @@ class TestFlatAdam:
                                   equal_nan=True)
         for p, ref in zip(params, ref_params, strict=True):
             assert np.array_equal(p.values, ref.values)
+
+    @pytest.mark.parametrize("shapes", [
+        # 2B + 17 values: the second tensor straddles the first block edge,
+        # the third the second, and the last block is partial.
+        [(ADAM_BLOCK - 5,), (2, 5), (ADAM_BLOCK - 3,), (3, 5)],
+        [(3,), (5, 10), (7,)],          # fewer values than one block
+    ], ids=["2B+17", "below_B"])
+    def test_blocks_match_eager_reference(self, shapes):
+        """After 5 steps the values, m and v equal EagerAdam's bit for bit,
+        whatever block the values fall in."""
+        rng = np.random.default_rng(23)
+        init = [rng.normal(size=shape) for shape in shapes]
+        params, ref_params = ([Tensor(x.copy(), requires_grad=True)
+                               for x in init] for _ in range(2))
+        opt, ref = Adam(params), EagerAdam(ref_params)
+        for _ in range(5):
+            for p, r in zip(params, ref_params):
+                p.grad[...] = r.grad[...] = rng.normal(size=p.shape)
+            opt.step()
+            ref.step()
+        assert opt._values.size == sum(x.size for x in init)
+        for got, want in ((opt._values, [p.values for p in ref_params]),
+                          (opt._m, ref._m), (opt._v, ref._v)):
+            assert np.array_equal(got, np.concatenate(
+                [w.ravel() for w in want]))
+
+    def test_train_joint_pair_holds_4p_plus_2b(self):
+        """Building Adam over the train_joint pair (d32 L2 H2, vocab 32)
+        and stepping it peaks at (4P + 2B) float64 values plus 256 KiB by
+        tracemalloc: values, grads, m, v and two scratch rows of one block,
+        plus about 85 kB of per-parameter views; whole-buffer scratch rows
+        made it 6P, 1 MB more."""
+        cfg = ModelConfig(n_layers=2, d_model=32, n_heads=2, d_ff=64,
+                          src_vocab=32, tgt_vocab=32, max_len=64, k=3)
+        params = (TeacherModel(cfg, 0).parameters()
+                  + IncrementalModel(cfg, 1).parameters())
+        size = sum(p.grad.size for p in params)     # grads allocated
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            Adam(params).step()
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert size > 2 * ADAM_BLOCK
+        assert peak <= (4 * size + 2 * ADAM_BLOCK) * 8 + 256 * 2 ** 10, peak
 
     def test_parameters_become_views_of_one_buffer(self, small_model_cfg):
         student = IncrementalModel(small_model_cfg, seed=1)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from waitkit import tensor as T
+from waitkit import transformer
 from waitkit.checkpoint import CheckpointError, load_models, save_models
 from waitkit.errors import NumericalError
 from waitkit.tensor import Tensor
@@ -462,6 +463,27 @@ class TestCheckpoint:
             la, _ = student.forward(src, tgt, 2)
             lb, _ = student2.forward(src, tgt, 2)
         assert np.array_equal(la.values, lb.values)
+
+    def test_load_draws_no_initial_values(self, tiny_cfg, tmp_path,
+                                          monkeypatch):
+        """load_models overwrites every parameter from the payload, so it
+        builds the pair without drawing initial values: no uniform_init
+        call advances its generator."""
+        vocab = synthetic_vocab(20)
+        path = tmp_path / "model.ckpt"
+        save_models(path, TeacherModel(tiny_cfg, seed=18),
+                    IncrementalModel(tiny_cfg, seed=19), vocab, vocab)
+        drew, init = [], transformer.uniform_init
+
+        def watching(rng, shape, bound):
+            state = rng.bit_generator.state
+            out = init(rng, shape, bound)
+            drew.append(rng.bit_generator.state != state)
+            return out
+
+        monkeypatch.setattr(transformer, "uniform_init", watching)
+        load_models(path)
+        assert drew and not any(drew)
 
     def test_save_and_load_copy_the_payload_at_most_once(self, tmp_path):
         """save_models hashes and writes the parameter blocks where they
