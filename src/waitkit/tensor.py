@@ -5,8 +5,9 @@ when a Tape records (outside no_grad), appends its backward rule to it.
 Replaying the tape in reverse sums one delta per tensor and adds only the
 leaves' into .grad. A tape holds only what backward reads (see Tape).
 Every operation is a body over arrays under one scaffold, _op, which alone
-unwraps the operands, builds the Tensor and records; a body builds its
-backward rule only when asked to. Matrix products also feed a global
+unwraps the operands, builds the Tensor and records; a body always returns
+its value and its backward rule, and _op drops the rule uncalled when
+nothing records. Matrix products also feed a global
 multiply-accumulate counter so the benchmark harness can report
 hardware-independent costs. Multi-head attention is one operation with one
 tape entry, not a chain. The streamed decode does not come here: it runs
@@ -187,22 +188,20 @@ def _op(n):
     """Make an op of a body over arrays. The op's first n positional
     arguments are its operands, Tensors, arrays or None (a trailing one
     left out takes the body's default); with n = 0 the result never
-    requires grad. The body takes a flag rec, the operands' arrays and the
-    op's other arguments; it returns out, or with rec (out, rule), rule(d)
-    giving the operands' deltas in order (one operand: a bare delta). The
-    op returns a Tensor, and while a Tape records and some operand requires
-    grad, it asks for the rule and records it through _record."""
+    requires grad. The body takes the operands' arrays and the op's other
+    arguments and returns (out, rule), rule(d) giving a tuple of the
+    operands' deltas in order. The op returns a Tensor, and records the
+    rule through _record only while a Tape records and some operand
+    requires grad; otherwise the rule is dropped uncalled."""
     def wrap(body):
         def op(*args, **kw):
             xs = [None if x is None else as_tensor(x) for x in args[:n]]
             req = any(x is not None and x.requires_grad for x in xs)
-            args = (*(None if x is None else x.values for x in xs),
-                    *args[n:])
+            out, rule = body(*(None if x is None else x.values for x in xs),
+                             *args[n:], **kw)
             if (tape := _TAPES[-1]) is None or not req:
-                return Tensor(body(False, *args, **kw), req)
-            out, rule = body(True, *args, **kw)
-            return _record(tape, Tensor(out, True), xs,
-                           rule if n > 1 else lambda d: (rule(d),))
+                return Tensor(out, req)
+            return _record(tape, Tensor(out, True), xs, rule)
         return functools.wraps(body)(op)
     return wrap
 
@@ -234,62 +233,55 @@ def _broadcast_rule(a, b, deltas):
 
 
 @_op(2)
-def add(rec, a, b):
-    return (a + b, _broadcast_rule(a, b, lambda d: (d, d))) if rec else a + b
+def add(a, b):
+    return a + b, _broadcast_rule(a, b, lambda d: (d, d))
 
 
 @_op(1)
-def scale(rec, x, c):
+def scale(x, c):
     c = float(c)
-    return (x * c, lambda d: d * c) if rec else x * c
+    return x * c, lambda d: (d * c,)
 
 
 @_op(1)
-def relu(rec, x):
+def relu(x):
+    """The rule reads its mask off the output, which the next op's rule
+    holds anyway: out > 0 exactly where x > 0."""
     out = np.maximum(x, 0.0)
-    if not rec:
-        return out
-    keep = x > 0.0
-    return out, lambda d: d * keep
+    return out, lambda d: (d * (out > 0.0),)
 
 
 @_op(1)
-def transpose_last(rec, x):
+def transpose_last(x):
     """Swap the two trailing axes."""
     if x.ndim < 2:
         raise DimensionError(f"transpose_last needs >= 2 dims, got shape {x.shape}")
-    out = np.swapaxes(x, -1, -2)
-    return (out, lambda d: np.swapaxes(d, -1, -2)) if rec else out
+    return np.swapaxes(x, -1, -2), lambda d: (np.swapaxes(d, -1, -2),)
 
 
 @_op(1)
-def tslice(rec, x, key):
+def tslice(x, key):
     """Basic slicing; the backward pass scatters into the sliced region."""
-    if not rec:
-        return x[key]
     shape = x.shape
 
     def rule(d):
         dx = np.zeros(shape)
         dx[key] += d
-        return dx
+        return (dx,)
     return x[key], rule
 
 
 @_op(1)
-def gather_rows(rec, x, indices, axis=0):
+def gather_rows(x, indices, axis=0):
     """Select rows along an axis by integer index (duplicates allowed)."""
     idx = np.asarray(indices, dtype=np.intp)
-    out = np.take(x, idx, axis=axis)
-    if not rec:
-        return out
     shape = x.shape
 
     def rule(d):
         dx = np.zeros(shape)
         np.add.at(np.moveaxis(dx, axis, 0), idx, np.moveaxis(d, axis, 0))
-        return dx
-    return out, rule
+        return (dx,)
+    return np.take(x, idx, axis=axis), rule
 
 
 def _out_of_range(vocab):
@@ -297,19 +289,17 @@ def _out_of_range(vocab):
 
 
 @_op(1)
-def embedding(rec, weight, ids):
+def embedding(weight, ids):
     """Row lookup into an embedding matrix; backward is a scatter-add."""
     ids = np.asarray(ids, dtype=np.intp)
     vocab = weight.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         raise _out_of_range(vocab)
-    if not rec:
-        return weight[ids]
 
     def rule(d):
         dw = np.zeros_like(weight)
         np.add.at(dw, ids.reshape(-1), d.reshape(-1, weight.shape[1]))
-        return dw
+        return (dw,)
     return weight[ids], rule
 
 
@@ -318,14 +308,12 @@ def embedding(rec, weight, ids):
 
 
 @_op(2)
-def matmul(rec, a, b):
+def matmul(a, b):
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul shapes {a.shape} and {b.shape} do not agree")
     out = a @ b
     mac_counter.count += out.size * a.shape[-1]
-    if not rec:
-        return out
 
     def rule(d):
         da = d @ np.swapaxes(b, -1, -2)
@@ -342,20 +330,17 @@ def _product(x, w, b=None):
 
 
 @_op(3)
-def linear(rec, x, weight, bias=None):
+def linear(x, weight, bias=None):
     """Affine map y = x W^T + b with weight laid out [out, in]."""
     if x.shape[-1] != weight.shape[-1]:
         raise DimensionError(
             f"linear input {x.shape} does not match weight {weight.shape}")
-    out = _product(x, weight, bias)
-    if not rec:
-        return out
 
     def rule(d):
         d2 = d.reshape(-1, weight.shape[0])
         dx, dw = d @ weight, d2.T @ x.reshape(-1, weight.shape[1])
         return (dx, dw) if bias is None else (dx, dw, d2.sum(axis=0))
-    return out, rule
+    return _product(x, weight, bias), rule
 
 
 @functools.cache
@@ -364,7 +349,7 @@ def _cummean_matrix(n):
 
 
 @_op(1)
-def masked_cumulative_mean(rec, x):
+def masked_cumulative_mean(x):
     """Row i of the result is the mean of rows 0..i of the input.
 
     Computed in one shot as a lower-triangular averaging matrix times the
@@ -375,7 +360,7 @@ def masked_cumulative_mean(rec, x):
     m = _cummean_matrix(x.shape[-2])
     out = m @ x
     mac_counter.count += out.size * m.shape[-1]
-    return (out, lambda d: np.swapaxes(m, -1, -2) @ d) if rec else out
+    return out, lambda d: (np.swapaxes(m, -1, -2) @ d,)
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +419,7 @@ def _attend(qh, kt, vh, scale, mask):
 
 
 @_op(3)
-def attention(rec, q, k, v, n_heads, scale, mask=None):
+def attention(q, k, v, n_heads, scale, mask=None):
     """Multi-head scaled dot-product attention as one recorded operation.
 
     q [..., tq, d], k and v [..., tk, d] share their leading shape and split
@@ -463,9 +448,6 @@ def attention(rec, q, k, v, n_heads, scale, mask=None):
 
     qh, kt, vh = split(q, tq), split(k, tk).transpose(last), split(v, tk)
     o, p = _attend(qh, kt, vh, scale, mask)
-    out = merge(o, tq)
-    if not rec:
-        return out
 
     def rule(dout):
         do = split(dout, tq)
@@ -475,7 +457,7 @@ def attention(rec, q, k, v, n_heads, scale, mask=None):
         dq = ds @ np.swapaxes(kt, -1, -2)
         dkt = np.swapaxes(qh, -1, -2) @ ds
         return merge(dq, tq), merge(dkt.transpose(last), tk), merge(dv, tk)
-    return out, rule
+    return merge(o, tq), rule
 
 
 # The variance floor of every layer norm. layer_norm and _row_norm share
@@ -497,7 +479,7 @@ def _row_norm(x):
 
 
 @_op(3)
-def layer_norm(rec, x, gain, bias):
+def layer_norm(x, gain, bias):
     """Normalize the last axis to zero mean / unit variance (NORM_EPS added
     to the variance), then affine."""
     d_last = x.shape[-1]
@@ -509,9 +491,6 @@ def layer_norm(rec, x, gain, bias):
     var = np.add.reduce(xc * xc, -1, keepdims=True) / d_last
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = xc * inv
-    out = xhat * gain + bias
-    if not rec:
-        return out
 
     def rule(d):
         lead = tuple(range(d.ndim - 1))
@@ -524,11 +503,11 @@ def layer_norm(rec, x, gain, bias):
             - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d_last)
         )
         return dx, dgain, dbias
-    return out, rule
+    return xhat * gain + bias, rule
 
 
 @_op(1)
-def cross_entropy(rec, logits, targets, mask=None):
+def cross_entropy(logits, targets, mask=None):
     """Mean negative log-likelihood of targets under softmax(logits).
 
     targets holds integer ids with the same leading shape as logits; mask
@@ -554,19 +533,16 @@ def cross_entropy(rec, logits, targets, mask=None):
     lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
     logp = (np.take_along_axis(logits, ids[..., None], axis=-1)[..., 0]
             - lse[..., 0])
-    out = -(logp * w).sum() / count
-    if not rec:
-        return out
 
     def rule(d):
         p = np.exp(logits - lse)
         np.subtract.at(p, (*np.indices(ids.shape), ids), 1.0)
-        return p * (w[..., None] * (float(d) / count))
-    return out, rule
+        return (p * (w[..., None] * (float(d) / count)),)
+    return -(logp * w).sum() / count, rule
 
 
 @_op(2)
-def l2_distance_loss(rec, a, b):
+def l2_distance_loss(a, b):
     """Mean over rows of the squared euclidean distance between a and b."""
     if a.shape != b.shape:
         raise DimensionError(
@@ -576,17 +552,15 @@ def l2_distance_loss(rec, a, b):
         raise DimensionError(f"need at least 2 dims, got shape {a.shape}")
     rows = a.size // a.shape[-1]
     diff = a - b
-    out = (diff * diff).sum() / rows
-    if not rec:
-        return out
 
     def rule(d):
         g = diff * (2.0 * float(d) / rows)
         return g, -g
-    return out, rule
+    return (diff * diff).sum() / rows, rule
 
 
 @_op(0)
-def detach(rec, x):
-    """Cut the tape: same values, no gradient history (x is no operand)."""
-    return x.values if type(x) is Tensor else x
+def detach(x):
+    """Cut the tape: same values, no gradient history (x is no operand, so
+    the rule has no delta to give and is never called)."""
+    return (x.values if type(x) is Tensor else x), lambda d: ()

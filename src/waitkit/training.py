@@ -273,12 +273,15 @@ class Adam:
         self.eps = eps
         self.t = 0
         self._values = np.concatenate([p.values.ravel() for p in self.params])
-        self._grads = np.concatenate([p.grad.ravel() for p in self.params])
+        self._grads = np.zeros(self._values.size)
         self._m, self._v = np.zeros((2, self._values.size))
         self._scratch = np.zeros((2, min(ADAM_BLOCK, self._values.size)))
         cuts = np.cumsum([p.values.size for p in self.params])[:-1]
         for p, v, g in zip(self.params, np.split(self._values, cuts),
                            np.split(self._grads, cuts)):
+            # A grad not read yet is zeros: reading it would allocate them.
+            if p._grad is not None:
+                g[...] = p._grad.ravel()
             p.values, p.grad = v.reshape(p.shape), g.reshape(p.shape)
         self._views = [(p.values, p.grad) for p in self.params]
 

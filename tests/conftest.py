@@ -16,53 +16,47 @@ from waitkit.waitk import ScheduleError, read_count
 
 
 @_op(2)
-def sub(rec, a, b):
-    return (a - b, _broadcast_rule(a, b, lambda d: (d, -d))) if rec else a - b
+def sub(a, b):
+    return a - b, _broadcast_rule(a, b, lambda d: (d, -d))
 
 
 @_op(2)
-def mul(rec, a, b):
-    if not rec:
-        return a * b
+def mul(a, b):
     return a * b, _broadcast_rule(a, b, lambda d: (d * b, d * a))
 
 
 @_op(1)
-def reshape(rec, x, shape):
-    out = x.reshape(shape)
-    return (out, lambda d: d.reshape(x.shape)) if rec else out
+def reshape(x, shape):
+    return x.reshape(shape), lambda d: (d.reshape(x.shape),)
 
 
 @_op(1)
-def transpose(rec, x, axes):
+def transpose(x, axes):
     axes = tuple(axes)
-    out = x.transpose(axes)
-    return (out, lambda d: d.transpose(np.argsort(axes))) if rec else out
+    return x.transpose(axes), lambda d: (d.transpose(np.argsort(axes)),)
 
 
 @_op(2)
-def concat(rec, a, b, axis=0):
-    out = np.concatenate([a, b], axis=axis)
-    if not rec:
-        return out
+def concat(a, b, axis=0):
     cut = a.shape[axis]
-    return out, lambda d: np.split(d, [cut], axis=axis)
+    return (np.concatenate([a, b], axis=axis),
+            lambda d: tuple(np.split(d, [cut], axis=axis)))
 
 
 @_op(1)
-def masked_softmax(rec, scores, mask=None):
+def masked_softmax(scores, mask=None):
     """Softmax over the last axis restricted to unmasked positions.
 
     mask is a boolean array broadcastable to scores (True keeps an entry).
     Masked entries come out exactly 0.0; a fully masked row is all zeros.
     """
     p = _softmax(scores, mask)
-    return (p, lambda d: _softmax_grad(p, d)) if rec else p
+    return p, lambda d: (_softmax_grad(p, d),)
 
 
 @_op(1)
-def tsum(rec, x):
-    return (x.sum(), lambda d: np.full_like(x, float(d))) if rec else x.sum()
+def tsum(x):
+    return x.sum(), lambda d: (np.full_like(x, float(d)),)
 
 
 REFERENCE_OPS = ("sub", "mul", "reshape", "transpose", "concat",

@@ -10,8 +10,9 @@ ran. It covers the parameters and metric records of 60 joint train() steps
 and of 60 + 60 pretrain_fixed_teacher steps, the pushed states and the
 streamed and re-used-state logits over the 60 random models of
 test_array_mode.py, the tape entries of train_joint-shaped steps, the
-bytes the command line writes for a small copy-task run, and those it
-writes generating a corpus and training and evaluating on its files.
+bytes the command line writes for a small copy-task run, those it writes
+generating a corpus and training and evaluating on its files, and each
+public op of tensor.py on fixed inputs, recorded and not.
 Pytest does not collect this file (its name does not start with test_).
 """
 
@@ -123,6 +124,61 @@ def tape_entries():
     return " ".join(map(str, lengths))
 
 
+def op_inputs(rng):
+    """{op name: (operands, other arguments)} of every op in tensor.__all__;
+    each operand is an array that becomes a leaf requiring grad."""
+    def r(*shape):
+        return rng.normal(size=shape)
+
+    a, mask = r(2, 3, 4), rng.random((3, 5)) < 0.7
+    mask[:, 0] = True
+    return {
+        "add": ([a, r(1, 4)], []),
+        "scale": ([a], [0.5]),
+        "matmul": ([a, r(4, 5)], []),
+        "linear": ([a, r(5, 4), r(5)], []),
+        "relu": ([a], []),
+        "transpose_last": ([a], []),
+        "tslice": ([a], [(slice(None), slice(0, 2))]),
+        "gather_rows": ([a], [[2, 0, 2], 1]),
+        "embedding": ([r(4, 5)], [[[1, 3], [0, 0]]]),
+        "masked_cumulative_mean": ([a], []),
+        "attention": ([r(2, 3, 4), r(2, 5, 4), r(2, 5, 4)], [2, 0.5, mask]),
+        "layer_norm": ([a, r(4), r(4)], []),
+        "cross_entropy": ([r(2, 3, 6)], [[[0, 1, 5], [3, 0, 1]],
+                                         [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]]),
+        "l2_distance_loss": ([a, r(2, 3, 4)], []),
+        "detach": ([a], []),
+    }
+
+
+def ops_digest():
+    """Each op in tensor.__all__ on the fixed inputs of op_inputs: its value
+    and requires_grad with no Tape and under one, the leaf gradients that
+    backward gives for the op's value (or, when it is not a scalar, its
+    l2_distance_loss to a fixed target) and the MACs the op counted."""
+    digest = Digest()
+    inputs = op_inputs(np.random.default_rng(7))
+    for name in T.__all__:
+        if name[0].isupper() or name in ("no_grad", "mac_counter",
+                                         "as_tensor"):
+            continue
+        op, (arrays, rest) = getattr(T, name), inputs[name]
+        leaves = [T.Tensor(x.copy(), requires_grad=True) for x in arrays]
+        before = T.mac_counter.count
+        plain = op(*leaves, *rest)
+        with T.Tape() as tape:
+            out = op(*leaves, *rest)
+            loss = out if out.values.size == 1 else T.l2_distance_loss(
+                out, np.random.default_rng(8).normal(size=out.shape))
+            tape.backward(loss)
+        digest.sha.update(f"{name} {plain.requires_grad} {out.requires_grad}"
+                          f" {T.mac_counter.count - before}".encode())
+        for x in (plain.values, out.values, *(t.grad for t in leaves)):
+            digest.array(x)
+    return digest.hexdigest()
+
+
 # The model and data of the command line digests.
 CLI_BASE = ["vocab_size=16", "min_len=3", "max_len=6", "train_count=64",
             "test_count=8", "d_model=16", "d_ff=32", "batch_size=16", "k=2",
@@ -198,7 +254,8 @@ def main():
                       ("decode_suite", decode_digest),
                       ("tape_entries", tape_entries),
                       ("cli_outputs", cli_outputs_digest),
-                      ("cli_data", cli_data_digest)):
+                      ("cli_data", cli_data_digest),
+                      ("ops", ops_digest)):
         before = T.mac_counter.count
         result = run()
         print(f"{name} {result} macs={T.mac_counter.count - before}")

@@ -1,8 +1,9 @@
 """The per-emission overhead cuts of the cached decode against copies of the
 code they replace (conftest): the unmasked softmax for masks that keep every
-entry, layer_norm without np.mean, LayerNorm's one-row path, the
-write-in-place, inference-only KVCache, and ops that build no backward rule
-when nothing records."""
+entry, layer_norm without np.mean, LayerNorm's one-row path and the
+write-in-place, inference-only KVCache. Also the op scaffold's contract:
+every body returns its value and its rule, and _op alone records the rule
+while a Tape records, or drops it uncalled."""
 
 import ast
 import pathlib
@@ -200,25 +201,101 @@ def code_names(code):
     return names
 
 
+def body_cell(op):
+    """The closure cell of the scaffold's op that holds its body."""
+    return op.__closure__[op.__code__.co_freevars.index("body")]
+
+
 def test_every_op_is_built_by_the_scaffold():
     """Every op in tensor.__all__, and every reference op in conftest, is a
     body under the one scaffold, T._op: the op runs the scaffold's code and
     wraps its body, and no body reads the recording context, records or
-    builds a Tensor itself (detach may test for one). op_cases covers every
-    op."""
-    built = {T._op(n)(lambda rec: None).__code__ for n in (0, 1, 2, 3)}
+    builds a Tensor itself (detach may test for one). No body takes a flag:
+    over op_cases, each is handed no bool, and the same kinds of arguments
+    under a Tape as under no_grad, and returns (out, rule) under both.
+    op_cases covers every op."""
+    built = {T._op(n)(lambda: None).__code__ for n in (0, 1, 2, 3)}
     ops = {name: getattr(T, name) for name in PUBLIC_OPS}
     ops.update((name, getattr(conftest, name)) for name in REFERENCE_OPS)
     for name, op in ops.items():
         assert op.__code__ in built, name
         body = op.__wrapped__
-        assert body.__code__.co_varnames[0] == "rec", name
+        assert body_cell(op).cell_contents is body, name
         assert not code_names(body.__code__) & {"_TAPES", "_ARRAYS",
                                                 "_record", "as_tensor"}, name
         assert name == "detach" or "Tensor" not in code_names(
             body.__code__), name
-    covered = {name for name, _ in op_cases(np.random.default_rng(0))}
-    assert set(ops) <= covered
+
+    def spy(body, log):
+        def call(*args, **kw):
+            _, rule = result = body(*args, **kw)
+            assert callable(rule)
+            log.append((*map(type, args), *sorted(kw)))
+            return result
+        return call
+
+    cases = op_cases(np.random.default_rng(0))
+    calls = {}
+    for context in (T.Tape, T.no_grad):
+        logs = calls[context] = {name: [] for name in ops}
+        try:
+            for name, op in ops.items():
+                body_cell(op).cell_contents = spy(op.__wrapped__, logs[name])
+            for _, thunk in cases:
+                with context():
+                    thunk()
+        finally:
+            for op in ops.values():
+                body_cell(op).cell_contents = op.__wrapped__
+    for name in ops:
+        recorded = calls[T.Tape][name]
+        assert recorded and recorded == calls[T.no_grad][name], name
+        assert not {bool, np.bool_} & set(sum(recorded, ())), name
+    assert set(ops) <= {name for name, _ in cases}
+
+
+def test_recorded_rules_give_one_delta_per_operand():
+    """Every op that op_cases records appends one entry whose rule returns a
+    tuple of one delta per ref, a leaf's delta in the leaf's shape."""
+    for name, op in op_cases(np.random.default_rng(0)):
+        with T.Tape() as tape:
+            out = op()
+        if not out.requires_grad:
+            assert len(tape) == 0, name
+            continue
+        (key, refs, rule), = tape._entries
+        assert key == out._key, name
+        deltas = rule(np.ones_like(out.values))
+        assert type(deltas) is tuple and len(deltas) == len(refs), name
+        for ref, delta in zip(refs, deltas):
+            if isinstance(ref, Tensor):
+                assert np.shape(delta) == ref.shape, name
+
+
+def closure_arrays(fn):
+    """The arrays a function's closure holds, through nested functions."""
+    found = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif callable(value) and hasattr(value, "__closure__"):
+            found += closure_arrays(value)
+    return found
+
+
+def test_relu_rule_holds_only_the_output():
+    """relu's recorded rule reads its mask off the op's output, which the
+    next linear's rule holds anyway, and keeps no array of its own."""
+    x = Tensor(np.random.default_rng(3).normal(size=(4, 6)),
+               requires_grad=True)
+    with T.Tape() as tape:
+        out = T.relu(x)
+    (_, _, rule), = tape._entries
+    held = closure_arrays(rule)
+    assert held and all(a is out.values for a in held)
+    d = np.arange(24.0).reshape(4, 6)
+    assert np.array_equal(rule(d)[0], d * (x.values > 0.0))
 
 
 def package_calls():
@@ -295,8 +372,9 @@ def test_ops_under_no_grad_match_recorded_ops():
 
 
 def test_train_step_records_155_tape_entries(monkeypatch):
-    """Skipping the rule when nothing records leaves the recording path
-    alone: a joint train_step at the train_joint shape records 155 ops."""
+    """Dropping the rule uncalled when nothing records leaves the recording
+    path alone: a joint train_step at the train_joint shape records 155
+    ops."""
     cfg = ModelConfig(n_layers=2, d_model=32, n_heads=2, d_ff=64,
                       src_vocab=32, tgt_vocab=32, k=3)
     teacher, student = TeacherModel(cfg, 0), IncrementalModel(cfg, 1)

@@ -530,6 +530,38 @@ class TestFlatAdam:
         assert size > 2 * ADAM_BLOCK
         assert peak <= (4 * size + 2 * ADAM_BLOCK) * 8 + 256 * 2 ** 10, peak
 
+    def test_building_over_a_fresh_train_joint_pair_holds_4p_plus_2b(self):
+        """Building Adam over a train_joint pair whose grads were never read
+        peaks at (4P + 2B) float64 values plus 256 KiB by tracemalloc:
+        values, grads, m, v and two scratch rows. Reading each lazy grad to
+        copy it into the buffer allocated P zeros more (4.32 MB, where the
+        bound is 3.76 MB)."""
+        cfg = ModelConfig(n_layers=2, d_model=32, n_heads=2, d_ff=64,
+                          src_vocab=32, tgt_vocab=32, max_len=64, k=3)
+        params = (TeacherModel(cfg, 0).parameters()
+                  + IncrementalModel(cfg, 1).parameters())
+        size = sum(p.values.size for p in params)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            Adam(params)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert size == 92_992 and ADAM_BLOCK == 32_768
+        assert peak <= (4 * size + 2 * ADAM_BLOCK) * 8 + 256 * 2 ** 10, peak
+
+    def test_grad_set_before_building_is_kept(self, small_model_cfg):
+        """A grad assigned before Adam is built keeps its values, now in the
+        shared buffer; grads never read come out zero."""
+        params = IncrementalModel(small_model_cfg, seed=1).parameters()
+        grad = np.random.default_rng(5).normal(size=params[2].shape)
+        params[2].grad = grad.copy()
+        opt = Adam(params)
+        assert np.shares_memory(params[2].grad, opt._grads)
+        assert np.array_equal(params[2].grad, grad)
+        assert not any(p.grad.any() for i, p in enumerate(params) if i != 2)
+
     def test_parameters_become_views_of_one_buffer(self, small_model_cfg):
         student = IncrementalModel(small_model_cfg, seed=1)
         params = student.parameters()
