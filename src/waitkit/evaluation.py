@@ -150,6 +150,8 @@ def present_absent_split(example, generated, alignment, k):
 def hidden_distance_stats(student, teacher, dataset):
     """Mean over sentences of the per-token squared distance between the
     two encoders' final states (no gradients)."""
+    if not dataset:
+        raise ValueError("empty dataset")
     total = 0.0
     with no_grad():
         for ex in dataset:

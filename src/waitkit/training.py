@@ -440,8 +440,11 @@ def train(examples, model_cfg, cfg, metrics_path=None):
     are also written to the CSV file metrics_path unless it is None.
 
     Every example is checked before the first step: its source, and its
-    target after pad_batch's bos, must fit model_cfg.max_len.
+    target after pad_batch's bos, must fit model_cfg.max_len. No examples
+    raise ConfigError.
     """
+    if not examples:
+        raise ConfigError("train needs at least one example")
     for i, ex in enumerate(examples, 1):
         if max(len(ex.src), len(ex.tgt) + 1) > model_cfg.max_len:
             raise LengthError(

@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .errors import LengthError, NumericalError, ScheduleError
 from .tensor import Tensor
-from .waitk import WaitKSchedule, check_k, read_count
+from .waitk import WaitKSchedule
 
 
 # The most float64 values a teacher and student pair may hold (see
@@ -414,24 +414,14 @@ class Decoder(_Stack):
 
 
 class DecoderCache:
-    """What decode_step computed over one source: per decoder layer, a
-    (self-attention, cross-attention) KVCache pair, and the target id of
-    each cached row. Row s of r rows read waitk.read_count(k, s, g) source
-    rows and row r read g, for the k and g of the last call, so (k, g) decide
-    which calls may extend the rows. decoder is the Decoder whose rows
-    these are, or None when no call may extend them."""
+    """The decoder rows decode_step computed over one source, in order:
+    decoder is the Decoder that computed them, ids their target ids and
+    layers, per decoder layer, a (self-attention, cross-attention) KVCache
+    pair, allocated with the first row. A row keeps the source rows it read
+    when it was computed."""
 
     def __init__(self):
-        self.ids, self.layers = [], []
-        self.decoder = self.k = self.g = None
-
-    def reset(self, decoder, memory_rows):
-        """Empty caches of a decoder's layers for up to cfg.max_len decoder
-        rows over up to memory_rows encoder rows."""
-        self.ids = []
-        self.layers = [(layer.self_attn.kv_cache(decoder.cfg.max_len, True),
-                        layer.cross_attn.kv_cache(memory_rows, False))
-                       for layer in decoder.layers]
+        self.decoder, self.ids, self.layers = None, [], []
 
 
 class IncrementalStates:
@@ -440,7 +430,7 @@ class IncrementalStates:
     f[i] is a linear map of the mean of the first i+1 encoder inputs; a
     decoder row that has read g tokens attends over f[g-1] + z[j], j < g
     (MultiHeadAttention.attend_rows). cache holds the decoder rows already
-    computed over these states.
+    computed over these states, which decode_step extends by one row a call.
     """
 
     def __init__(self, z, f, cache=None):
@@ -547,21 +537,19 @@ class IncrementalModel(_Model):
         z, e = self._encode_one(ids)
         return average_embedding_states(e, z, self.bridge_w)
 
-    def decode_step(self, prefix_ids, states, g_t, k=None):
-        """Next-token logits for one sentence given a decoder prefix.
+    def decode_step(self, prefix_ids, states, g_t):
+        """Next-token logits for one sentence: the decoder row of
+        prefix_ids[-1] over the first g_t rows of states (IncrementalStates
+        of the consumed source), after the rows states.cache holds.
 
-        states covers the consumed source (IncrementalStates); row s of the
-        prefix uses the wait-k coverage for step s, and the current step
-        uses g_t consumed tokens; k < 1 raises ScheduleError. Only the rows states.cache lacks are
-        computed, one at a time (Decoder.step): the cache is kept while the
-        prefix extends the cached ids and the cached rows keep their read
-        counts, and rebuilt from row 0 otherwise. The rows are plain arrays
-        off the tape, so a recording Tape raises GradientError.
+        Only that row is computed (Decoder.step); the cached rows keep the
+        source rows they read. ScheduleError is raised, before any cache is
+        touched, unless prefix_ids[:-1] are the cached ids and this model
+        computed them. The rows are plain arrays off the tape, so a
+        recording Tape raises GradientError.
         """
         if isinstance(T._TAPES[-1], T.Tape):
             raise T.GradientError("decode_step under a recording tape")
-        k = self.cfg.k if k is None else k
-        check_k(k)
         c = states.n
         if not 1 <= g_t <= c:
             raise ScheduleError(f"g_t {g_t} outside 1..{c}")
@@ -572,22 +560,20 @@ class IncrementalModel(_Model):
             raise ScheduleError("the prefix must hold at least the bos id")
         _check_length(self.cfg, t)
         cache = states.cache
-        r = len(cache.ids)
-        # Rows 1..r-1 keep their read counts whenever row r does (see
-        # DecoderCache).
-        if (cache.decoder is not self.decoder or not 0 < r < t
-                or k != cache.k or read_count(k, r, g_t) != cache.g
-                or cache.ids != prefix_ids[:r]):
-            cache.reset(self.decoder, max(c, self.cfg.max_len))
-            r = 0
-        cache.decoder = None        # a row that raises leaves it to rebuild
-        z, f = states.z.values, states.f.values
-        for s in range(r, t):
-            g = g_t if s == t - 1 else read_count(k, s + 1, g_t)
-            logits = self.decoder.step(prefix_ids[s], z, g, f[g - 1],
-                                       cache.layers)
-        cache.ids += prefix_ids[r:]
-        cache.decoder, cache.k, cache.g = self.decoder, k, g_t
+        if cache.ids != prefix_ids[:-1]:
+            raise ScheduleError(f"a prefix of {t} ids does not extend the "
+                                f"{len(cache.ids)} cached ids by one")
+        if not cache.ids:
+            cache.decoder, cache.layers = self.decoder, [
+                (layer.self_attn.kv_cache(self.cfg.max_len, True),
+                 layer.cross_attn.kv_cache(max(c, self.cfg.max_len), False))
+                for layer in self.decoder.layers]
+        elif cache.decoder is not self.decoder:
+            raise ScheduleError("the cached rows were computed by another "
+                                "model")
+        logits = self.decoder.step(prefix_ids[-1], states.z.values, g_t,
+                                   states.f.values[g_t - 1], cache.layers)
+        cache.ids.append(prefix_ids[-1])
         return Tensor(logits)
 
     def start_stream(self):

@@ -131,7 +131,7 @@ def streaming_decode(model, source, k, max_len=None, eos_id=EOS_ID,
                 raise ScheduleError("cannot decode an empty source")
             g_t = read_count(k, len(tokens) + 1, n_read)
             prefix = [BOS_ID] + tokens
-            logits = model.decode_step(prefix, encoder_state.states, g_t, k)
+            logits = model.decode_step(prefix, encoder_state.states, g_t)
             next_id = int(np.argmax(logits.values))
             if next_id == eos_id:
                 break

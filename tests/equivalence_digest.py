@@ -91,9 +91,9 @@ def decode_digest():
                 g = read_count(k, s, n)
                 while stream.count < g:
                     digest.array(stream.push(src[stream.count]))
-                digest.array(model.decode_step(prefix, stream.states, g,
-                                               k).values)
-                logits = model.decode_step(prefix, states, g, k).values
+                digest.array(model.decode_step(prefix, stream.states,
+                                               g).values)
+                logits = model.decode_step(prefix, states, g).values
                 digest.array(logits)
                 prefix.append(int(np.argmax(logits)))
     return digest.hexdigest()

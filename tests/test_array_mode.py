@@ -2,8 +2,8 @@
 row branches, against the Tensor-op code it replaces (ReferenceStream and
 reference_decode_step in conftest): the same logits, states and tokens bit
 for bit, the stacked single-row projections equal to the separate products,
-rebuilt rows equal to rows added one call at a time, and the decode_step
-cache check and input errors."""
+and decode_step's refusal of calls that do not add one row, and its input
+errors."""
 
 import numpy as np
 import pytest
@@ -52,11 +52,11 @@ def test_streamed_and_reused_logits_equal_reference(block):
                 token = src[stream.count]
                 assert np.array_equal(stream.push(token),
                                       ref_stream.push(token))
-            got = model.decode_step(prefix, stream.states, g, k)
+            got = model.decode_step(prefix, stream.states, g)
             want = reference_decode_step(model, prefix, ref_stream.states, g,
                                          k)
             assert np.array_equal(got.values, want.values)
-            got = model.decode_step(prefix, states, g, k)
+            got = model.decode_step(prefix, states, g)
             want = reference_decode_step(model, prefix, ref_states, g, k)
             assert np.array_equal(got.values, want.values)
             prefix.append(int(np.argmax(got.values)))
@@ -152,17 +152,47 @@ def test_empty_prefix_rejected(cfg4):
                               1).values)
 
 
-def test_states_decoded_by_another_model_rebuild(cfg4):
-    """A cache holds one decoder's rows and projections: decoding the same
-    states with a second model recomputes every row."""
-    first, second = (IncrementalModel(cfg4, seed=s) for s in (3, 4))
-    src = [4, 9, 7, 12, 5]
-    states = first.incremental_states(src)
-    first.decode_step([1, 6], states, 3)
-    got = second.decode_step([1, 6, 8], states, 4).values
-    want = second.decode_step([1, 6, 8], IncrementalStates(
-        states.z, states.f), 4).values
-    assert np.array_equal(got, want)
+@pytest.mark.parametrize("stream", [False, True])
+def test_refused_calls_leave_the_rows_to_the_next_call(cfg4, stream):
+    """decode_step adds one row. With r rows cached, a prefix that repeats,
+    skips or diverges from the cached ids, and a call by another model,
+    raise ScheduleError; every later row equals an uninterrupted row-by-row
+    decode's bit for bit."""
+    model, other = (IncrementalModel(cfg4, seed=s) for s in (3, 4))
+    src, prefix = [4, 9, 7, 12, 5], [1, 6, 8, 11, 13, 4]
+
+    def states():
+        if not stream:
+            return model.incremental_states(src)
+        encoder = model.start_stream()
+        for token in src:
+            encoder.push(token)
+        return encoder.states
+
+    def rows(st, start):
+        return [model.decode_step(prefix[:s], st, min(s + 1, 5)).values
+                for s in range(start + 1, len(prefix) + 1)]
+
+    want = rows(states(), 0)
+    longer = prefix + [7, 7]
+    for r in range(len(prefix)):
+        refused = [longer[:r + 2], longer[:r + 3]]                # skip
+        if r:
+            refused += [prefix[:r], prefix[:r + 1] + prefix[:r],  # repeat
+                        [2] + prefix[1:r + 1],                    # diverge
+                        prefix[:r - 1] + [7, prefix[r]]]
+        st = states()
+        for s in range(1, r + 1):
+            model.decode_step(prefix[:s], st, min(s + 1, 5))
+        for bad in refused:
+            with pytest.raises(ScheduleError, match="cached ids"):
+                model.decode_step(bad, st, 5)
+        if r:
+            with pytest.raises(ScheduleError, match="another model"):
+                other.decode_step(prefix[:r + 1], st, 5)
+        assert st.cache.ids == prefix[:r]
+        for a, b in zip(rows(st, r), want[r:]):
+            assert np.array_equal(a, b)
 
 
 def test_decode_step_prefix_types_agree(cfg4):
@@ -175,13 +205,12 @@ def test_decode_step_prefix_types_agree(cfg4):
     for convert in (list, tuple, np.array):
         states = model.incremental_states(src)
         results.append([model.decode_step(convert(prefix[:s]), states,
-                                          min(s + 1, 5), 2).values
+                                          min(s + 1, 5)).values
                         for s in range(1, 5)])
         assert states.cache.ids == prefix
     for other in results[1:]:
         for a, b in zip(results[0], other):
             assert np.array_equal(a, b)
-
 
 
 def test_out_of_range_ids_raise_and_leave_the_caches_usable(cfg4):
@@ -200,19 +229,24 @@ def test_out_of_range_ids_raise_and_leave_the_caches_usable(cfg4):
         assert np.array_equal(stream.push(token), ref.push(token))
     with pytest.raises(IndexError, match=message):
         T.embedding(model.decoder.embed, [[20]])
-    states = model.incremental_states(src)
-    model.decode_step(prefix[:2], states, 3)
-    for bad in (-1, 20):
-        with pytest.raises(IndexError, match=message):
-            model.decode_step(prefix[:3] + [bad], states, 5)
-        with pytest.raises(IndexError, match=message):
-            model.decode_step([bad] + prefix[1:], model.incremental_states(
-                src), 5)
-    for st in (states, stream.states):
-        assert np.array_equal(
-            model.decode_step(prefix, st, 5).values,
-            model.decode_step(prefix, IncrementalStates(st.z, st.f),
-                              5).values)
+
+    def decode(states, bad=()):
+        """The rows of prefix over states, one call each; before each row,
+        a row of each id in bad raises."""
+        rows = []
+        for s in range(1, len(prefix) + 1):
+            for token in bad:
+                with pytest.raises(IndexError, match=message):
+                    model.decode_step(prefix[:s - 1] + [token], states, 5)
+            rows.append(model.decode_step(prefix[:s], states, 5).values)
+        return rows
+
+    for st, twin in ((model.incremental_states(src),
+                      model.incremental_states(src)),
+                     (stream.states, ref.states)):
+        for a, b in zip(decode(st, (-1, 20)), decode(twin)):
+            assert np.array_equal(a, b)
+        assert st.cache.ids == prefix
 
 
 def test_over_length_input_raises(cfg4):
@@ -225,33 +259,9 @@ def test_over_length_input_raises(cfg4):
     with pytest.raises(LengthError, match="sequence length 33 exceeds"):
         stream.push(4)
     states = stream.states
-    with pytest.raises(LengthError, match="sequence length 34 exceeds"):
-        model.decode_step([1] * 34, states, 32)
-
-
-@pytest.mark.parametrize("k", [1, 3])
-def test_rebuilt_rows_equal_single_row_extensions(cfg4, k):
-    """A decode_step that rebuilds t rows computes them one at a time: the
-    same bits as t calls that each extend fresh states by a row, and
-    within 1e-12 of the batched forward, whose products take the rows
-    together."""
-    rng = np.random.default_rng(k)
-    for trial in range(6):
-        model = IncrementalModel(cfg4, seed=10 + trial)
-        n = int(rng.integers(1, 12))
-        src = rng.integers(4, 20, size=n).tolist()
-        prefix = [1] + rng.integers(4, 20, size=int(
-            rng.integers(0, 14))).tolist()
-        t = len(prefix)
-        g_t = read_count(k, t, n)
-        rebuilt = model.decode_step(prefix, model.incremental_states(src),
-                                    g_t, k).values
-        states = model.incremental_states(src)
-        for s in range(1, t + 1):
-            g = g_t if s == t else min(k + s - 1, g_t)
-            extended = model.decode_step(prefix[:s], states, g, k).values
-        assert np.array_equal(rebuilt, extended)
-        with T.no_grad():
-            batched, _ = model.forward(np.array([src]), np.array([prefix]),
-                                       k)
-        assert np.abs(rebuilt - batched.values[0, -1]).max() <= 1e-12
+    for t in range(1, cfg4.max_len + 1):
+        model.decode_step([1] * t, states, 32)
+    for t in (33, 34):
+        with pytest.raises(LengthError, match=f"sequence length {t} exceeds"):
+            model.decode_step([1] * t, states, 32)
+    assert states.cache.ids == [1] * cfg4.max_len

@@ -73,10 +73,12 @@ def ref_forward(model, src, tgt, k):
                        T.gather_rows(f, g_idx, axis=1))
 
 
-def ref_decode_step(model, prefix, states, g_t, k):
-    """Last-row logits of a fresh full-prefix pass over states."""
+def ref_decode_step(model, prefix, states, g_t, k, gs=None):
+    """Last-row logits of a fresh full-prefix pass over states; gs gives
+    every row's read count, by default wait-k's up to g_t."""
     t, c = len(prefix), states.n
-    gs = [min(k + s - 1, g_t) for s in range(1, t)] + [g_t]
+    if gs is None:
+        gs = [min(k + s - 1, g_t) for s in range(1, t)] + [g_t]
     cross = np.arange(c) < np.array(gs)[:, None]
     f_rows = T.gather_rows(states.f, np.array(gs) - 1, axis=0)
     d = model.cfg.d_model
@@ -151,56 +153,31 @@ def test_decode_steps_match_row_memory_reference(cfg4):
                     stream.push(int(src[stream.count]))
                 want = ref_decode_step(model, prefix[:s], states, g, k)
                 for st in (states, stream.states):
-                    got = model.decode_step(prefix[:s], st, g, k).values
+                    got = model.decode_step(prefix[:s], st, g).values
                     worst = max(worst, float(np.abs(got - want).max()))
     assert worst <= 1e-12
 
 
 def test_reused_states_equal_fresh_states(cfg4):
+    """A row added to states whose cache holds the wait-2 rows of
+    prefix[:7], computed while `read` source tokens had been read, equals
+    the last row of a fresh full-prefix pass in which those rows keep
+    their read counts. It is computed alone, so sums may round differently
+    from a pass over all rows."""
     rng = np.random.default_rng(34)
     model = IncrementalModel(cfg4, seed=7)
     src = rng.integers(4, 20, size=9)
     prefix = [1] + rng.integers(4, 20, size=8).tolist()
 
-    def step(p, g, states=None, read=9, k=2):
-        """decode_step at wait-k on states whose cache holds the wait-2
-        rows of prefix[:7] computed while `read` source tokens had been
-        read, or on fresh states."""
-        if states is None:
+    with T.no_grad():
+        for g, read in [(9, 9), (5, 5), (9, 5), (6, 5)]:
             states = model.incremental_states(src)
             for s in range(1, 8):
-                model.decode_step(prefix[:s], states, min(s + 1, read), 2)
-        return model.decode_step(p, states, g, k).values
-
-    with T.no_grad():
-        def fresh(p, g, k=2):
-            return step(p, g, model.incremental_states(src), k=k)
-
-        # Extending the cache computes one row alone, so sums may round
-        # differently from a fresh pass over all rows.
-        assert np.abs(step(prefix[:8], 9) - fresh(prefix[:8], 9)).max() <= 1e-12
-        # Anything else recomputes from row 0, exactly as fresh states do.
-        for p, g in [
-            (prefix[:7], 8),                  # the last call again
-            (prefix[:7], 9),                  # the same prefix, new g_t
-            (prefix[:4], 5),                  # shorter than the cache
-            (prefix[:3] + [5, 6, 7, 8, 9], 9),   # diverges from the cache
-            (prefix[:8], 4),                  # earlier rows' reads change
-        ]:
-            assert np.array_equal(step(p, g), fresh(p, g))
-        # Rows 5-7 were computed having read 5 < k + s - 1 tokens; once g_t
-        # grows they read more, so the cache is rebuilt. While g_t stays,
-        # the rows hold and the cache is extended.
-        assert np.array_equal(step(prefix[:8], 9, read=5),
-                              fresh(prefix[:8], 9))
-        assert np.array_equal(step(prefix[:8], 6, read=5),
-                              fresh(prefix[:8], 6))
-        assert np.abs(step(prefix[:8], 5, read=5)
-                      - fresh(prefix[:8], 5)).max() <= 1e-12
-        # At wait-3 row 7 reads the same 8 tokens, but rows 1-6 read one
-        # more than at wait-2.
-        assert np.array_equal(step(prefix[:8], 8, k=3),
-                              fresh(prefix[:8], 8, k=3))
+                model.decode_step(prefix[:s], states, min(s + 1, read))
+            got = model.decode_step(prefix[:8], states, g).values
+            gs = [min(s + 1, read) for s in range(1, 8)] + [g]
+            want = ref_decode_step(model, prefix[:8], states, g, 2, gs)
+            assert np.abs(got - want).max() <= 1e-12
 
 
 def test_unread_source_leaves_row_bit_identical(cfg4):

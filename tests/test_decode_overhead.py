@@ -436,12 +436,14 @@ def test_cached_decode_refuses_a_recording_tape():
                       src_vocab=20, tgt_vocab=20, max_len=32, k=2)
     model = IncrementalModel(cfg, seed=1)
     src = [4, 9, 7, 12, 5]
-    states = model.incremental_states(src)
+    states, fresh = (model.incremental_states(src) for _ in range(2))
+    with T.no_grad():
+        model.decode_step([1], states, 2)
+        model.decode_step([1], fresh, 2)
     with T.Tape():
         with pytest.raises(T.GradientError):
             model.decode_step([1, 6], states, 3)
     with T.no_grad():
         got = model.decode_step([1, 6], states, 3).values
-        want = model.decode_step([1, 6], model.incremental_states(src),
-                                 3).values
+        want = model.decode_step([1, 6], fresh, 3).values
     assert np.array_equal(got, want)

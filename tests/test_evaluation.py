@@ -255,6 +255,11 @@ class TestEvaluateAndMatrix:
         dataset = generate_synthetic(spec, 5)
         assert hidden_distance_stats(student, student, dataset) == 0.0
 
+    def test_hidden_distance_of_no_sentences_rejected(self, tiny_cfg):
+        student = IncrementalModel(tiny_cfg, seed=32)
+        with pytest.raises(ValueError, match="empty dataset"):
+            hidden_distance_stats(student, student, [])
+
     def test_hidden_distance_positive_for_independent_models(self, tiny_cfg):
         student = IncrementalModel(tiny_cfg, seed=33)
         teacher = TeacherModel(tiny_cfg, seed=34)

@@ -160,6 +160,17 @@ class TestAdamAndSteps:
         _, _, rows = train(examples, small_model_cfg, cfg)
         assert rows[0][3] > 0.0   # loss_distill column
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_examples_rejected_before_any_model(self, monkeypatch, mode):
+        """With no examples every epoch is empty, and the batch stream
+        would loop forever looking for a batch."""
+        def build(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(TeacherModel, "__init__", build)
+        with pytest.raises(ConfigError, match="at least one example"):
+            train([], ModelConfig(), TrainConfig(max_steps=2, mode=mode))
+
     def test_frozen_teacher_is_bit_frozen(self, small_model_cfg):
         examples = _copy_examples(64, seed=7)
         cfg = TrainConfig(mode="pretrain_fixed_teacher", max_steps=8, seed=4,

@@ -316,7 +316,8 @@ class TestDecoding:
         prefix = [1, 4, 5]
         states = model.incremental_states(ids)
         with T.no_grad():
-            logits = model.decode_step(prefix, states, g_t=5, k=99).values
+            for t in range(1, len(prefix) + 1):
+                logits = model.decode_step(prefix[:t], states, g_t=5).values
             # separate decoder pass whose last layer reads the raw states
             z = reshape(states.z, (1, 5, tiny_cfg.d_model))
             plain = model.decoder.forward(
@@ -334,30 +335,19 @@ class TestDecoding:
         assert np.isfinite(logits.values).all()
 
     def test_g_out_of_range(self, tiny_cfg, rng):
-        model = IncrementalModel(tiny_cfg, seed=13)
-        states = model.incremental_states(_tokens(rng, tiny_cfg, 4))
-        with pytest.raises(ScheduleError):
-            model.decode_step([1], states, g_t=5)
-        with pytest.raises(ScheduleError):
-            model.decode_step([1], states, g_t=0)
-
-    @pytest.mark.parametrize("prefix", [[1], [1, 5, 6]])
-    @pytest.mark.parametrize("k", [0, -2])
-    def test_non_positive_k_rejected(self, tiny_cfg, rng, k, prefix):
-        """With k < 1, row 0 would read no source row but add a bridge row.
-        The call is refused before any row is computed, so the cached rows
-        serve the next call as fresh states would."""
+        """A read count outside 1..n is refused before any row is computed,
+        so the cached rows serve the next call as in an uninterrupted
+        decode. g_t = 0 would read no source row but add a bridge row."""
         model = IncrementalModel(tiny_cfg, seed=13)
         src = _tokens(rng, tiny_cfg, 4)
-        states = model.incremental_states(src)
-        model.decode_step([1, 5], states, 2, 2)
-        message = f"k must be positive, got {k}"
-        with pytest.raises(ScheduleError, match=message):
-            model.decode_step(prefix, states, 3, k)
-        after = model.decode_step([1, 5, 6], states, 3, 2).values
-        fresh = model.decode_step([1, 5, 6], model.incremental_states(src),
-                                  3, 2).values
-        assert np.array_equal(after, fresh)
+        states, twin = (model.incremental_states(src) for _ in range(2))
+        for prefix in ([1], [1, 5]):
+            for g_t in (5, 0):
+                with pytest.raises(ScheduleError, match=f"g_t {g_t} outside"):
+                    model.decode_step(prefix, states, g_t=g_t)
+            got = model.decode_step(prefix, states, g_t=len(prefix) + 1)
+            want = model.decode_step(prefix, twin, g_t=len(prefix) + 1)
+            assert np.array_equal(got.values, want.values)
 
     def test_batched_forward_matches_step_loop(self, tiny_cfg, rng):
         model = IncrementalModel(tiny_cfg, seed=14)
@@ -370,7 +360,7 @@ class TestDecoding:
             states = model.incremental_states(ids)
             for t in range(1, len(tgt_in) + 1):
                 g_t = min(k + t - 1, 7)
-                step = model.decode_step(tgt_in[:t], states, g_t, k)
+                step = model.decode_step(tgt_in[:t], states, g_t)
                 assert np.abs(step.values - batched.values[0, t - 1]).max() <= 1e-12
 
     def test_wait_all_equals_full_coverage(self, tiny_cfg, rng):
