@@ -7,10 +7,11 @@ layer cross-attends to causal states augmented with a projected running mean
 of the consumed input embeddings.
 
 All model forwards are batch-first; single-sentence helpers wrap batch 1.
-The streamed decode (StreamingEncoder.push, IncrementalModel.decode_step)
-computes one row at a time: a plain 1-D array [d], which every module on
-its path takes through a row branch in numpy, over KVCaches of the rows
-before it. Every layer and model is a Module, which names its own
+The streamed decode is a StreamingEncoder: push reads one source row and
+IncrementalModel.decode_step writes one decoder row over every source row
+read. Each computes one row at a time: a plain 1-D array [d], which every
+module on its path takes through a row branch in numpy, over KVCaches of
+the rows before it. Every layer and model is a Module, which names its own
 parameters.
 """
 
@@ -204,7 +205,8 @@ class MultiHeadAttention(Module):
         A streamed row: queries is one row [d] and cache the KVCache of the
         memory rows attended before. In self-attention memory is that row,
         and it joins the cache; otherwise memory holds rows [c, d], and
-        those past len(cache) join it. mask is None or [c].
+        those past len(cache) join it. mask, if given, is [c]; the
+        streamed decode gives none, so a row reads every cached row.
         """
         if type(queries) is not np.ndarray:
             # Tape order fixes the order in which a shared input's deltas sum.
@@ -391,15 +393,13 @@ class Decoder(_Stack):
                             cross_mask, bridge,
                             [(None, None)] * len(self.layers))
 
-    def step(self, token_id, memory, g, bridge, caches):
+    def step(self, token_id, memory, bridge, caches):
         """Logits [vocab] of the row after those cached in caches, one
         (self-attention, cross-attention) KVCache pair per layer: target
-        id token_id reads the first g of the encoder rows memory [c, d],
-        with the bridge row [d]."""
-        c = len(memory)
-        cross = None if g == c else np.arange(c) < g
+        id token_id reads every encoder row of memory [c, d], with the
+        bridge row [d]."""
         return self._layers(self.embed_row(token_id, len(caches[0][0])),
-                            memory, None, cross, bridge, caches)
+                            memory, None, None, bridge, caches)
 
     def _layers(self, x, memory, self_mask, cross_mask, bridge, caches):
         last = len(self.layers) - 1
@@ -413,31 +413,17 @@ class Decoder(_Stack):
 # Incremental hidden states (causal states plus averaged-input bridge)
 
 
-class DecoderCache:
-    """The decoder rows decode_step computed over one source, in order:
-    decoder is the Decoder that computed them, ids their target ids and
-    layers, per decoder layer, a (self-attention, cross-attention) KVCache
-    pair, allocated with the first row. A row keeps the source rows it read
-    when it was computed."""
-
-    def __init__(self):
-        self.decoder, self.ids, self.layers = None, [], []
-
-
 class IncrementalStates:
     """Causal encoder states z plus the per-prefix bridge rows f.
 
     f[i] is a linear map of the mean of the first i+1 encoder inputs; a
     decoder row that has read g tokens attends over f[g-1] + z[j], j < g
-    (MultiHeadAttention.attend_rows). cache holds the decoder rows already
-    computed over these states, which decode_step extends by one row a call.
+    (MultiHeadAttention.attend_rows).
     """
 
-    def __init__(self, z, f, cache=None):
+    def __init__(self, z, f):
         self.z = z            # Tensor [n, d]
         self.f = f            # Tensor [n, d]
-        self.n = z.shape[0]
-        self.cache = DecoderCache() if cache is None else cache
 
 
 def average_embedding_states(inputs, states, weight):
@@ -537,43 +523,36 @@ class IncrementalModel(_Model):
         z, e = self._encode_one(ids)
         return average_embedding_states(e, z, self.bridge_w)
 
-    def decode_step(self, prefix_ids, states, g_t):
+    def decode_step(self, prefix_ids, stream):
         """Next-token logits for one sentence: the decoder row of
-        prefix_ids[-1] over the first g_t rows of states (IncrementalStates
-        of the consumed source), after the rows states.cache holds.
+        prefix_ids[-1] over every source row stream, a StreamingEncoder of
+        this model, has read, after the decoder rows the stream holds.
 
-        Only that row is computed (Decoder.step); the cached rows keep the
-        source rows they read. ScheduleError is raised, before any cache is
-        touched, unless prefix_ids[:-1] are the cached ids and this model
-        computed them. The rows are plain arrays off the tape, so a
-        recording Tape raises GradientError.
+        Only that row is computed (Decoder.step); a held row keeps the
+        source rows it read. ScheduleError is raised, before the stream is
+        touched, when it has read nothing or another model started it, and
+        unless prefix_ids are its held ids and one more. The rows are plain
+        arrays off the tape, so a recording Tape raises GradientError.
         """
         if isinstance(T._TAPES[-1], T.Tape):
             raise T.GradientError("decode_step under a recording tape")
-        c = states.n
-        if not 1 <= g_t <= c:
-            raise ScheduleError(f"g_t {g_t} outside 1..{c}")
+        if stream.count == 0:
+            raise ScheduleError("cannot decode an empty source")
+        if stream.model is not self:
+            raise ScheduleError("the stream was started by another model")
         if not isinstance(prefix_ids, list):
             prefix_ids = np.asarray(prefix_ids).tolist()
         t = len(prefix_ids)
         if t == 0:
             raise ScheduleError("the prefix must hold at least the bos id")
         _check_length(self.cfg, t)
-        cache = states.cache
-        if cache.ids != prefix_ids[:-1]:
+        if stream.ids != prefix_ids[:-1]:
             raise ScheduleError(f"a prefix of {t} ids does not extend the "
-                                f"{len(cache.ids)} cached ids by one")
-        if not cache.ids:
-            cache.decoder, cache.layers = self.decoder, [
-                (layer.self_attn.kv_cache(self.cfg.max_len, True),
-                 layer.cross_attn.kv_cache(max(c, self.cfg.max_len), False))
-                for layer in self.decoder.layers]
-        elif cache.decoder is not self.decoder:
-            raise ScheduleError("the cached rows were computed by another "
-                                "model")
-        logits = self.decoder.step(prefix_ids[-1], states.z.values, g_t,
-                                   states.f.values[g_t - 1], cache.layers)
-        cache.ids.append(prefix_ids[-1])
+                                f"{len(stream.ids)} held ids by one")
+        states = stream.states
+        logits = self.decoder.step(prefix_ids[-1], states.z.values,
+                                   states.f.values[-1], stream.decoder_caches)
+        stream.ids.append(prefix_ids[-1])
         return Tensor(logits)
 
     def start_stream(self):
@@ -581,11 +560,13 @@ class IncrementalModel(_Model):
 
 
 class StreamingEncoder:
-    """Key/value-cached causal encoder consuming one token at a time.
+    """Key/value-cached causal encoder consuming one token at a time, and
+    the decoder rows decode_step has written over what it read.
 
     Appending a token never changes earlier states; concatenating the
-    returned rows reproduces the batch encoding of the same prefix. The
-    stream also owns the DecoderCache its states hand to decode_step.
+    returned rows reproduces the batch encoding of the same prefix. ids are
+    the target ids of the decoder rows, in order, and decoder_caches holds
+    their (self-attention, cross-attention) KVCache pair per decoder layer.
     """
 
     def __init__(self, model):
@@ -597,7 +578,11 @@ class StreamingEncoder:
                         for layer in model.encoder.layers]
         self._z = np.zeros((cfg.max_len, cfg.d_model))
         self._f = np.zeros((cfg.max_len, cfg.d_model))
-        self._decoder_cache = DecoderCache()
+        self.ids = []
+        self.decoder_caches = [
+            (layer.self_attn.kv_cache(cfg.max_len, True),
+             layer.cross_attn.kv_cache(cfg.max_len, False))
+            for layer in model.decoder.layers]
 
     def push(self, token_id):
         """Consume one source token; returns its encoder state row [d]."""
@@ -617,8 +602,7 @@ class StreamingEncoder:
     def states(self):
         """IncrementalStates view over everything consumed so far."""
         return IncrementalStates(Tensor(self._z[:self.count]),
-                                 Tensor(self._f[:self.count]),
-                                 self._decoder_cache)
+                                 Tensor(self._f[:self.count]))
 
 
 # ----------------------------------------------------------------------

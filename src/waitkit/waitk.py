@@ -114,37 +114,32 @@ def streaming_decode(model, source, k, max_len=None, eos_id=EOS_ID,
     check_k(k)
     if max_len is not None and max_len < 1:
         raise ScheduleError(f"max_len must be >= 1, got {max_len}")
-    stream = iter(source)
-    encoder_state = model.start_stream()
+    source = iter(source)
+    stream = model.start_stream()
     exhausted = False
     tokens = []
     g_values = []
     with no_grad():
         while True:
-            while not exhausted and encoder_state.count < k + len(tokens):
-                token = next(stream, _END)
+            while not exhausted and stream.count < k + len(tokens):
+                token = next(source, _END)
                 exhausted = token is _END
                 if not exhausted:
-                    encoder_state.push(token)
-            n_read = encoder_state.count
-            if n_read == 0:
-                raise ScheduleError("cannot decode an empty source")
-            g_t = read_count(k, len(tokens) + 1, n_read)
-            prefix = [BOS_ID] + tokens
-            logits = model.decode_step(prefix, encoder_state.states, g_t)
+                    stream.push(token)
+            logits = model.decode_step([BOS_ID] + tokens, stream)
             next_id = int(np.argmax(logits.values))
             if next_id == eos_id:
                 break
             tokens.append(next_id)
-            g_values.append(g_t)
+            g_values.append(stream.count)
             if on_emit is not None:
                 on_emit(next_id)
             cap = max_len if max_len is not None else (
-                2 * n_read + 5 if exhausted else model.cfg.max_len
+                2 * stream.count + 5 if exhausted else model.cfg.max_len
             )
             if len(tokens) >= min(cap, model.cfg.max_len):
                 break
-    return tokens, DecodeTrace(g_values, encoder_state.count, tokens)
+    return tokens, DecodeTrace(g_values, stream.count, tokens)
 
 
 def average_lagging(trace):

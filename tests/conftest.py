@@ -135,8 +135,9 @@ def sign_test(challenger_right, champion_right):
 def h_slice(inc, i):
     """Oracle: the bridge memory rows f[i-1] + z[0..i-1] for a prefix of i
     consumed tokens of IncrementalStates inc."""
-    if not 1 <= i <= inc.n:
-        raise ScheduleError(f"prefix length {i} outside 1..{inc.n}")
+    n = inc.z.shape[0]
+    if not 1 <= i <= n:
+        raise ScheduleError(f"prefix length {i} outside 1..{n}")
     f_row = T.tslice(inc.f, (slice(i - 1, i), slice(None)))
     z_rows = T.tslice(inc.z, (slice(0, i), slice(None)))
     return T.add(z_rows, f_row)
@@ -330,13 +331,13 @@ class ReferenceKV:
         return k, v
 
 
-def reference_attention(attn, queries, memory, mask, cache):
+def reference_attention(attn, queries, memory, cache):
     """Reference for a streamed MultiHeadAttention call: separate q, k and v
     products on Tensors [1, t, d], the new keys and values joined to a
     ReferenceKV, and one T.attention op over all of them."""
     k, v = cache.join(attn.wk(memory), attn.wv(memory))
     return attn.wo(T.attention(attn.wq(queries), k, v, attn.n_heads,
-                               attn.scale, mask))
+                               attn.scale))
 
 
 def reference_embed(stack, ids, start):
@@ -346,40 +347,13 @@ def reference_embed(stack, ids, start):
 
 
 class ReferenceDecoderCache:
-    """Reference for DecoderCache: the target id and read count of every
-    cached row, and a ReferenceKV pair per decoder layer."""
+    """Reference for a stream's decoder rows: the target id of every row
+    and a ReferenceKV pair per decoder layer."""
 
-    def __init__(self):
-        self.ids, self.gs, self.layers = [], [], []
-
-    def reset(self, cfg):
-        self.ids, self.gs = [], []
+    def __init__(self, cfg):
+        self.ids = []
         self.layers = [(ReferenceKV(), ReferenceKV())
                        for _ in range(cfg.n_layers)]
-
-
-def reference_decoder(decoder, ids, memory, cross, bridge, caches):
-    """Reference for the decoder rows ids [1, t] after the rows in caches:
-    the Tensor-op layers over the encoder rows memory [1, m, d] that the
-    cross caches lack, cross [t, c] over all of them, and bridge [1, t, d]
-    added in the last layer."""
-    start, t = len(caches[0][0]), ids.shape[-1]
-    x = reference_embed(decoder, ids, start)
-    self_mask = None if t == 1 else np.tril(
-        np.ones((t, start + t), dtype=bool), k=start)
-    last = len(decoder.layers) - 1
-    for i, (layer, (own, other)) in enumerate(zip(decoder.layers, caches)):
-        h = layer.ln1(x)
-        x = T.add(x, reference_attention(layer.self_attn, h, h, self_mask,
-                                         own))
-        h = layer.ln2(x)
-        y = reference_attention(layer.cross_attn, h, memory, cross, other)
-        if i == last:
-            attn = layer.cross_attn
-            y = T.add(y, T.linear(T.linear(bridge, attn.wv.w), attn.wo.w))
-        x = T.add(x, y)
-        x = T.add(x, layer.ff(layer.ln3(x)))
-    return decoder.out(decoder.final_ln(x))
 
 
 def build_masks(schedule, t_steps):
@@ -394,43 +368,50 @@ def build_masks(schedule, t_steps):
     return cross
 
 
-def reference_decode_step(model, prefix_ids, states, g_t, k=None):
+def reference_decode_step(model, prefix_ids, stream):
     """Reference for IncrementalModel.decode_step before the row branches:
-    ops on Tensors under no_grad, separate q/k/v products, all new rows in
-    one pass, and the cache checked against the whole prefix and its read
-    counts rebuilt as lists. states.cache must be a ReferenceDecoderCache."""
+    the decoder row of prefix_ids[-1] over every source row the
+    ReferenceStream stream has read, after the rows it holds, by ops on
+    Tensors under no_grad with separate q/k/v products; the encoder rows
+    its cross caches lack join them, and the last layer adds the bridge
+    row of the last source row read."""
+    if stream.count == 0:
+        raise ScheduleError("cannot decode an empty source")
+    if stream.model is not model:
+        raise ScheduleError("the stream was started by another model")
+    prefix = [int(i) for i in prefix_ids]
+    cache = stream.decoder
+    if not prefix or cache.ids != prefix[:-1]:
+        raise ScheduleError(f"a prefix of {len(prefix)} ids does not extend "
+                            f"the {len(cache.ids)} held ids by one")
+    decoder, states, d = model.decoder, stream.states, model.cfg.d_model
     with T.no_grad():
-        k = model.cfg.k if k is None else k
-        c = states.n
-        if not 1 <= g_t <= c:
-            raise ScheduleError(f"g_t {g_t} outside 1..{c}")
-        prefix = [int(i) for i in prefix_ids]
-        t = len(prefix)
-        gs = [min(k + s - 1, g_t) for s in range(1, t)] + [g_t]
-        cache = states.cache
-        r = len(cache.ids)
-        if (len(cache.layers) != model.cfg.n_layers or r >= t
-                or cache.ids != prefix[:r] or cache.gs != gs[:r]):
-            cache.reset(model.cfg)
-            r = 0
-        d = model.cfg.d_model
-        new_gs = np.array(gs[r:])
-        cross = None if gs[r] == c else np.arange(c) < new_gs[:, None]
-        bridge = T.gather_rows(states.f, new_gs - 1, axis=0)
+        x = reference_embed(decoder, np.array([prefix[-1:]]), len(cache.ids))
         read = len(cache.layers[0][1])
-        z_new = T.tslice(states.z, (slice(read, None),))
-        logits = reference_decoder(
-            model.decoder, np.array([prefix[r:]]),
-            reshape(z_new, (1, c - read, d)), cross,
-            reshape(bridge, (1, t - r, d)), cache.layers)
-        cache.ids, cache.gs = prefix, gs
-        return T.tslice(logits, (0, -1))
+        memory = reshape(T.tslice(states.z, (slice(read, None),)),
+                         (1, stream.count - read, d))
+        bridge = reshape(T.tslice(states.f, (slice(-1, None),)), (1, 1, d))
+        last = len(decoder.layers) - 1
+        for i, (layer, (own, other)) in enumerate(zip(decoder.layers,
+                                                      cache.layers)):
+            h = layer.ln1(x)
+            x = T.add(x, reference_attention(layer.self_attn, h, h, own))
+            h = layer.ln2(x)
+            y = reference_attention(layer.cross_attn, h, memory, other)
+            if i == last:
+                attn = layer.cross_attn
+                y = T.add(y, T.linear(T.linear(bridge, attn.wv.w), attn.wo.w))
+            x = T.add(x, y)
+            x = T.add(x, layer.ff(layer.ln3(x)))
+        logits = decoder.out(decoder.final_ln(x))
+    cache.ids.append(prefix[-1])
+    return T.tslice(logits, (0, -1))
 
 
 class ReferenceStream:
     """Reference for StreamingEncoder before the row branches: push runs the
-    ops on Tensors under no_grad with separate q/k/v products, and its
-    states carry a ReferenceDecoderCache for reference_decode_step."""
+    ops on Tensors under no_grad with separate q/k/v products, and decoder
+    holds the rows reference_decode_step writes."""
 
     def __init__(self, model):
         self.model = model
@@ -440,7 +421,7 @@ class ReferenceStream:
         self._caches = [ReferenceKV() for _ in range(cfg.n_layers)]
         self._z = np.zeros((cfg.max_len, cfg.d_model))
         self._f = np.zeros((cfg.max_len, cfg.d_model))
-        self._decoder_cache = ReferenceDecoderCache()
+        self.decoder = ReferenceDecoderCache(cfg)
 
     def push(self, token_id):
         enc = self.model.encoder
@@ -449,8 +430,7 @@ class ReferenceStream:
             x = e
             for layer, cache in zip(enc.layers, self._caches):
                 h = layer.ln1(x)
-                x = T.add(x, reference_attention(layer.attn, h, h, None,
-                                                 cache))
+                x = T.add(x, reference_attention(layer.attn, h, h, cache))
                 x = T.add(x, layer.ff(layer.ln2(x)))
             z_row = enc.final_ln(x)
             self.running_sum = self.running_sum + e.values[0, 0]
@@ -464,8 +444,7 @@ class ReferenceStream:
     @property
     def states(self):
         return IncrementalStates(Tensor(self._z[:self.count]),
-                                 Tensor(self._f[:self.count]),
-                                 self._decoder_cache)
+                                 Tensor(self._f[:self.count]))
 
 
 class EagerAdam:

@@ -7,12 +7,12 @@ Run once per tree and compare the printed lines:
 
 Each line is a name, a digest and the multiply-accumulates counted while it
 ran. It covers the parameters and metric records of 60 joint train() steps
-and of 60 + 60 pretrain_fixed_teacher steps, the pushed states and the
-streamed and re-used-state logits over the 60 random models of
-test_array_mode.py, the tape entries of train_joint-shaped steps, the
-bytes the command line writes for a small copy-task run, those it writes
-generating a corpus and training and evaluating on its files, and each
-public op of tensor.py on fixed inputs, recorded and not.
+and of 60 + 60 pretrain_fixed_teacher steps, the pushed state rows and the
+streamed logits over the 60 random models of test_array_mode.py, the tape
+entries of train_joint-shaped steps, the bytes the command line writes for
+a small copy-task run, those it writes generating a corpus and training and
+evaluating on its files, and each public op of tensor.py on fixed inputs,
+recorded and not.
 Pytest does not collect this file (its name does not start with test_).
 """
 
@@ -75,7 +75,7 @@ def training_digest(mode):
 
 def decode_digest():
     """The loop of test_streamed_and_reused_logits_equal_reference, without
-    the reference."""
+    the reference: each pushed state row and each streamed logit row."""
     digest = Digest()
     for block in range(4):
         rng = np.random.default_rng(100 + block)
@@ -83,17 +83,11 @@ def decode_digest():
             model, src = random_model(rng, 15 * block + trial)
             k, n = model.cfg.k, len(src)
             stream = model.start_stream()
-            states = model.incremental_states(src)
-            digest.array(states.z.values)
-            digest.array(states.f.values)
             prefix = [1]
             for s in range(1, min(2 * n + 5, 48) + 1):
-                g = read_count(k, s, n)
-                while stream.count < g:
+                while stream.count < read_count(k, s, n):
                     digest.array(stream.push(src[stream.count]))
-                digest.array(model.decode_step(prefix, stream.states,
-                                               g).values)
-                logits = model.decode_step(prefix, states, g).values
+                logits = model.decode_step(prefix, stream).values
                 digest.array(logits)
                 prefix.append(int(np.argmax(logits)))
     return digest.hexdigest()

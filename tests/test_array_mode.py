@@ -2,21 +2,19 @@
 row branches, against the Tensor-op code it replaces (ReferenceStream and
 reference_decode_step in conftest): the same logits, states and tokens bit
 for bit, the stacked single-row projections equal to the separate products,
-and decode_step's refusal of calls that do not add one row, and its input
-errors."""
+and decode_step's refusal of calls that do not add one row to a stream of
+its model that has read, and its input errors."""
 
 import numpy as np
 import pytest
 
 from waitkit import tensor as T
 from waitkit.errors import LengthError, ScheduleError
-from waitkit.transformer import (IncrementalModel, IncrementalStates,
-                                 KVCache, ModelConfig, MultiHeadAttention,
-                                 _stacks_exactly)
+from waitkit.transformer import (IncrementalModel, KVCache, ModelConfig,
+                                 MultiHeadAttention, _stacks_exactly)
 from waitkit.waitk import read_count, streaming_decode
 
-from conftest import (ReferenceDecoderCache, ReferenceStream,
-                      reference_decode_step)
+from conftest import ReferenceStream, reference_decode_step
 
 
 def random_model(rng, seed):
@@ -35,29 +33,22 @@ def random_model(rng, seed):
 
 @pytest.mark.parametrize("block", range(4))
 def test_streamed_and_reused_logits_equal_reference(block):
-    """Over 60 random models (15 per block): every pushed state row, every
-    streamed and every re-used-state logit row, bit for bit."""
+    """Over 60 random models (15 per block): every pushed state row and
+    every streamed logit row, each over the rows the stream reuses, bit for
+    bit."""
     rng = np.random.default_rng(100 + block)
     for trial in range(15):
         model, src = random_model(rng, 15 * block + trial)
         k, n = model.cfg.k, len(src)
         stream, ref_stream = model.start_stream(), ReferenceStream(model)
-        states = model.incremental_states(src)
-        ref_states = IncrementalStates(states.z, states.f,
-                                       ReferenceDecoderCache())
         prefix = [1]
         for s in range(1, min(2 * n + 5, 48) + 1):
-            g = read_count(k, s, n)
-            while stream.count < g:
+            while stream.count < read_count(k, s, n):
                 token = src[stream.count]
                 assert np.array_equal(stream.push(token),
                                       ref_stream.push(token))
-            got = model.decode_step(prefix, stream.states, g)
-            want = reference_decode_step(model, prefix, ref_stream.states, g,
-                                         k)
-            assert np.array_equal(got.values, want.values)
-            got = model.decode_step(prefix, states, g)
-            want = reference_decode_step(model, prefix, ref_states, g, k)
+            got = model.decode_step(prefix, stream)
+            want = reference_decode_step(model, prefix, ref_stream)
             assert np.array_equal(got.values, want.values)
             prefix.append(int(np.argmax(got.values)))
 
@@ -141,39 +132,66 @@ def cfg4():
 
 def test_empty_prefix_rejected(cfg4):
     model = IncrementalModel(cfg4, seed=0)
-    states = model.incremental_states([4, 5, 6])
+    stream, ref = model.start_stream(), ReferenceStream(model)
+    for token in [4, 5, 6]:
+        stream.push(token)
+        ref.push(token)
     for prefix in ([], np.array([], dtype=int)):
         with pytest.raises(ScheduleError, match="at least the bos id"):
-            model.decode_step(prefix, states, 1)
-    assert np.array_equal(model.decode_step([1], states, 1).values,
-                          reference_decode_step(
-                              model, [1], IncrementalStates(
-                                  states.z, states.f, ReferenceDecoderCache()),
-                              1).values)
+            model.decode_step(prefix, stream)
+    assert np.array_equal(model.decode_step([1], stream).values,
+                          reference_decode_step(model, [1], ref).values)
 
 
-@pytest.mark.parametrize("stream", [False, True])
-def test_refused_calls_leave_the_rows_to_the_next_call(cfg4, stream):
-    """decode_step adds one row. With r rows cached, a prefix that repeats,
-    skips or diverges from the cached ids, and a call by another model,
-    raise ScheduleError; every later row equals an uninterrupted row-by-row
-    decode's bit for bit."""
+def test_unread_or_foreign_stream_refused(cfg4):
+    """decode_step on a stream that has read nothing, and on a stream
+    another model started, raises ScheduleError and leaves the stream as
+    it was: every later row equals an uninterrupted wait-2 decode's bit for
+    bit."""
     model, other = (IncrementalModel(cfg4, seed=s) for s in (3, 4))
     src, prefix = [4, 9, 7, 12, 5], [1, 6, 8, 11, 13, 4]
 
-    def states():
-        if not stream:
-            return model.incremental_states(src)
-        encoder = model.start_stream()
-        for token in src:
-            encoder.push(token)
-        return encoder.states
+    def decode(refuse):
+        stream, rows = model.start_stream(), []
+        for s in range(1, len(prefix) + 1):
+            if refuse and stream.count == 0:
+                for owner in (model, other):
+                    with pytest.raises(ScheduleError,
+                                       match="cannot decode an empty source"):
+                        owner.decode_step([1], stream)
+            while stream.count < min(s + 1, 5):
+                stream.push(src[stream.count])
+            if refuse:
+                with pytest.raises(ScheduleError, match="another model"):
+                    other.decode_step(prefix[:s], stream)
+            rows.append(model.decode_step(prefix[:s], stream).values)
+        assert stream.ids == prefix
+        return rows
 
-    def rows(st, start):
-        return [model.decode_step(prefix[:s], st, min(s + 1, 5)).values
-                for s in range(start + 1, len(prefix) + 1)]
+    for a, b in zip(decode(True), decode(False), strict=True):
+        assert np.array_equal(a, b)
 
-    want = rows(states(), 0)
+
+def test_refused_calls_leave_the_rows_to_the_next_call(cfg4):
+    """decode_step adds one row. With r rows held, a prefix that repeats,
+    skips or diverges from the held ids raises ScheduleError; every later
+    row equals an uninterrupted wait-2 decode's bit for bit."""
+    model = IncrementalModel(cfg4, seed=3)
+    src, prefix = [4, 9, 7, 12, 5], [1, 6, 8, 11, 13, 4]
+
+    def read(stream, s):
+        """Read what row s reads: the first min(s + 1, 5) tokens."""
+        while stream.count < min(s + 1, 5):
+            stream.push(src[stream.count])
+
+    def rows(stream, start):
+        out = []
+        for s in range(start + 1, len(prefix) + 1):
+            read(stream, s)
+            out.append(model.decode_step(prefix[:s], stream).values)
+        return out
+
+    want = rows(model.start_stream(), 0)
     longer = prefix + [7, 7]
     for r in range(len(prefix)):
         refused = [longer[:r + 2], longer[:r + 3]]                # skip
@@ -181,33 +199,35 @@ def test_refused_calls_leave_the_rows_to_the_next_call(cfg4, stream):
             refused += [prefix[:r], prefix[:r + 1] + prefix[:r],  # repeat
                         [2] + prefix[1:r + 1],                    # diverge
                         prefix[:r - 1] + [7, prefix[r]]]
-        st = states()
+        stream = model.start_stream()
         for s in range(1, r + 1):
-            model.decode_step(prefix[:s], st, min(s + 1, 5))
+            read(stream, s)
+            model.decode_step(prefix[:s], stream)
+        read(stream, r + 1)
         for bad in refused:
-            with pytest.raises(ScheduleError, match="cached ids"):
-                model.decode_step(bad, st, 5)
-        if r:
-            with pytest.raises(ScheduleError, match="another model"):
-                other.decode_step(prefix[:r + 1], st, 5)
-        assert st.cache.ids == prefix[:r]
-        for a, b in zip(rows(st, r), want[r:]):
+            with pytest.raises(ScheduleError, match="held ids"):
+                model.decode_step(bad, stream)
+        assert stream.ids == prefix[:r]
+        for a, b in zip(rows(stream, r), want[r:], strict=True):
             assert np.array_equal(a, b)
 
 
 def test_decode_step_prefix_types_agree(cfg4):
     """A list, a tuple and an integer array prefix give the same rows and
-    extend the same cache."""
+    extend the same held ids."""
     model = IncrementalModel(cfg4, seed=1)
     src = [4, 9, 7, 12, 5]
     prefix = [1, 6, 8, 11]
     results = []
     for convert in (list, tuple, np.array):
-        states = model.incremental_states(src)
-        results.append([model.decode_step(convert(prefix[:s]), states,
-                                          min(s + 1, 5)).values
-                        for s in range(1, 5)])
-        assert states.cache.ids == prefix
+        stream = model.start_stream()
+        rows = []
+        for s in range(1, 5):
+            while stream.count < s + 1:
+                stream.push(src[stream.count])
+            rows.append(model.decode_step(convert(prefix[:s]), stream).values)
+        results.append(rows)
+        assert stream.ids == prefix
     for other in results[1:]:
         for a, b in zip(results[0], other):
             assert np.array_equal(a, b)
@@ -216,7 +236,7 @@ def test_decode_step_prefix_types_agree(cfg4):
 def test_out_of_range_ids_raise_and_leave_the_caches_usable(cfg4):
     """push(-1), push(vocab) and a prefix holding such an id raise
     T.embedding's IndexError (a raw row lookup would wrap -1 around);
-    neither the stream nor the decoder cache is left half-written."""
+    the stream, its decoder rows included, is not left half-written."""
     model = IncrementalModel(cfg4, seed=2)
     src, prefix = [4, 9, 7, 12, 5], [1, 6, 8, 11]
     stream, ref = model.start_stream(), model.start_stream()
@@ -230,23 +250,20 @@ def test_out_of_range_ids_raise_and_leave_the_caches_usable(cfg4):
     with pytest.raises(IndexError, match=message):
         T.embedding(model.decoder.embed, [[20]])
 
-    def decode(states, bad=()):
-        """The rows of prefix over states, one call each; before each row,
+    def decode(st, bad=()):
+        """The rows of prefix over st, one call each; before each row,
         a row of each id in bad raises."""
         rows = []
         for s in range(1, len(prefix) + 1):
             for token in bad:
                 with pytest.raises(IndexError, match=message):
-                    model.decode_step(prefix[:s - 1] + [token], states, 5)
-            rows.append(model.decode_step(prefix[:s], states, 5).values)
+                    model.decode_step(prefix[:s - 1] + [token], st)
+            rows.append(model.decode_step(prefix[:s], st).values)
         return rows
 
-    for st, twin in ((model.incremental_states(src),
-                      model.incremental_states(src)),
-                     (stream.states, ref.states)):
-        for a, b in zip(decode(st, (-1, 20)), decode(twin)):
-            assert np.array_equal(a, b)
-        assert st.cache.ids == prefix
+    for a, b in zip(decode(stream, (-1, 20)), decode(ref)):
+        assert np.array_equal(a, b)
+    assert stream.ids == prefix
 
 
 def test_over_length_input_raises(cfg4):
@@ -258,10 +275,9 @@ def test_over_length_input_raises(cfg4):
         stream.push(4)
     with pytest.raises(LengthError, match="sequence length 33 exceeds"):
         stream.push(4)
-    states = stream.states
     for t in range(1, cfg4.max_len + 1):
-        model.decode_step([1] * t, states, 32)
+        model.decode_step([1] * t, stream)
     for t in (33, 34):
         with pytest.raises(LengthError, match=f"sequence length {t} exceeds"):
-            model.decode_step([1] * t, states, 32)
-    assert states.cache.ids == [1] * cfg4.max_len
+            model.decode_step([1] * t, stream)
+    assert stream.ids == [1] * cfg4.max_len

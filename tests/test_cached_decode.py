@@ -76,7 +76,7 @@ def ref_forward(model, src, tgt, k):
 def ref_decode_step(model, prefix, states, g_t, k, gs=None):
     """Last-row logits of a fresh full-prefix pass over states; gs gives
     every row's read count, by default wait-k's up to g_t."""
-    t, c = len(prefix), states.n
+    t, c = len(prefix), states.z.shape[0]
     if gs is None:
         gs = [min(k + s - 1, g_t) for s in range(1, t)] + [g_t]
     cross = np.arange(c) < np.array(gs)[:, None]
@@ -135,8 +135,8 @@ def test_forward_gradients_match_row_memory_reference(cfg4):
 
 
 def test_decode_steps_match_row_memory_reference(cfg4):
-    """Step by step over reused one-shot states, and over a stream's states
-    as the source is read, decode_step equals a fresh row-memory pass."""
+    """Step by step over a stream as the source is read, decode_step equals
+    a fresh row-memory pass over one-shot states."""
     rng = np.random.default_rng(33)
     worst = 0.0
     with T.no_grad():
@@ -152,29 +152,34 @@ def test_decode_steps_match_row_memory_reference(cfg4):
                 while stream.count < g:
                     stream.push(int(src[stream.count]))
                 want = ref_decode_step(model, prefix[:s], states, g, k)
-                for st in (states, stream.states):
-                    got = model.decode_step(prefix[:s], st, g).values
-                    worst = max(worst, float(np.abs(got - want).max()))
+                got = model.decode_step(prefix[:s], stream).values
+                worst = max(worst, float(np.abs(got - want).max()))
     assert worst <= 1e-12
 
 
 def test_reused_states_equal_fresh_states(cfg4):
-    """A row added to states whose cache holds the wait-2 rows of
-    prefix[:7], computed while `read` source tokens had been read, equals
-    the last row of a fresh full-prefix pass in which those rows keep
-    their read counts. It is computed alone, so sums may round differently
-    from a pass over all rows."""
+    """Row 8 of a stream that holds the wait-2 rows of prefix[:7], computed
+    while at most `read` source tokens had been read, then has read g,
+    equals the last row of a fresh full-prefix pass in which those rows
+    keep their read counts. It is computed alone, so sums may round
+    differently from a pass over all rows."""
     rng = np.random.default_rng(34)
     model = IncrementalModel(cfg4, seed=7)
-    src = rng.integers(4, 20, size=9)
+    src = rng.integers(4, 20, size=9).tolist()
     prefix = [1] + rng.integers(4, 20, size=8).tolist()
+    states = model.incremental_states(src)
+
+    def decode(stream, s, g):
+        while stream.count < g:
+            stream.push(src[stream.count])
+        return model.decode_step(prefix[:s], stream).values
 
     with T.no_grad():
         for g, read in [(9, 9), (5, 5), (9, 5), (6, 5)]:
-            states = model.incremental_states(src)
+            stream = model.start_stream()
             for s in range(1, 8):
-                model.decode_step(prefix[:s], states, min(s + 1, read))
-            got = model.decode_step(prefix[:8], states, g).values
+                decode(stream, s, min(s + 1, read))
+            got = decode(stream, 8, g)
             gs = [min(s + 1, read) for s in range(1, 8)] + [g]
             want = ref_decode_step(model, prefix[:8], states, g, 2, gs)
             assert np.abs(got - want).max() <= 1e-12

@@ -435,15 +435,18 @@ def test_cached_decode_refuses_a_recording_tape():
     cfg = ModelConfig(n_layers=2, d_model=16, n_heads=4, d_ff=24,
                       src_vocab=20, tgt_vocab=20, max_len=32, k=2)
     model = IncrementalModel(cfg, seed=1)
-    src = [4, 9, 7, 12, 5]
-    states, fresh = (model.incremental_states(src) for _ in range(2))
+    src = [4, 9, 7]
+    stream, fresh = model.start_stream(), model.start_stream()
     with T.no_grad():
-        model.decode_step([1], states, 2)
-        model.decode_step([1], fresh, 2)
+        for st in (stream, fresh):
+            st.push(src[0])
+            st.push(src[1])
+            model.decode_step([1], st)
+            st.push(src[2])
     with T.Tape():
         with pytest.raises(T.GradientError):
-            model.decode_step([1, 6], states, 3)
+            model.decode_step([1, 6], stream)
     with T.no_grad():
-        got = model.decode_step([1, 6], states, 3).values
-        want = model.decode_step([1, 6], fresh, 3).values
+        got = model.decode_step([1, 6], stream).values
+        want = model.decode_step([1, 6], fresh).values
     assert np.array_equal(got, want)

@@ -23,7 +23,7 @@ from waitkit.transformer import (
     average_embedding_states,
     encode_waitk_recompute,
 )
-from waitkit.waitk import ScheduleError, WaitKSchedule, read_count
+from waitkit.waitk import WaitKSchedule, read_count
 
 from conftest import (full_h, h_slice, reference_named_parameters,
                       reshape)
@@ -308,18 +308,25 @@ class TestAveragedEmbeddingBridge:
             )
 
 
+def _pushed(model, ids):
+    stream = model.start_stream()
+    for token in ids:
+        stream.push(token)
+    return stream
+
+
 class TestDecoding:
     def test_zero_bridge_reduces_to_plain_memory(self, tiny_cfg, rng):
         model = IncrementalModel(tiny_cfg, seed=12)
         model.bridge_w.values[...] = 0.0
         ids = _tokens(rng, tiny_cfg, 5)
         prefix = [1, 4, 5]
-        states = model.incremental_states(ids)
+        stream = _pushed(model, ids)
         with T.no_grad():
             for t in range(1, len(prefix) + 1):
-                logits = model.decode_step(prefix[:t], states, g_t=5).values
+                logits = model.decode_step(prefix[:t], stream).values
             # separate decoder pass whose last layer reads the raw states
-            z = reshape(states.z, (1, 5, tiny_cfg.d_model))
+            z = reshape(stream.states.z, (1, 5, tiny_cfg.d_model))
             plain = model.decoder.forward(
                 np.array([prefix]), z, cross_mask=None
             ).values[0, -1]
@@ -328,26 +335,10 @@ class TestDecoding:
     def test_logits_shape_and_finite(self, tiny_cfg, rng):
         model = IncrementalModel(tiny_cfg, seed=13)
         ids = _tokens(rng, tiny_cfg, 6)
-        states = model.incremental_states(ids)
         with T.no_grad():
-            logits = model.decode_step([1], states, g_t=2)
+            logits = model.decode_step([1], _pushed(model, ids[:2]))
         assert logits.shape == (tiny_cfg.tgt_vocab,)
         assert np.isfinite(logits.values).all()
-
-    def test_g_out_of_range(self, tiny_cfg, rng):
-        """A read count outside 1..n is refused before any row is computed,
-        so the cached rows serve the next call as in an uninterrupted
-        decode. g_t = 0 would read no source row but add a bridge row."""
-        model = IncrementalModel(tiny_cfg, seed=13)
-        src = _tokens(rng, tiny_cfg, 4)
-        states, twin = (model.incremental_states(src) for _ in range(2))
-        for prefix in ([1], [1, 5]):
-            for g_t in (5, 0):
-                with pytest.raises(ScheduleError, match=f"g_t {g_t} outside"):
-                    model.decode_step(prefix, states, g_t=g_t)
-            got = model.decode_step(prefix, states, g_t=len(prefix) + 1)
-            want = model.decode_step(prefix, twin, g_t=len(prefix) + 1)
-            assert np.array_equal(got.values, want.values)
 
     def test_batched_forward_matches_step_loop(self, tiny_cfg, rng):
         model = IncrementalModel(tiny_cfg, seed=14)
@@ -357,10 +348,11 @@ class TestDecoding:
         tgt_in = np.concatenate([[1], tgt])
         with T.no_grad():
             batched, _ = model.forward(ids[None, :], tgt_in[None, :], k)
-            states = model.incremental_states(ids)
+            stream = model.start_stream()
             for t in range(1, len(tgt_in) + 1):
-                g_t = min(k + t - 1, 7)
-                step = model.decode_step(tgt_in[:t], states, g_t)
+                while stream.count < min(k + t - 1, 7):
+                    stream.push(ids[stream.count])
+                step = model.decode_step(tgt_in[:t], stream)
                 assert np.abs(step.values - batched.values[0, t - 1]).max() <= 1e-12
 
     def test_wait_all_equals_full_coverage(self, tiny_cfg, rng):

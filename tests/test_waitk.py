@@ -151,11 +151,22 @@ class TestStreamingDecode:
         assert trace.src_len == 1
 
     def test_trace_schedule(self, tiny_cfg):
-        # force exactly 5 emissions by capping below natural termination
+        """With no eos, a decode emits up to its cap, and each token's read
+        count is the wait-k schedule's, for caps below and above n and the
+        default 2n + 5."""
         model = IncrementalModel(tiny_cfg, seed=3)
-        tokens, trace = streaming_decode(model, [4, 5, 6, 7], k=2, max_len=5)
-        if len(tokens) == 5:
-            assert trace.g_values == [2, 3, 4, 4, 4]
+        tokens, trace = streaming_decode(model, [4, 5, 6, 7], k=2, max_len=5,
+                                         eos_id=-1)
+        assert trace.g_values == [2, 3, 4, 4, 4]
+        for n in range(1, 10):
+            src = list(range(4, 4 + n))
+            for k in range(1, 6):
+                for cap in (max(1, n - 2), n + 2, None):
+                    tokens, trace = streaming_decode(model, src, k,
+                                                     max_len=cap, eos_id=-1)
+                    assert len(tokens) == (2 * n + 5 if cap is None else cap)
+                    assert trace.g_values == WaitKSchedule(k, n).read_counts(
+                        len(tokens)).tolist()
 
     def test_empty_source_rejected(self, model):
         with pytest.raises(ScheduleError):
