@@ -44,11 +44,10 @@ from .training import (
 )
 from .transformer import (
     IncrementalModel,
-    IncrementalStates,
     ModelConfig,
     StreamingEncoder,
     TeacherModel,
-    average_embedding_states,
+    average_embedding_bridge,
     encode_waitk_recompute,
 )
 from .waitk import (

@@ -213,27 +213,21 @@ def load_corpus(src_path, tgt_path, src_vocab=None, tgt_vocab=None):
 # Losses
 
 
-def total_loss(student_logits, teacher_logits, targets, z_incr, z_full,
-               lambda_distill, mode="joint", pad_mask=None,
-               detach_teacher_states=False):
+def total_loss(student_logits, teacher_logits, targets, z_incr, z_ref,
+               lambda_distill, pad_mask=None):
     """Composite objective; returns (scalar Tensor, component dict).
 
-    Sums the student cross-entropy, the teacher cross-entropy, and
-    lambda times the mean squared distance between the encoder states.
-    With a frozen teacher the teacher term is dropped and no gradient
-    reaches teacher parameters.
+    Sums the student cross-entropy, the teacher cross-entropy when
+    teacher_logits is given (loss_teacher is nan otherwise), and lambda
+    times the mean squared distance between the student states z_incr and
+    z_ref. The gradient reaches z_ref unless the caller detached it.
     """
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     ce_student = T.cross_entropy(student_logits, targets, pad_mask)
     loss = ce_student
     ce_teacher = None
-    if mode == "joint":
+    if teacher_logits is not None:
         ce_teacher = T.cross_entropy(teacher_logits, targets, pad_mask)
         loss = T.add(loss, ce_teacher)
-    z_ref = z_full
-    if mode != "joint" or detach_teacher_states:
-        z_ref = T.detach(z_full)
     distill = T.l2_distance_loss(z_incr, z_ref)
     loss = T.add(loss, T.scale(distill, lambda_distill))
     components = {
@@ -400,10 +394,11 @@ def train_step(teacher, student, batch, optimizer, cfg):
             t_logits = None
         else:
             t_logits, z_full = teacher.forward(src, tgt_in)
+            if cfg.distill_detach_teacher:
+                z_full = T.detach(z_full)
         s_logits, z_incr = student.forward(src, tgt_in, cfg.k)
         return total_loss(s_logits, t_logits, tgt_out, z_incr, z_full,
-                          cfg.lambda_distill, cfg.mode, mask,
-                          detach_teacher_states=cfg.distill_detach_teacher)
+                          cfg.lambda_distill, mask)
     return _update(optimizer, objective,
                    ("loss_teacher",) if frozen_teacher else ())
 

@@ -205,8 +205,8 @@ class MultiHeadAttention(Module):
         A streamed row: queries is one row [d] and cache the KVCache of the
         memory rows attended before. In self-attention memory is that row,
         and it joins the cache; otherwise memory holds rows [c, d], and
-        those past len(cache) join it. mask, if given, is [c]; the
-        streamed decode gives none, so a row reads every cached row.
+        those past len(cache) join it. A row takes no mask: it reads every
+        cached row.
         """
         if type(queries) is not np.ndarray:
             # Tape order fixes the order in which a shared input's deltas sum.
@@ -233,7 +233,7 @@ class MultiHeadAttention(Module):
         o, _ = T._attend(q.reshape(h, 1, d // h),
                          cache.k[:c].reshape(c, h, d // h).transpose(1, 2, 0),
                          cache.v[:c].reshape(c, h, d // h).transpose(1, 0, 2),
-                         self.scale, mask)
+                         self.scale, None)
         return self.wo(o.reshape(d))
 
     def kv_cache(self, capacity, self_attention):
@@ -410,35 +410,18 @@ class Decoder(_Stack):
 
 
 # ----------------------------------------------------------------------
-# Incremental hidden states (causal states plus averaged-input bridge)
+# Averaged-embedding bridge
 
 
-class IncrementalStates:
-    """Causal encoder states z plus the per-prefix bridge rows f.
-
-    f[i] is a linear map of the mean of the first i+1 encoder inputs; a
-    decoder row that has read g tokens attends over f[g-1] + z[j], j < g
-    (MultiHeadAttention.attend_rows).
+def average_embedding_bridge(inputs, weight):
+    """Bridge rows f [..., n, d] of encoder inputs [..., n, d]: f[i] is the
+    trainable [d, d] weight applied to the mean of inputs 0..i. A decoder
+    row that has read g tokens attends over f[g-1] + z[j], j < g
+    (MultiHeadAttention.attend_rows). StreamingEncoder.push computes the
+    same row one read at a time.
     """
-
-    def __init__(self, z, f):
-        self.z = z            # Tensor [n, d]
-        self.f = f            # Tensor [n, d]
-
-
-def average_embedding_states(inputs, states, weight):
-    """Build IncrementalStates from encoder inputs and causal states.
-
-    inputs and states are [n, d] tensors for one sentence; weight is the
-    trainable [d, d] bridge matrix applied to each running mean.
-    """
-    if inputs.shape != states.shape:
-        raise T.DimensionError(
-            f"inputs {inputs.shape} and states {states.shape} differ"
-        )
-    means = T.masked_cumulative_mean(inputs)
-    f = T.matmul(means, T.transpose_last(weight))
-    return IncrementalStates(states, f)
+    return T.matmul(T.masked_cumulative_mean(inputs),
+                    T.transpose_last(weight))
 
 
 # ----------------------------------------------------------------------
@@ -511,17 +494,17 @@ class IncrementalModel(_Model):
         g = WaitKSchedule(k, n).read_counts(tgt_ids.shape[-1])
 
         z, e = self.encoder.forward(src_ids, self.causal)
-        means = T.masked_cumulative_mean(e)
-        f = T.matmul(means, T.transpose_last(self.bridge_w))   # [b, n, d]
+        f = average_embedding_bridge(e, self.bridge_w)         # [b, n, d]
         bridge = T.gather_rows(f, g - 1, axis=1)               # [b, t, d]
         logits = self.decoder.forward(tgt_ids, z, np.arange(n) < g[:, None],
                                       bridge)
         return logits, z
 
     def incremental_states(self, ids):
-        """One-shot causal encoding packaged with the averaging bridge."""
+        """One-shot (z, f) [n, d] of one sentence: its causal encoder
+        states and bridge rows (average_embedding_bridge)."""
         z, e = self._encode_one(ids)
-        return average_embedding_states(e, z, self.bridge_w)
+        return z, average_embedding_bridge(e, self.bridge_w)
 
     def decode_step(self, prefix_ids, stream):
         """Next-token logits for one sentence: the decoder row of
@@ -549,9 +532,9 @@ class IncrementalModel(_Model):
         if stream.ids != prefix_ids[:-1]:
             raise ScheduleError(f"a prefix of {t} ids does not extend the "
                                 f"{len(stream.ids)} held ids by one")
-        states = stream.states
-        logits = self.decoder.step(prefix_ids[-1], states.z.values,
-                                   states.f.values[-1], stream.decoder_caches)
+        z, f = stream.states
+        logits = self.decoder.step(prefix_ids[-1], z, f,
+                                   stream.decoder_caches)
         stream.ids.append(prefix_ids[-1])
         return Tensor(logits)
 
@@ -577,7 +560,7 @@ class StreamingEncoder:
         self._caches = [layer.attn.kv_cache(cfg.max_len, True)
                         for layer in model.encoder.layers]
         self._z = np.zeros((cfg.max_len, cfg.d_model))
-        self._f = np.zeros((cfg.max_len, cfg.d_model))
+        self._f = None
         self.ids = []
         self.decoder_caches = [
             (layer.self_attn.kv_cache(cfg.max_len, True),
@@ -585,7 +568,9 @@ class StreamingEncoder:
             for layer in model.decoder.layers]
 
     def push(self, token_id):
-        """Consume one source token; returns its encoder state row [d]."""
+        """Consume one source token; returns its encoder state row [d].
+        Its bridge row replaces the last: average_embedding_bridge's row
+        of the inputs read so far."""
         enc = self.model.encoder
         x = e = enc.embed_row(token_id, self.count)
         for layer, cache in zip(enc.layers, self._caches):
@@ -594,15 +579,15 @@ class StreamingEncoder:
         self.running_sum = self.running_sum + e
         self.count += 1
         self._z[self.count - 1] = z_row
-        self._f[self.count - 1] = T._product(self.running_sum / self.count,
-                                             self.model.bridge_w.values)
+        self._f = T._product(self.running_sum / self.count,
+                             self.model.bridge_w.values)
         return z_row
 
     @property
     def states(self):
-        """IncrementalStates view over everything consumed so far."""
-        return IncrementalStates(Tensor(self._z[:self.count]),
-                                 Tensor(self._f[:self.count]))
+        """(z, f) as plain arrays: the encoder state rows [count, d] read so
+        far and the bridge row [d] of the last read (None before one)."""
+        return self._z[:self.count], self._f
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from waitkit import tensor as T
 from waitkit.tensor import (Tensor, _broadcast_rule, _op, _softmax,
                             _softmax_grad)
-from waitkit.transformer import IncrementalStates, ModelConfig
+from waitkit.transformer import ModelConfig
 from waitkit.waitk import ScheduleError, read_count
 
 
@@ -132,23 +132,23 @@ def sign_test(challenger_right, champion_right):
     return wins, losses, p
 
 
-def h_slice(inc, i):
+def h_slice(z, f, i):
     """Oracle: the bridge memory rows f[i-1] + z[0..i-1] for a prefix of i
-    consumed tokens of IncrementalStates inc."""
-    n = inc.z.shape[0]
+    consumed tokens of causal states z and bridge rows f [n, d]."""
+    n = z.shape[0]
     if not 1 <= i <= n:
         raise ScheduleError(f"prefix length {i} outside 1..{n}")
-    f_row = T.tslice(inc.f, (slice(i - 1, i), slice(None)))
-    z_rows = T.tslice(inc.z, (slice(0, i), slice(None)))
+    f_row = T.tslice(f, (slice(i - 1, i), slice(None)))
+    z_rows = T.tslice(z, (slice(0, i), slice(None)))
     return T.add(z_rows, f_row)
 
 
-def full_h(inc):
-    """Oracle: dense [n, n, d] bridge memory of IncrementalStates inc;
-    entry [i, j] is f[i] + z[j], and zero for j > i."""
-    n, d = inc.z.shape
-    f3 = reshape(inc.f, (n, 1, d))
-    z3 = reshape(inc.z, (1, n, d))
+def full_h(z, f):
+    """Oracle: dense [n, n, d] bridge memory of causal states z and bridge
+    rows f [n, d]; entry [i, j] is f[i] + z[j], and zero for j > i."""
+    n, d = z.shape
+    f3 = reshape(f, (n, 1, d))
+    z3 = reshape(z, (1, n, d))
     keep = np.tril(np.ones((n, n)))[:, :, None]
     return mul(T.add(f3, z3), Tensor(keep))
 
@@ -384,13 +384,12 @@ def reference_decode_step(model, prefix_ids, stream):
     if not prefix or cache.ids != prefix[:-1]:
         raise ScheduleError(f"a prefix of {len(prefix)} ids does not extend "
                             f"the {len(cache.ids)} held ids by one")
-    decoder, states, d = model.decoder, stream.states, model.cfg.d_model
+    decoder, (z, f) = model.decoder, stream.states
     with T.no_grad():
         x = reference_embed(decoder, np.array([prefix[-1:]]), len(cache.ids))
         read = len(cache.layers[0][1])
-        memory = reshape(T.tslice(states.z, (slice(read, None),)),
-                         (1, stream.count - read, d))
-        bridge = reshape(T.tslice(states.f, (slice(-1, None),)), (1, 1, d))
+        memory = Tensor(z[None, read:])
+        bridge = Tensor(f[None, None])
         last = len(decoder.layers) - 1
         for i, (layer, (own, other)) in enumerate(zip(decoder.layers,
                                                       cache.layers)):
@@ -420,7 +419,7 @@ class ReferenceStream:
         self.running_sum = np.zeros(cfg.d_model)
         self._caches = [ReferenceKV() for _ in range(cfg.n_layers)]
         self._z = np.zeros((cfg.max_len, cfg.d_model))
-        self._f = np.zeros((cfg.max_len, cfg.d_model))
+        self._f = None
         self.decoder = ReferenceDecoderCache(cfg)
 
     def push(self, token_id):
@@ -438,13 +437,12 @@ class ReferenceStream:
             mean = Tensor((self.running_sum / self.count)[None, :])
             f_row = T.linear(mean, self.model.bridge_w)
         self._z[self.count - 1] = z_row.values[0, 0]
-        self._f[self.count - 1] = f_row.values[0]
+        self._f = f_row.values[0]
         return z_row.values[0, 0]
 
     @property
     def states(self):
-        return IncrementalStates(Tensor(self._z[:self.count]),
-                                 Tensor(self._f[:self.count]))
+        return self._z[:self.count], self._f
 
 
 class EagerAdam:

@@ -11,8 +11,8 @@ and of 60 + 60 pretrain_fixed_teacher steps, the pushed state rows and the
 streamed logits over the 60 random models of test_array_mode.py, the tape
 entries of train_joint-shaped steps, the bytes the command line writes for
 a small copy-task run, those it writes generating a corpus and training and
-evaluating on its files, and each public op of tensor.py on fixed inputs,
-recorded and not.
+evaluating on its files, each public op of tensor.py on fixed inputs,
+recorded and not, and the MAC count of bench_forward per variant.
 Pytest does not collect this file (its name does not start with test_).
 """
 
@@ -26,6 +26,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 
 from waitkit import tensor as T
+from waitkit.bench import VARIANTS, bench_forward
 from waitkit.cli import main as cli_main
 from waitkit.training import (Adam, SyntheticTaskSpec, TrainConfig,
                               generate_synthetic, train, train_step)
@@ -173,6 +174,15 @@ def ops_digest():
     return digest.hexdigest()
 
 
+def bench_macs():
+    """mac_count of one bench_forward of each variant at (n, k) = (6, 2)
+    and (9, 4): the one-shot incremental_states path among them."""
+    cfg = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32,
+                      src_vocab=20, tgt_vocab=20, max_len=16)
+    return " ".join(str(bench_forward(variant, n, k, cfg, trials=1).mac_count)
+                    for n, k in ((6, 2), (9, 4)) for variant in VARIANTS)
+
+
 # The model and data of the command line digests.
 CLI_BASE = ["vocab_size=16", "min_len=3", "max_len=6", "train_count=64",
             "test_count=8", "d_model=16", "d_ff=32", "batch_size=16", "k=2",
@@ -249,7 +259,8 @@ def main():
                       ("tape_entries", tape_entries),
                       ("cli_outputs", cli_outputs_digest),
                       ("cli_data", cli_data_digest),
-                      ("ops", ops_digest)):
+                      ("ops", ops_digest),
+                      ("bench_macs", bench_macs)):
         before = T.mac_counter.count
         result = run()
         print(f"{name} {result} macs={T.mac_counter.count - before}")

@@ -34,7 +34,7 @@ from waitkit.transformer import (
     IncrementalModel,
     ModelConfig,
     TeacherModel,
-    average_embedding_states,
+    average_embedding_bridge,
     encode_waitk_recompute,
 )
 from waitkit.waitk import (
@@ -263,12 +263,12 @@ def test_criterion_1_gradient_suite(rng):
         with T.no_grad():
             tl, zf = teacher.forward(src, tgt_in)
             sl, zi = student.forward(src, tgt_in, 2)
-            return total_loss(sl, tl, tgt_out, zi, zf, 0.1, "joint", mask)[0].item()
+            return total_loss(sl, tl, tgt_out, zi, zf, 0.1, mask)[0].item()
 
     with T.Tape() as tape:
         tl, zf = teacher.forward(src, tgt_in)
         sl, zi = student.forward(src, tgt_in, 2)
-        loss, _ = total_loss(sl, tl, tgt_out, zi, zf, 0.1, "joint", mask)
+        loss, _ = total_loss(sl, tl, tgt_out, zi, zf, 0.1, mask)
         tape.backward(loss)
     params = teacher.parameters() + student.parameters()
     sampler = np.random.default_rng(0)
@@ -389,14 +389,13 @@ def test_criterion_5_averaging_bridge_oracle():
         inputs = rng.normal(size=(n, d))
         weight = rng.normal(size=(d, d))
         states = rng.normal(size=(n, d))
-        inc = average_embedding_states(Tensor(inputs), Tensor(states),
-                                       Tensor(weight))
+        f = average_embedding_bridge(Tensor(inputs), Tensor(weight))
         # sequential oracle, one prefix at a time
         for i in range(n):
             mean = inputs[: i + 1].mean(axis=0)
             worst = max(worst,
-                        float(np.abs(inc.f.values[i] - mean @ weight.T).max()))
-        h = full_h(inc).values
+                        float(np.abs(f.values[i] - mean @ weight.T).max()))
+        h = full_h(Tensor(states), f).values
         for i in range(n):
             assert np.all(h[i, i + 1:] == 0.0)
     report(5, "parallel prefix means equal sequential loop; zero branch exact",

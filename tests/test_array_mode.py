@@ -92,8 +92,8 @@ def test_stacked_projection_equals_separate_linears(d):
     """A streamed attention row through a cache with stacked projections
     returns what it returns through a cache without them, in
     self-attention and in cross-attention over memory rows that arrive
-    none, one or two at a time, masked or not; the stacked q, k and v rows
-    equal the separate linears."""
+    none, one or two at a time; the stacked q, k and v rows equal the
+    separate linears."""
     rng = np.random.default_rng(d)
     cfg = ModelConfig(n_layers=1, d_model=d, n_heads=2, d_ff=8, max_len=12)
     attn = MultiHeadAttention(rng, cfg)
@@ -113,12 +113,10 @@ def test_stacked_projection_equals_separate_linears(d):
     for _ in range(12):
         h = rng.normal(size=d)
         seen = min(12, seen + int(rng.integers(0 if seen else 1, 3)))
-        g = int(rng.integers(1, seen + 1))
-        mask = None if g == seen else np.arange(seen) < g
         got = (attn(h, h, cache=stacked[True]),
-               attn(h, memory[:seen], mask, stacked[False]))
+               attn(h, memory[:seen], cache=stacked[False]))
         want = (attn(h, h, cache=plain[True]),
-                attn(h, memory[:seen], mask, plain[False]))
+                attn(h, memory[:seen], cache=plain[False]))
         for a, b in zip(got, want):
             assert type(a) is np.ndarray and a.shape == (d,)
             assert np.array_equal(a, b)

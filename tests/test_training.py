@@ -73,9 +73,10 @@ class TestTotalLoss:
         )
 
     def test_frozen_mode_drops_teacher_term(self, rng):
+        """Without teacher logits, as a frozen-teacher step calls it, the
+        loss has no teacher term and loss_teacher is nan."""
         s, t, y, zi, zf = self._parts(rng)
-        loss, comps = total_loss(s, None, y, zi, zf, 0.1,
-                                 mode="pretrain_fixed_teacher")
+        loss, comps = total_loss(s, None, y, zi, zf, 0.1)
         ce_s = T.cross_entropy(Tensor(s.values), y).item()
         assert np.isnan(comps["loss_teacher"])
         assert loss.item() == pytest.approx(
@@ -83,10 +84,11 @@ class TestTotalLoss:
         )
 
     def test_frozen_mode_blocks_teacher_gradient(self, rng):
+        """total_loss distils toward the states it is given: detached ones
+        get no gradient, and the student's still do."""
         s, t, y, zi, zf = self._parts(rng)
         with T.Tape() as tape:
-            loss, _ = total_loss(s, None, y, zi, zf, 0.1,
-                                 mode="pretrain_fixed_teacher")
+            loss, _ = total_loss(s, None, y, zi, T.detach(zf), 0.1)
             tape.backward(loss)
         assert np.array_equal(zf.grad, np.zeros_like(zf.values))
         assert not np.array_equal(zi.grad, np.zeros_like(zi.values))
@@ -246,7 +248,7 @@ class TestAdamAndSteps:
                 t_logits, z_full = teacher.forward(src, tgt_in)
                 s_logits, z_incr = student.forward(src, tgt_in, 3)
                 loss, _ = total_loss(s_logits, t_logits, tgt_out, z_incr,
-                                     z_full, 0.1, "joint", mask)
+                                     z_full, 0.1, mask)
             del t_logits, z_full, s_logits, z_incr
             kept = tracemalloc.get_traced_memory()[0] - held
         finally:

@@ -20,13 +20,12 @@ from waitkit.transformer import (
     ModelConfig,
     MultiHeadAttention,
     TeacherModel,
-    average_embedding_states,
+    average_embedding_bridge,
     encode_waitk_recompute,
 )
 from waitkit.waitk import WaitKSchedule, read_count
 
-from conftest import (full_h, h_slice, reference_named_parameters,
-                      reshape)
+from conftest import full_h, h_slice, reference_named_parameters
 
 
 def _tokens(rng, cfg, n):
@@ -209,6 +208,24 @@ class TestStreamingEncoder:
             mean = stream.running_sum / stream.count
             assert np.abs(mean - expected).max() <= 1e-12
 
+    def test_states_are_pushed_rows_and_last_bridge_row(self, tiny_cfg,
+                                                         rng):
+        """After each push, stream.states is a pair of arrays: every row
+        push returned, bit for bit, and the bridge row of the last read,
+        within 1e-12 of the one-shot bridge row."""
+        model = IncrementalModel(tiny_cfg, seed=9)
+        ids = _tokens(rng, tiny_cfg, 11)
+        with T.no_grad():
+            one_shot = model.incremental_states(ids)[1].values
+        stream, rows = model.start_stream(), []
+        for c, token in enumerate(ids, start=1):
+            rows.append(stream.push(int(token)))
+            z, f = stream.states
+            assert type(z) is np.ndarray and type(f) is np.ndarray
+            assert z.shape == (c, tiny_cfg.d_model)
+            assert np.array_equal(z, np.array(rows))
+            assert np.abs(f - one_shot[c - 1]).max() <= 1e-12
+
     def test_overlength_rejected(self, tiny_cfg):
         model = IncrementalModel(tiny_cfg, seed=6)
         stream = model.start_stream()
@@ -251,61 +268,55 @@ class TestRecomputeEncoder:
 class TestAveragedEmbeddingBridge:
     def test_two_point_mean(self, rng):
         inputs = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        states = Tensor(np.zeros((2, 2)))
-        weight = Tensor(np.eye(2))
-        inc = average_embedding_states(inputs, states, weight)
-        assert np.allclose(inc.f.values[1], [0.5, 0.5])
+        f = average_embedding_bridge(inputs, Tensor(np.eye(2)))
+        assert np.allclose(f.values[1], [0.5, 0.5])
 
     def test_identical_inputs_constant_mean(self, rng):
         inputs = Tensor(np.tile(rng.normal(size=4), (6, 1)))
-        states = Tensor(rng.normal(size=(6, 4)))
-        inc = average_embedding_states(inputs, states, Tensor(np.eye(4)))
-        assert np.abs(inc.f.values - inc.f.values[0]).max() <= 1e-12
+        f = average_embedding_bridge(inputs, Tensor(np.eye(4))).values
+        assert np.abs(f - f[0]).max() <= 1e-12
 
     def test_parallel_matches_sequential(self, rng):
         for n in (1, 2, 17, 33, 64):
             inputs = rng.normal(size=(n, 8))
             weight = rng.normal(size=(8, 8))
-            inc = average_embedding_states(
-                Tensor(inputs), Tensor(rng.normal(size=(n, 8))), Tensor(weight)
-            )
+            f = average_embedding_bridge(Tensor(inputs), Tensor(weight))
             for i in range(n):
                 seq = inputs[: i + 1].mean(axis=0) @ weight.T
-                assert np.abs(inc.f.values[i] - seq).max() <= 1e-12
+                assert np.abs(f.values[i] - seq).max() <= 1e-12
+
+    def _states(self, rng, n, d):
+        """Random causal states z and the bridge rows f of random inputs."""
+        z = Tensor(rng.normal(size=(n, d)))
+        f = average_embedding_bridge(Tensor(rng.normal(size=(n, d))),
+                                     Tensor(rng.normal(size=(d, d))))
+        return z, f
 
     def test_zero_branch_exact(self, rng):
         n, d = 7, 6
-        inc = average_embedding_states(
-            Tensor(rng.normal(size=(n, d))),
-            Tensor(rng.normal(size=(n, d))),
-            Tensor(rng.normal(size=(d, d))),
-        )
-        h = full_h(inc).values
+        z, f = self._states(rng, n, d)
+        h = full_h(z, f).values
         for i in range(n):
             for j in range(n):
                 if j > i:
                     assert np.all(h[i, j] == 0.0)
                 else:
-                    expected = inc.f.values[i] + inc.z.values[j]
+                    expected = f.values[i] + z.values[j]
                     assert np.abs(h[i, j] - expected).max() <= 1e-12
 
     def test_h_slice_matches_full(self, rng):
         n, d = 5, 4
-        inc = average_embedding_states(
-            Tensor(rng.normal(size=(n, d))),
-            Tensor(rng.normal(size=(n, d))),
-            Tensor(rng.normal(size=(d, d))),
-        )
-        h = full_h(inc).values
+        z, f = self._states(rng, n, d)
+        h = full_h(z, f).values
         for i in range(1, n + 1):
-            assert np.allclose(h_slice(inc, i).values, h[i - 1, :i], atol=1e-15)
+            assert np.allclose(h_slice(z, f, i).values, h[i - 1, :i],
+                               atol=1e-15)
 
     def test_shape_mismatch(self, rng):
+        """A bridge weight whose width is not the inputs' raises."""
         with pytest.raises(T.DimensionError):
-            average_embedding_states(
-                Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 4))),
-                Tensor(np.eye(4)),
-            )
+            average_embedding_bridge(Tensor(np.zeros((3, 4))),
+                                     Tensor(np.eye(3)))
 
 
 def _pushed(model, ids):
@@ -326,7 +337,7 @@ class TestDecoding:
             for t in range(1, len(prefix) + 1):
                 logits = model.decode_step(prefix[:t], stream).values
             # separate decoder pass whose last layer reads the raw states
-            z = reshape(stream.states.z, (1, 5, tiny_cfg.d_model))
+            z = Tensor(stream.states[0][None])
             plain = model.decoder.forward(
                 np.array([prefix]), z, cross_mask=None
             ).values[0, -1]
