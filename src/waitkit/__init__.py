@@ -52,8 +52,8 @@ from .transformer import (
 )
 from .waitk import (
     DecodeTrace,
-    WaitKSchedule,
     average_lagging,
+    read_counts,
     streaming_decode,
 )
 

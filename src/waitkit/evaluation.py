@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import no_grad
-from .waitk import average_lagging, check_k, read_count, streaming_decode
+from .waitk import average_lagging, streaming_decode
 
 BLEU_EPSILON = 1e-9
 BLEU_MAX_ORDER = 4
@@ -122,28 +122,22 @@ def _clipped_matches(tokens, reference):
     return sum(min(c, ref_counts[tok]) for tok, c in Counter(tokens).items())
 
 
-def present_absent_split(example, generated, alignment, k):
-    """Partition generated tokens by whether their aligned source token had
-    been read when they were emitted.
+def present_absent_split(example, trace):
+    """Partition a decode's tokens by whether their aligned source token had
+    been read when they were emitted, as the decode's DecodeTrace records.
 
-    With 1-based positions, generated token i aligned to source j is
-    "present" iff j <= waitk.read_count(k, i, n). Generated positions past
-    the oracle alignment are treated as aligned to the final source token.
-    Returns None when no alignment is available; raises ScheduleError if
-    k < 1.
+    Token i of trace.tokens, aligned by example.alignment to source j (both
+    0-based), is "present" iff j < trace.g_values[i]. Positions past the
+    oracle alignment are treated as aligned to the final source token.
+    Returns None when the example has no alignment.
     """
-    check_k(k)
-    if alignment is None:
+    if example.alignment is None:
         return None
     n = len(example.src)
-    align_map = dict(alignment)
+    align_map = dict(example.alignment)
     present, absent = [], []
-    for i0, token in enumerate(generated):
-        j0 = align_map.get(i0, n - 1)
-        if j0 + 1 <= read_count(k, i0 + 1, n):
-            present.append(token)
-        else:
-            absent.append(token)
+    for i0, (token, g) in enumerate(zip(trace.tokens, trace.g_values)):
+        (present if align_map.get(i0, n - 1) < g else absent).append(token)
     return present, absent
 
 
@@ -165,8 +159,9 @@ def evaluate_model(student, dataset, k, teacher=None, trace_path=None):
     """Streaming-decode every sentence and aggregate the report.
 
     Absent/present unigram accuracies are pooled over the corpus and only
-    computed when oracle alignments are present; the hidden-state distance
-    needs the teacher.
+    computed when oracle alignments are present: each decode's tokens are
+    split by the read counts its trace records (present_absent_split). The
+    hidden-state distance needs the teacher.
     """
     candidates = []
     references = []
@@ -181,9 +176,8 @@ def evaluate_model(student, dataset, k, teacher=None, trace_path=None):
         references.append([ex.tgt])
         if trace.tgt_len > 0:
             al_values.append(average_lagging(trace))
-        split = present_absent_split(ex, tokens, ex.alignment, k)
-        if split is not None:
-            present, absent = split
+        if ex.alignment is not None:
+            present, absent = present_absent_split(ex, trace)
             pr_match += _clipped_matches(present, ex.tgt)
             pr_total += len(present)
             ab_match += _clipped_matches(absent, ex.tgt)

@@ -26,7 +26,7 @@ import numpy as np
 from . import tensor as T
 from .errors import LengthError, NumericalError, ScheduleError
 from .tensor import Tensor
-from .waitk import WaitKSchedule
+from .waitk import read_counts
 
 
 # The most float64 values a teacher and student pair may hold (see
@@ -491,7 +491,7 @@ class IncrementalModel(_Model):
         tgt_ids = np.asarray(tgt_ids)
         k = self.cfg.k if k is None else k
         n = src_ids.shape[-1]
-        g = WaitKSchedule(k, n).read_counts(tgt_ids.shape[-1])
+        g = read_counts(k, n, tgt_ids.shape[-1])
 
         z, e = self.encoder.forward(src_ids, self.causal)
         f = average_embedding_bridge(e, self.bridge_w)         # [b, n, d]
@@ -594,17 +594,17 @@ class StreamingEncoder:
 # Recompute baseline
 
 
-def encode_waitk_recompute(encoder, ids, schedule, t_steps):
+def encode_waitk_recompute(encoder, ids, k, t_steps):
     """Baseline encoder: re-encode the consumed prefix as it grows.
 
     Runs one full-width masked bidirectional pass per distinct prefix
-    length in the schedule (a fresh recompute every time a source token is
-    read), and reuses the previous pass while the prefix is unchanged.
-    Returns [t_steps, n, d] with rows past the prefix zeroed.
+    length in the wait-k schedule (a fresh recompute every time a source
+    token is read), and reuses the previous pass while the prefix is
+    unchanged. Returns [t_steps, n, d] with rows past the prefix zeroed.
     """
-    counts = schedule.read_counts(t_steps)
     ids = np.asarray(ids)
     n = ids.shape[-1]
+    counts = read_counts(k, n, t_steps)
     out = np.zeros((t_steps, n, encoder.cfg.d_model))
     for t, g in enumerate(counts):
         if t == 0 or g != counts[t - 1]:

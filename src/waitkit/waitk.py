@@ -24,36 +24,23 @@ N_RESERVED = 4
 SHARED_TOKENS = ("<pad>", "<bos>", "<eos>")
 
 
-@dataclass
-class WaitKSchedule:
-    """Read counts for a wait-k policy over a source of known length."""
-
-    k: int
-    n: int
-
-    def __post_init__(self):
-        check_k(self.k)
-        if self.n < 1:
-            raise ScheduleError(f"source length must be positive, got {self.n}")
-
-    def read_counts(self, t_steps):
-        """read_count(k, t, n) for t = 1 .. t_steps, as an int array."""
-        if t_steps < 1:
-            raise ScheduleError(f"t_steps must be >= 1, got {t_steps}")
-        return np.minimum(np.arange(self.k, self.k + t_steps), self.n)
-
-
 def check_k(k):
     """Raise ScheduleError unless k is a wait-k lag, k >= 1."""
     if k < 1:
         raise ScheduleError(f"k must be positive, got {k}")
 
 
-def read_count(k, t, n):
-    """g(t) = min(k + t - 1, n), the wait-k read count (Ma et al. 2019):
-    the source tokens read when target token t >= 1 is emitted, of n
-    readable. k is checked by check_k, not here."""
-    return min(k + t - 1, n)
+def read_counts(k, n, t_steps):
+    """g(t) = min(k + t - 1, n), the wait-k read count (Ma et al. 2019),
+    for t = 1 .. t_steps as an int array: the source tokens read when
+    target token t is emitted, of n readable. ScheduleError unless k, n
+    and t_steps are all >= 1."""
+    check_k(k)
+    if n < 1:
+        raise ScheduleError(f"source length must be positive, got {n}")
+    if t_steps < 1:
+        raise ScheduleError(f"t_steps must be >= 1, got {t_steps}")
+    return np.minimum(np.arange(k, k + t_steps), n)
 
 
 @dataclass
@@ -73,6 +60,10 @@ class DecodeTrace:
             raise ValueError("one read count per emitted token required")
         if any(b < a for a, b in zip(self.g_values, self.g_values[1:])):
             raise ValueError("read counts must be non-decreasing")
+        if self.src_len < 1:
+            raise ValueError(f"src_len must be >= 1, got {self.src_len}")
+        if not all(1 <= g <= self.src_len for g in self.g_values):
+            raise ValueError("read counts must lie in 1 .. src_len")
 
     @property
     def tgt_len(self):

@@ -7,7 +7,7 @@ from waitkit import tensor as T
 from waitkit.tensor import (Tensor, _broadcast_rule, _op, _softmax,
                             _softmax_grad)
 from waitkit.transformer import ModelConfig
-from waitkit.waitk import ScheduleError, read_count
+from waitkit.waitk import ScheduleError
 
 
 # Reference ops: no package module calls them. They run on the package's
@@ -356,15 +356,15 @@ class ReferenceDecoderCache:
                        for _ in range(cfg.n_layers)]
 
 
-def build_masks(schedule, t_steps):
+def build_masks(k, n, t_steps):
     """Decoder cross mask [t_steps, n] for single-pass batched wait-k
-    training: row t exposes the first read_count(k, t, n) source positions. The
-    per-row reference for IncrementalModel.forward's mask."""
+    training: row t exposes the first min(k + t - 1, n) source positions.
+    The per-row reference for IncrementalModel.forward's mask."""
     if t_steps < 1:
         raise ScheduleError(f"t_steps must be >= 1, got {t_steps}")
-    cross = np.zeros((t_steps, schedule.n), dtype=bool)
+    cross = np.zeros((t_steps, n), dtype=bool)
     for t in range(1, t_steps + 1):
-        cross[t - 1, : read_count(schedule.k, t, schedule.n)] = True
+        cross[t - 1, : min(k + t - 1, n)] = True
     return cross
 
 

@@ -12,7 +12,9 @@ streamed logits over the 60 random models of test_array_mode.py, the tape
 entries of train_joint-shaped steps, the bytes the command line writes for
 a small copy-task run, those it writes generating a corpus and training and
 evaluating on its files, each public op of tensor.py on fixed inputs,
-recorded and not, and the MAC count of bench_forward per variant.
+recorded and not, the MAC count of bench_forward per variant, and the
+evaluation reports of a lagged_map corpus, where some tokens are emitted
+before their aligned source token is read.
 Pytest does not collect this file (its name does not start with test_).
 """
 
@@ -28,10 +30,10 @@ import numpy as np
 from waitkit import tensor as T
 from waitkit.bench import VARIANTS, bench_forward
 from waitkit.cli import main as cli_main
+from waitkit.evaluation import evaluate_model
 from waitkit.training import (Adam, SyntheticTaskSpec, TrainConfig,
                               generate_synthetic, train, train_step)
 from waitkit.transformer import IncrementalModel, ModelConfig, TeacherModel
-from waitkit.waitk import read_count
 
 from test_array_mode import random_model
 
@@ -86,7 +88,7 @@ def decode_digest():
             stream = model.start_stream()
             prefix = [1]
             for s in range(1, min(2 * n + 5, 48) + 1):
-                while stream.count < read_count(k, s, n):
+                while stream.count < min(k + s - 1, n):
                     digest.array(stream.push(src[stream.count]))
                 logits = model.decode_step(prefix, stream).values
                 digest.array(logits)
@@ -183,6 +185,21 @@ def bench_macs():
                     for n, k in ((6, 2), (9, 4)) for variant in VARIANTS)
 
 
+def eval_split_digest():
+    """The EvalReport fields, by float.hex, of evaluate_model on 40
+    lagged_map sentences (lag 2, lengths 4-9) by a seeded untrained student
+    at k = 1, 2 and 3; below k = 3 some tokens are absent."""
+    dataset = generate_synthetic(SyntheticTaskSpec(
+        kind="lagged_map", vocab_size=32, min_len=4, max_len=9, lag=2,
+        seed=5), 40)
+    student = IncrementalModel(TRAIN_CFG, 5)
+    digest = Digest()
+    for k in (1, 2, 3):
+        report = evaluate_model(student, dataset, k)
+        digest.floats(getattr(report, field) for field in report.FIELDS)
+    return digest.hexdigest()
+
+
 # The model and data of the command line digests.
 CLI_BASE = ["vocab_size=16", "min_len=3", "max_len=6", "train_count=64",
             "test_count=8", "d_model=16", "d_ff=32", "batch_size=16", "k=2",
@@ -260,7 +277,8 @@ def main():
                       ("cli_outputs", cli_outputs_digest),
                       ("cli_data", cli_data_digest),
                       ("ops", ops_digest),
-                      ("bench_macs", bench_macs)):
+                      ("bench_macs", bench_macs),
+                      ("eval_split", eval_split_digest)):
         before = T.mac_counter.count
         result = run()
         print(f"{name} {result} macs={T.mac_counter.count - before}")

@@ -39,9 +39,8 @@ from waitkit.transformer import (
 )
 from waitkit.waitk import (
     DecodeTrace,
-    WaitKSchedule,
     average_lagging,
-    read_count,
+    read_counts,
     streaming_decode,
 )
 
@@ -365,11 +364,9 @@ def test_criterion_4_recompute_fidelity():
             k = int(rng.integers(1, 6))
             t_steps = n + int(rng.integers(0, 4))
             ids = rng.integers(4, 24, size=n)
-            sched = WaitKSchedule(k, n)
-            out = encode_waitk_recompute(model.encoder, ids, sched,
+            out = encode_waitk_recompute(model.encoder, ids, k,
                                          t_steps).values
-            for t in range(1, t_steps + 1):
-                g = read_count(k, t, n)
+            for t, g in enumerate(read_counts(k, n, t_steps).tolist(), 1):
                 ref = model.encode(ids[:g]).values
                 worst = max(worst, float(np.abs(out[t - 1, :g] - ref).max()))
                 assert np.all(out[t - 1, g:] == 0.0)

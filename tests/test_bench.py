@@ -2,7 +2,8 @@
 
 import pytest
 
-from waitkit.bench import BenchResult, bench_forward, scaling_sweep
+from waitkit.bench import VARIANTS, BenchResult, bench_forward, scaling_sweep
+from waitkit.errors import ScheduleError
 from waitkit.training import ConfigError
 from waitkit.transformer import ModelConfig
 
@@ -82,6 +83,23 @@ class TestMacCounts:
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             bench_forward("nonsense", 8, 1, bench_cfg(), trials=1)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("k, n", [(0, 8), (1, 0)])
+    def test_schedule_refused_by_every_variant(self, variant, k, n):
+        with pytest.raises(ScheduleError):
+            bench_forward(variant, n, k, bench_cfg(), trials=1)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_only_baseline_reads_t_steps(self, variant):
+        """Only the recompute baseline runs the schedule for t_steps."""
+        if variant == "baseline_bi":
+            with pytest.raises(ScheduleError, match="t_steps must be >= 1"):
+                bench_forward(variant, 8, 1, bench_cfg(), t_steps=0, trials=1)
+        else:
+            result = bench_forward(variant, 8, 1, bench_cfg(), t_steps=0,
+                                   trials=1)
+            assert result.t_steps == 0
 
 
 class TestStreamingCost:

@@ -8,7 +8,7 @@ import pytest
 from waitkit import tensor as T
 from waitkit.tensor import Tensor
 from waitkit.transformer import IncrementalModel, ModelConfig
-from waitkit.waitk import WaitKSchedule, read_count, streaming_decode
+from waitkit.waitk import read_counts, streaming_decode
 
 from conftest import (_merge_heads, _split_heads, build_masks,
                       masked_softmax, mul, reshape, transpose)
@@ -62,13 +62,12 @@ def ref_decoder(decoder, ids, memory, cross, f_rows):
 
 def ref_forward(model, src, tgt, k):
     """Teacher-forced wait-k logits [b, t, vocab] through the row memory."""
-    t = tgt.shape[-1]
-    schedule = WaitKSchedule(k, src.shape[-1])
-    cross = build_masks(schedule, t)
+    t, n = tgt.shape[-1], src.shape[-1]
+    cross = build_masks(k, n, t)
     z, e = model.encoder.forward(src, causal=True)
     f = T.matmul(T.masked_cumulative_mean(e),
                  T.transpose_last(model.bridge_w))
-    g_idx = [read_count(k, s, schedule.n) - 1 for s in range(1, t + 1)]
+    g_idx = [min(k + s - 1, n) - 1 for s in range(1, t + 1)]
     return ref_decoder(model.decoder, tgt, z, cross,
                        T.gather_rows(f, g_idx, axis=1))
 
@@ -149,8 +148,7 @@ def test_decode_steps_match_row_memory_reference(cfg4):
             prefix = [1] + rng.integers(4, 20, size=t - 1).tolist()
             states = model.incremental_states(src)
             stream = model.start_stream()
-            for s in range(1, t + 1):
-                g = read_count(k, s, n)
+            for s, g in enumerate(read_counts(k, n, t).tolist(), 1):
                 while stream.count < g:
                     stream.push(int(src[stream.count]))
                 want = ref_decode_step(model, prefix[:s], states, g, k)
@@ -196,8 +194,7 @@ def test_unread_source_leaves_row_bit_identical(cfg4):
             src = rng.integers(4, 20, size=(b, n))
             tgt = rng.integers(4, 20, size=(b, t))
             base, _ = model.forward(src, tgt, k)
-            for s in range(1, t + 1):
-                g = read_count(k, s, n)
+            for s, g in enumerate(read_counts(k, n, t).tolist(), 1):
                 if g == n:
                     continue
                 changed = src.copy()

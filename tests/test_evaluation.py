@@ -16,7 +16,14 @@ from waitkit.evaluation import (
 )
 from waitkit.training import ParallelExample, SyntheticTaskSpec, generate_synthetic
 from waitkit.transformer import IncrementalModel, TeacherModel
-from waitkit.waitk import ScheduleError, streaming_decode
+from waitkit.waitk import DecodeTrace, read_counts, streaming_decode
+
+
+def waitk_trace(ex, tokens, k):
+    """The trace of a wait-k decode over ex.src that emitted tokens."""
+    n = len(ex.src)
+    return DecodeTrace(read_counts(k, n, len(tokens)).tolist(), n,
+                       list(tokens))
 
 
 class TestCorpusBleu:
@@ -138,14 +145,15 @@ class TestPresentAbsentSplit:
     def test_wait_all_everything_present(self):
         ex = ParallelExample([4, 5, 6], [4, 5, 6],
                              [(0, 0), (1, 1), (2, 2)])
-        present, absent = present_absent_split(ex, [4, 5, 6], ex.alignment, 9)
+        present, absent = present_absent_split(
+            ex, waitk_trace(ex, [4, 5, 6], 9))
         assert present == [4, 5, 6] and absent == []
 
     def test_lagged_wait1_mostly_absent(self):
         spec = SyntheticTaskSpec(kind="lagged_map", vocab_size=16, min_len=6,
                                  max_len=6, lag=2, seed=2)
         ex = generate_synthetic(spec, 1)[0]
-        present, absent = present_absent_split(ex, list(ex.tgt), ex.alignment, 1)
+        present, absent = present_absent_split(ex, waitk_trace(ex, ex.tgt, 1))
         n = len(ex.src)
         # only the final position has its aligned token already read
         assert len(present) == 1
@@ -157,7 +165,7 @@ class TestPresentAbsentSplit:
         for ex in generate_synthetic(spec, 100):
             generated = [int(x) for x in rng.integers(4, 16,
                                                       size=rng.integers(1, 12))]
-            split = present_absent_split(ex, generated, ex.alignment, 1)
+            split = present_absent_split(ex, waitk_trace(ex, generated, 1))
             present, absent = split
             assert len(present) + len(absent) == len(generated)
             # brute-force the inequality per token
@@ -180,8 +188,8 @@ class TestPresentAbsentSplit:
         total_p, total_a = 0, 0
         brute_p, brute_a = 0, 0
         for ex in examples:
-            present, absent = present_absent_split(ex, list(ex.tgt),
-                                                   ex.alignment, k)
+            present, absent = present_absent_split(
+                ex, waitk_trace(ex, ex.tgt, k))
             total_p += len(present)
             total_a += len(absent)
             n = len(ex.src)
@@ -192,16 +200,31 @@ class TestPresentAbsentSplit:
                     brute_a += 1
         assert (total_p, total_a) == (brute_p, brute_a)
 
-    @pytest.mark.parametrize("alignment", [[(0, 0), (1, 1)], None])
-    def test_non_positive_k_rejected(self, alignment):
-        """With k=0 token 1 would count as having read no source token."""
-        ex = ParallelExample([4, 5], [4, 5], alignment)
-        with pytest.raises(ScheduleError, match="k must be positive, got 0"):
-            present_absent_split(ex, [4, 5], ex.alignment, 0)
-
     def test_missing_alignment_skipped(self):
         ex = ParallelExample([4, 5], [4, 5])
-        assert present_absent_split(ex, [4, 5], ex.alignment, 1) is None
+        assert present_absent_split(ex, waitk_trace(ex, [4, 5], 1)) is None
+
+    def test_decoded_split_equals_schedule_split(self, tiny_cfg):
+        """On real decodes, capped before, at and after the emission that
+        reads the last source token, the split by the trace's read counts
+        is the split by the wait-k schedule min(k + i, n), token for
+        token."""
+        student = IncrementalModel(tiny_cfg, seed=35)
+        for seed in range(50):
+            ex = generate_synthetic(SyntheticTaskSpec(
+                kind="lagged_map", vocab_size=20, min_len=1, max_len=9,
+                lag=seed % 4, seed=seed), 1)[0]
+            n, amap = len(ex.src), dict(ex.alignment)
+            for k in range(1, 5):
+                end = max(1, n - k + 1)
+                for cap in (max(1, end - 1), end, end + 2):
+                    tokens, trace = streaming_decode(student, ex.src, k,
+                                                     max_len=cap, eos_id=-1)
+                    want = ([], [])
+                    for i, token in enumerate(tokens):
+                        read = amap.get(i, n - 1) < min(k + i, n)
+                        want[0 if read else 1].append(token)
+                    assert present_absent_split(ex, trace) == want
 
 
 class TestEvaluateAndMatrix:
@@ -225,8 +248,8 @@ class TestEvaluateAndMatrix:
         report = evaluate_model(student, dataset, 2)
         match, total = [0, 0], [0, 0]
         for ex in dataset:
-            tokens, _ = streaming_decode(student, ex.src, 2)
-            split = present_absent_split(ex, tokens, ex.alignment, 2)
+            _, trace = streaming_decode(student, ex.src, 2)
+            split = present_absent_split(ex, trace)
             ref_counts = Counter(ex.tgt)
             for i, tokens_set in enumerate(split):
                 counts = Counter(tokens_set)

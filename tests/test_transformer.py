@@ -23,7 +23,7 @@ from waitkit.transformer import (
     average_embedding_bridge,
     encode_waitk_recompute,
 )
-from waitkit.waitk import WaitKSchedule, read_count
+from waitkit.waitk import read_counts
 
 from conftest import full_h, h_slice, reference_named_parameters
 
@@ -239,8 +239,8 @@ class TestRecomputeEncoder:
     def test_full_prefix_matches_bidirectional(self, tiny_cfg, rng):
         model = TeacherModel(tiny_cfg, seed=9)
         ids = _tokens(rng, tiny_cfg, 6)
-        sched = WaitKSchedule(6, 6)   # g(1) = 6 immediately
-        out = encode_waitk_recompute(model.encoder, ids, sched, 3).values
+        # k = n = 6: g(1) = 6 immediately
+        out = encode_waitk_recompute(model.encoder, ids, 6, 3).values
         ref = model.encode(ids).values
         for t in range(3):
             assert np.abs(out[t] - ref).max() <= 1e-12
@@ -248,10 +248,8 @@ class TestRecomputeEncoder:
     def test_rows_match_truncated_encoding(self, tiny_cfg, rng):
         model = TeacherModel(tiny_cfg, seed=10)
         ids = _tokens(rng, tiny_cfg, 8)
-        sched = WaitKSchedule(2, 8)
-        out = encode_waitk_recompute(model.encoder, ids, sched, 9).values
-        for t in range(1, 10):
-            g = read_count(2, t, 8)
+        out = encode_waitk_recompute(model.encoder, ids, 2, 9).values
+        for t, g in enumerate(read_counts(2, 8, 9).tolist(), 1):
             ref = model.encode(ids[:g]).values
             assert np.abs(out[t - 1, :g] - ref).max() <= 1e-12
             assert np.all(out[t - 1, g:] == 0.0)
@@ -259,8 +257,7 @@ class TestRecomputeEncoder:
     def test_wait1_produces_distinct_prefixes(self, tiny_cfg, rng):
         model = TeacherModel(tiny_cfg, seed=11)
         ids = _tokens(rng, tiny_cfg, 4)
-        out = encode_waitk_recompute(model.encoder, ids, WaitKSchedule(1, 4),
-                                     4).values
+        out = encode_waitk_recompute(model.encoder, ids, 1, 4).values
         lengths = [(np.abs(out[t]).sum(axis=-1) > 0).sum() for t in range(4)]
         assert lengths == [1, 2, 3, 4]
 

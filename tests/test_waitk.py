@@ -10,9 +10,8 @@ from waitkit.transformer import IncrementalModel, ModelConfig
 from waitkit.waitk import (
     DecodeTrace,
     ScheduleError,
-    WaitKSchedule,
     average_lagging,
-    read_count,
+    read_counts,
     streaming_decode,
 )
 
@@ -21,53 +20,52 @@ from conftest import build_masks
 
 class TestSchedule:
     def test_initial_wait(self):
-        assert read_count(3, 1, 10) == 3
+        assert read_counts(3, 10, 1).tolist() == [3]
 
     def test_clamped_by_source(self):
-        assert read_count(9, 5, 6) == 6
+        assert read_counts(9, 6, 5)[-1] == 6
 
     def test_wait1_diagonal(self):
         for t in (1, 5, 77):
-            assert read_count(1, t, 10**9) == t
+            assert read_counts(1, 10**9, t)[-1] == t
 
     def test_monotone_and_bounded(self):
-        values = [read_count(4, t, 9) for t in range(1, 20)]
+        values = read_counts(4, 9, 19).tolist()
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert max(values) == 9
 
     def test_read_counts_match_read_count(self):
+        """Every step's count is the scalar g(t) = min(k + t - 1, n)."""
         for k in (1, 2, 3, 7):
             for n in (1, 4, 9):
-                sched = WaitKSchedule(k, n)
                 for t_steps in (1, 2, 5, 13):
-                    counts = sched.read_counts(t_steps)
+                    counts = read_counts(k, n, t_steps)
                     assert counts.dtype.kind == "i"
                     assert counts.tolist() == [
-                        read_count(k, t, n) for t in range(1, t_steps + 1)]
+                        min(k + t - 1, n) for t in range(1, t_steps + 1)]
 
     def test_read_counts_bad_steps(self):
-        with pytest.raises(ScheduleError):
-            WaitKSchedule(2, 5).read_counts(0)
+        with pytest.raises(ScheduleError, match="t_steps must be >= 1"):
+            read_counts(2, 5, 0)
 
     def test_bad_parameters(self):
-        with pytest.raises(ScheduleError):
-            WaitKSchedule(0, 5)
-        with pytest.raises(ScheduleError):
-            WaitKSchedule(2, 0)
+        with pytest.raises(ScheduleError, match="k must be positive, got 0"):
+            read_counts(0, 5, 1)
+        with pytest.raises(ScheduleError, match="source length must be"):
+            read_counts(2, 0, 1)
 
 
 class TestBuildMasks:
     def test_wait_all_cross_mask(self):
-        cross = build_masks(WaitKSchedule(7, 4), 5)
+        cross = build_masks(7, 4, 5)
         assert cross.all()
 
     def test_row_visibilities(self):
-        cross = build_masks(WaitKSchedule(2, 4), 4)
+        cross = build_masks(2, 4, 4)
         assert cross.sum(axis=1).tolist() == [2, 3, 4, 4]
 
     def test_matches_per_step_loop(self):
-        sched = WaitKSchedule(3, 7)
-        cross = build_masks(sched, 6)
+        cross = build_masks(3, 7, 6)
         for t in range(1, 7):
             g = min(3 + t - 1, 7)
             for j in range(7):
@@ -75,7 +73,7 @@ class TestBuildMasks:
 
     def test_bad_steps(self):
         with pytest.raises(ScheduleError):
-            build_masks(WaitKSchedule(1, 3), 0)
+            build_masks(1, 3, 0)
 
 
 class TestAverageLagging:
@@ -137,6 +135,13 @@ class TestDecodeTrace:
             DecodeTrace([1, 2], 3, [4])
         with pytest.raises(ValueError):
             DecodeTrace([3, 2], 3, [4, 5])
+        # Scoring reads src_len and g_values: AL would divide by a src_len
+        # of 0, and a read of none or past the source is no decode's.
+        for g_values, src_len in (([1], 0), ([], 0), ([5], 3), ([0, 1], 3),
+                                  ([1, 2, 4], 3)):
+            with pytest.raises(ValueError,
+                               match="src_len must be|must lie in"):
+                DecodeTrace(g_values, src_len, [4] * len(g_values))
 
 
 @pytest.fixture
@@ -165,8 +170,8 @@ class TestStreamingDecode:
                     tokens, trace = streaming_decode(model, src, k,
                                                      max_len=cap, eos_id=-1)
                     assert len(tokens) == (2 * n + 5 if cap is None else cap)
-                    assert trace.g_values == WaitKSchedule(k, n).read_counts(
-                        len(tokens)).tolist()
+                    assert trace.g_values == read_counts(
+                        k, n, len(tokens)).tolist()
 
     def test_empty_source_rejected(self, model):
         with pytest.raises(ScheduleError):
