@@ -51,7 +51,7 @@ class BenchResult:
 def _make_runner(variant, cfg, n, k, t_steps, seed):
     rng = np.random.default_rng(seed)
     tokens = rng.integers(N_RESERVED, cfg.src_vocab, size=n)
-    read_counts(k, n, 1)              # every variant refuses k < 1, n < 1
+    read_counts(k, n, t_steps)    # every variant refuses k, n, t_steps < 1
     if variant == "offline":
         model = TeacherModel(cfg, seed=seed)
 

@@ -218,24 +218,21 @@ def total_loss(student_logits, teacher_logits, targets, z_incr, z_ref,
     """Composite objective; returns (scalar Tensor, component dict).
 
     Sums the student cross-entropy, the teacher cross-entropy when
-    teacher_logits is given (loss_teacher is nan otherwise), and lambda
-    times the mean squared distance between the student states z_incr and
-    z_ref. The gradient reaches z_ref unless the caller detached it.
+    teacher_logits is given, and lambda times the mean squared distance
+    between the student states z_incr and z_ref. The dict holds the
+    loss_student, loss_teacher and loss_distill values of the terms summed:
+    without teacher_logits it has no loss_teacher. The gradient reaches
+    z_ref unless the caller detached it.
     """
     ce_student = T.cross_entropy(student_logits, targets, pad_mask)
-    loss = ce_student
-    ce_teacher = None
+    loss, components = ce_student, {"loss_student": ce_student.item()}
     if teacher_logits is not None:
         ce_teacher = T.cross_entropy(teacher_logits, targets, pad_mask)
         loss = T.add(loss, ce_teacher)
+        components["loss_teacher"] = ce_teacher.item()
     distill = T.l2_distance_loss(z_incr, z_ref)
-    loss = T.add(loss, T.scale(distill, lambda_distill))
-    components = {
-        "loss_student": ce_student.item(),
-        "loss_teacher": ce_teacher.item() if ce_teacher is not None else float("nan"),
-        "loss_distill": distill.item(),
-    }
-    return loss, components
+    components["loss_distill"] = distill.item()
+    return T.add(loss, T.scale(distill, lambda_distill)), components
 
 
 # ----------------------------------------------------------------------
@@ -308,11 +305,9 @@ class Adam:
         self._grads.fill(0.0)
 
 
-def grad_norm(params):
-    total = 0.0
-    for p in params:
-        total += float((p.grad * p.grad).sum())
-    return float(np.sqrt(total))
+def grad_norm(grads):
+    """The l2 norm of a flat gradient buffer, as Adam's _grads."""
+    return math.sqrt(grads @ grads)
 
 
 # ----------------------------------------------------------------------
@@ -360,21 +355,19 @@ def make_batches(examples, batch_size, rng):
     return [batches[i] for i in batch_order]
 
 
-def _update(optimizer, objective, allow_nan=()):
+def _update(optimizer, objective):
     """One Adam update of optimizer.params. Under a Tape, objective()
-    returns (loss, record); each loss_ value of the record must be finite,
-    or nan where its name is in allow_nan (a term the step does not
-    compute). The gradient norm must be finite too, or Adam would write
-    non-finite parameters. Returns the record with the norm added."""
+    returns (loss, record), the record holding the loss_ value of each term
+    the step computes. Each, and the gradient norm, must be finite, or Adam
+    would write non-finite parameters. Returns the record plus grad_norm."""
     with Tape() as tape:
         loss, record = objective()
         for name, value in record.items():
-            if not (np.isfinite(value) or name in allow_nan
-                    and np.isnan(value)):
+            if not np.isfinite(value):
                 raise NumericalError(f"non-finite {name}: {value}")
         tape.backward(loss)
     del tape, loss      # what backward read goes before Adam's step
-    record["grad_norm"] = norm = grad_norm(optimizer.params)
+    record["grad_norm"] = norm = grad_norm(optimizer._grads)
     if not np.isfinite(norm):
         raise NumericalError(f"non-finite grad_norm: {norm}")
     optimizer.step()
@@ -399,8 +392,7 @@ def train_step(teacher, student, batch, optimizer, cfg):
         s_logits, z_incr = student.forward(src, tgt_in, cfg.k)
         return total_loss(s_logits, t_logits, tgt_out, z_incr, z_full,
                           cfg.lambda_distill, mask)
-    return _update(optimizer, objective,
-                   ("loss_teacher",) if frozen_teacher else ())
+    return _update(optimizer, objective)
 
 
 def _teacher_step(teacher, batch, optimizer):
@@ -408,10 +400,8 @@ def _teacher_step(teacher, batch, optimizer):
 
     def objective():
         loss = T.cross_entropy(teacher.forward(src, tgt_in)[0], tgt_out, mask)
-        return loss, {"loss_student": float("nan"),
-                      "loss_teacher": loss.item(),
-                      "loss_distill": float("nan")}
-    return _update(optimizer, objective, ("loss_student", "loss_distill"))
+        return loss, {"loss_teacher": loss.item()}
+    return _update(optimizer, objective)
 
 
 METRICS_HEADER = ("step", "loss_student", "loss_teacher", "loss_distill",
@@ -431,8 +421,9 @@ def train(examples, model_cfg, cfg, metrics_path=None):
     trains the teacher alone for max_steps, then the student for max_steps
     with the teacher bit-frozen. Each phase stops early once its watched
     loss converges. Fully deterministic under cfg.seed. Returns (teacher,
-    student, metrics rows), a row holding the METRICS_HEADER values; they
-    are also written to the CSV file metrics_path unless it is None.
+    student, metrics rows), a row holding the METRICS_HEADER values, nan
+    for a loss its phase does not compute; they are also written to the
+    CSV file metrics_path unless it is None.
 
     Every example is checked before the first step: its source, and its
     target after pad_batch's bos, must fit model_cfg.max_len. No examples
@@ -466,8 +457,8 @@ def train(examples, model_cfg, cfg, metrics_path=None):
         recent = []
         for _ in range(cfg.max_steps):
             record = run_step(next(batches), optimizer)
-            rows.append((len(rows) + 1,
-                         *(record[name] for name in METRICS_HEADER[1:])))
+            rows.append((len(rows) + 1, *(record.get(name, math.nan)
+                                          for name in METRICS_HEADER[1:])))
             recent.append(record[watched])
             if _converged(recent, cfg.early_stop_loss):
                 break

@@ -476,6 +476,12 @@ class EagerAdam:
         for p in self.params:
             p.grad[...] = 0.0
 
+    @property
+    def _grads(self):
+        """The params' grads in one flat array, in Adam's order: what
+        training._update takes the gradient norm of."""
+        return np.concatenate([p.grad.ravel() for p in self.params])
+
 
 @pytest.fixture
 def rng():

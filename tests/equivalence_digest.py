@@ -6,15 +6,19 @@ Run once per tree and compare the printed lines:
     PYTHONPATH=<tree>/src python tests/equivalence_digest.py
 
 Each line is a name, a digest and the multiply-accumulates counted while it
-ran. It covers the parameters and metric records of 60 joint train() steps
-and of 60 + 60 pretrain_fixed_teacher steps, the pushed state rows and the
-streamed logits over the 60 random models of test_array_mode.py, the tape
-entries of train_joint-shaped steps, the bytes the command line writes for
-a small copy-task run, those it writes generating a corpus and training and
-evaluating on its files, each public op of tensor.py on fixed inputs,
-recorded and not, the MAC count of bench_forward per variant, and the
-evaluation reports of a lagged_map corpus, where some tokens are emitted
-before their aligned source token is read.
+ran. It covers 60 joint train() steps and 60 + 60 pretrain_fixed_teacher
+steps, in three lines each: the trained parameters, the step and loss
+columns of the metric rows, and their grad_norm column (a BLAS dot whose
+rounding can move with its order and with the BLAS thread count, so compare
+it under one OPENBLAS_NUM_THREADS setting). It covers too the pushed state
+rows and the streamed logits over the 60 random models of
+test_array_mode.py, the tape entries of train_joint-shaped steps, the bytes
+the command line writes for a small copy-task run, those it writes
+generating a corpus and training and evaluating on its files, each public
+op of tensor.py on fixed inputs, recorded and not, the MAC count of
+bench_forward per variant, and the evaluation reports of a lagged_map
+corpus, where some tokens are emitted before their aligned source token is
+read.
 Pytest does not collect this file (its name does not start with test_).
 """
 
@@ -63,17 +67,22 @@ def copy_examples(count, seed):
 
 
 def training_digest(mode):
+    """Three digests of 60 train() steps per phase: {"_params": the
+    trained parameters, "_losses": the step and loss columns of the metric
+    rows, "_grad_norm": their grad_norm column}."""
     teacher, student, rows = train(
         copy_examples(256, 0), TRAIN_CFG,
         TrainConfig(max_steps=60, batch_size=16, k=3, mode=mode, seed=0))
-    digest = Digest()
+    params, losses, norms = Digest(), Digest(), Digest()
     for model in (teacher, student):
         for name, p in model.named_parameters().items():
-            digest.sha.update(name.encode())
-            digest.array(p.values)
-    for row in rows:
-        digest.floats(row)
-    return digest.hexdigest()
+            params.sha.update(name.encode())
+            params.array(p.values)
+    for *columns, norm in rows:
+        losses.floats(columns)
+        norms.floats([norm])
+    return {"_params": params.hexdigest(), "_losses": losses.hexdigest(),
+            "_grad_norm": norms.hexdigest()}
 
 
 def decode_digest():
@@ -281,7 +290,10 @@ def main():
                       ("eval_split", eval_split_digest)):
         before = T.mac_counter.count
         result = run()
-        print(f"{name} {result} macs={T.mac_counter.count - before}")
+        macs = T.mac_counter.count - before
+        parts = result.items() if isinstance(result, dict) else [("", result)]
+        for part, digest in parts:
+            print(f"{name}{part} {digest} macs={macs}")
 
 
 if __name__ == "__main__":

@@ -91,15 +91,19 @@ class TestMacCounts:
             bench_forward(variant, n, k, bench_cfg(), trials=1)
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_only_baseline_reads_t_steps(self, variant):
-        """Only the recompute baseline runs the schedule for t_steps."""
-        if variant == "baseline_bi":
-            with pytest.raises(ScheduleError, match="t_steps must be >= 1"):
-                bench_forward(variant, 8, 1, bench_cfg(), t_steps=0, trials=1)
-        else:
-            result = bench_forward(variant, 8, 1, bench_cfg(), t_steps=0,
-                                   trials=1)
-            assert result.t_steps == 0
+    @pytest.mark.parametrize("t_steps", [0, -1])
+    def test_t_steps_refused_by_every_variant(self, variant, t_steps):
+        with pytest.raises(ScheduleError, match="t_steps must be >= 1"):
+            bench_forward(variant, 8, 1, bench_cfg(), t_steps=t_steps,
+                          trials=1)
+
+    @pytest.mark.parametrize("variant", ["offline", "incremental_ael"])
+    def test_full_sentence_variants_ignore_t_steps(self, variant):
+        """Only the recompute baseline's cost depends on t_steps."""
+        one, full = (bench_forward(variant, 8, 1, bench_cfg(), t_steps=t,
+                                   trials=1) for t in (1, 8))
+        assert (one.t_steps, full.t_steps) == (1, 8)
+        assert one.mac_count == full.mac_count
 
 
 class TestStreamingCost:

@@ -13,6 +13,7 @@ from waitkit.training import (
     Adam,
     ConfigError,
     IngestionError,
+    METRICS_HEADER,
     ParallelExample,
     SyntheticTaskSpec,
     TrainConfig,
@@ -74,11 +75,11 @@ class TestTotalLoss:
 
     def test_frozen_mode_drops_teacher_term(self, rng):
         """Without teacher logits, as a frozen-teacher step calls it, the
-        loss has no teacher term and loss_teacher is nan."""
+        loss has no teacher term and its components no loss_teacher."""
         s, t, y, zi, zf = self._parts(rng)
         loss, comps = total_loss(s, None, y, zi, zf, 0.1)
         ce_s = T.cross_entropy(Tensor(s.values), y).item()
-        assert np.isnan(comps["loss_teacher"])
+        assert "loss_teacher" not in comps
         assert loss.item() == pytest.approx(
             ce_s + 0.1 * comps["loss_distill"], rel=1e-12
         )
@@ -492,8 +493,7 @@ class TestFlatAdam:
         assert len(batches) == 20
         for rec, ref in zip(records, ref_records, strict=True):
             assert rec.keys() == ref.keys()
-            assert np.array_equal(list(rec.values()), list(ref.values()),
-                                  equal_nan=True)
+            assert list(rec.values()) == list(ref.values())
         for p, ref in zip(params, ref_params, strict=True):
             assert np.array_equal(p.values, ref.values)
 
@@ -628,3 +628,26 @@ class TestMetricsCsv:
             "step,loss_student,loss_teacher,loss_distill,grad_norm"
         )
         assert text == p2.read_text(encoding="utf-8")
+
+    def test_absent_loss_columns_are_nan(self, small_model_cfg, tmp_path):
+        """A pretrain_fixed_teacher run writes nan exactly where a phase
+        computes no such loss: loss_student and loss_distill on the
+        teacher's rows, loss_teacher on the student's. The returned rows
+        hold the same layout."""
+        steps = 4
+        path = tmp_path / "metrics.csv"
+        cfg = TrainConfig(mode="pretrain_fixed_teacher", max_steps=steps,
+                          seed=3, k=2, batch_size=8)
+        _, _, rows = train(_copy_examples(32, seed=8), small_model_cfg, cfg,
+                           metrics_path=path)
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        cells = np.array([[float(v) for v in line.split(",")]
+                          for line in lines])
+        assert header.split(",") == list(METRICS_HEADER)
+        assert np.array_equal(cells[:, 0], np.arange(1, 2 * steps + 1))
+        absent = np.zeros(cells.shape, dtype=bool)
+        absent[:steps, [1, 3]] = True       # teacher phase
+        absent[steps:, 2] = True            # student phase
+        assert np.array_equal(np.isnan(cells), absent)
+        assert np.array_equal(np.isnan(np.array(rows, dtype=float)), absent)
+        assert np.isfinite(cells[~absent]).all()
