@@ -123,11 +123,11 @@ def cmd_k_matrix(cfg):
         raise ConfigError("k-matrix runs on synthetic tasks")
     examples, vocab, _ = _data(cfg, "train")
     test_examples = _data(cfg, "test")[0]
-    model_cfg = cfgmod.model_config(cfg, len(vocab), len(vocab))
     students = {}
     for train_k in cfg["train_ks"]:
-        train_cfg = cfgmod.train_config(cfg, k=train_k)
-        _, student, _ = train(examples, model_cfg, train_cfg)
+        run_cfg = {**cfg, "k": train_k}
+        model_cfg = cfgmod.model_config(run_cfg, len(vocab), len(vocab))
+        _, student, _ = train(examples, model_cfg, cfgmod.train_config(run_cfg))
         students[train_k] = student
     matrix = k_matrix(students, cfg["test_ks"], test_examples,
                       csv_path=cfg["matrix_out"])

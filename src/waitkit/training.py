@@ -306,8 +306,9 @@ class Adam:
 
 
 def grad_norm(grads):
-    """The l2 norm of a flat gradient buffer, as Adam's _grads."""
-    return math.sqrt(grads @ grads)
+    """The l2 norm of a flat gradient buffer, as Adam's _grads. einsum
+    sums in numpy, not in a BLAS dot whose threads split the sum."""
+    return math.sqrt(np.einsum("i,i->", grads, grads))
 
 
 # ----------------------------------------------------------------------

@@ -146,18 +146,20 @@ class KVCache:
     attended, in order, written one row at a time into buffers
     [capacity, d]: k[:len(cache)] and v[:len(cache)] hold them.
 
-    weight and bias, when given, are the attention's projections stacked
+    weight and bias are copies of the attention's projections stacked
     (MultiHeadAttention.kv_cache): [Wq;Wk;Wv] for self-attention, whose
-    query is its memory row, or [Wk;Wv] for cross-attention. A single new
-    memory row is projected by one product over them, which gives the bits
-    of the separate products where _stacks_exactly says so. The rows are
-    plain arrays, for inference only.
+    query is its memory row, or [Wk;Wv] for cross-attention. project takes
+    one product over them, or one per block where _stacks_exactly says
+    stacking changes the bits: the bits of the separate products either
+    way. The rows are plain arrays, for inference only.
     """
 
-    def __init__(self, capacity, d, weight=None, bias=None):
+    def __init__(self, capacity, d, weight, bias):
         self.k, self.v = np.empty((capacity, d)), np.empty((capacity, d))
         self._n = 0
         self.weight, self.bias = weight, bias
+        self._blocks = (None if _stacks_exactly(d, len(weight) // d)
+                        else range(0, len(weight), d))
 
     def __len__(self):
         return self._n
@@ -167,6 +169,18 @@ class KVCache:
         self.k[self._n] = key
         self.v[self._n] = value
         self._n += 1
+
+    def project(self, row):
+        """Add the key and value of one memory row [d]; returns its query
+        [d] for self-attention, an empty row for cross-attention."""
+        w, b, d = self.weight, self.bias, len(row)
+        if self._blocks is None:
+            out = T._product(row, w, b)
+        else:
+            out = np.concatenate([T._product(row, w[i:i + d], b[i:i + d])
+                                  for i in self._blocks])
+        self.append(out[-2 * d:-d], out[-d:])
+        return out[:-2 * d]
 
 
 @functools.cache
@@ -203,9 +217,9 @@ class MultiHeadAttention(Module):
         mask broadcasts to the scores [..., heads, tq, tk], True keeps.
 
         A streamed row: queries is one row [d] and cache the KVCache of the
-        memory rows attended before. In self-attention memory is that row,
-        and it joins the cache; otherwise memory holds rows [c, d], and
-        those past len(cache) join it. A row takes no mask: it reads every
+        memory rows it attends. In self-attention memory is that row, and
+        the cache projects it; in cross-attention memory is None and the
+        cache already holds every row. A row takes no mask: it reads every
         cached row.
         """
         if type(queries) is not np.ndarray:
@@ -213,23 +227,8 @@ class MultiHeadAttention(Module):
             q, k, v = self.wq(queries), self.wk(memory), self.wv(memory)
             return self.wo(T.attention(q, k, v, self.n_heads, self.scale,
                                        mask))
-        d, w = len(queries), cache.weight
-        if memory.ndim == 1:
-            if w is None:
-                q, k, v = self.wq(memory), self.wk(memory), self.wv(memory)
-            else:
-                qkv = T._product(memory, w, cache.bias)
-                q, k, v = qkv[:d], qkv[d:2 * d], qkv[2 * d:]
-            cache.append(k, v)
-        else:
-            q, new = self.wq(queries), memory[len(cache):]
-            if w is not None and len(new) == 1:
-                kv = T._product(new[0], w, cache.bias)
-                cache.append(kv[:d], kv[d:])
-            elif len(new):
-                for key, value in zip(self.wk(new), self.wv(new)):
-                    cache.append(key, value)
-        c, h = len(cache), self.n_heads
+        q = self.wq(queries) if memory is None else cache.project(memory)
+        c, h, d = len(cache), self.n_heads, len(queries)
         o, _ = T._attend(q.reshape(h, 1, d // h),
                          cache.k[:c].reshape(c, h, d // h).transpose(1, 2, 0),
                          cache.v[:c].reshape(c, h, d // h).transpose(1, 0, 2),
@@ -237,14 +236,11 @@ class MultiHeadAttention(Module):
         return self.wo(o.reshape(d))
 
     def kv_cache(self, capacity, self_attention):
-        """An empty KVCache of capacity rows holding copies of this
-        attention's projections, stacked where that is exact; with
-        self_attention the query must be the memory row."""
+        """An empty KVCache of capacity rows holding stacked copies of this
+        attention's projections; with self_attention the query must be the
+        memory row."""
         stack = (self.wq, self.wk, self.wv)[0 if self_attention else 1:]
-        d = self.wq.w.shape[1]
-        if not _stacks_exactly(d, len(stack)):
-            return KVCache(capacity, d)
-        return KVCache(capacity, d,
+        return KVCache(capacity, self.wq.w.shape[1],
                        np.concatenate([p.w.values for p in stack]),
                        np.concatenate([p.b.values for p in stack]))
 
@@ -360,8 +356,8 @@ class DecoderLayer(Module):
 
     def __call__(self, x, memory, self_mask, cross_mask=None, bridge=None,
                  cache=(None, None)):
-        """x [b, t, d], or one streamed row [d] with a (self-attention,
-        cross-attention) KVCache pair."""
+        """x [b, t, d] over memory [b, n, d], or one streamed row [d] over
+        a (self-attention, cross-attention) KVCache pair, memory None."""
         add = np.add if type(x) is np.ndarray else T.add
         h = self.ln1(x)
         x = add(x, self.self_attn(h, h, self_mask, cache[0]))
@@ -393,13 +389,13 @@ class Decoder(_Stack):
                             cross_mask, bridge,
                             [(None, None)] * len(self.layers))
 
-    def step(self, token_id, memory, bridge, caches):
+    def step(self, token_id, bridge, caches):
         """Logits [vocab] of the row after those cached in caches, one
         (self-attention, cross-attention) KVCache pair per layer: target
-        id token_id reads every encoder row of memory [c, d], with the
+        id token_id reads every encoder row the cross caches hold, with the
         bridge row [d]."""
         return self._layers(self.embed_row(token_id, len(caches[0][0])),
-                            memory, None, None, bridge, caches)
+                            None, None, None, bridge, caches)
 
     def _layers(self, x, memory, self_mask, cross_mask, bridge, caches):
         last = len(self.layers) - 1
@@ -532,9 +528,8 @@ class IncrementalModel(_Model):
         if stream.ids != prefix_ids[:-1]:
             raise ScheduleError(f"a prefix of {t} ids does not extend the "
                                 f"{len(stream.ids)} held ids by one")
-        z, f = stream.states
-        logits = self.decoder.step(prefix_ids[-1], z, f,
-                                   stream.decoder_caches)
+        _, f = stream.states
+        logits = self.decoder.step(prefix_ids[-1], f, stream.decoder_caches)
         stream.ids.append(prefix_ids[-1])
         return Tensor(logits)
 
@@ -568,7 +563,8 @@ class StreamingEncoder:
             for layer in model.decoder.layers]
 
     def push(self, token_id):
-        """Consume one source token; returns its encoder state row [d].
+        """Consume one source token; returns its encoder state row [d],
+        whose keys and values join every decoder cross-attention cache.
         Its bridge row replaces the last: average_embedding_bridge's row
         of the inputs read so far."""
         enc = self.model.encoder
@@ -576,6 +572,8 @@ class StreamingEncoder:
         for layer, cache in zip(enc.layers, self._caches):
             x = layer(x, cache=cache)
         z_row = enc.final_ln(x)
+        for _, cross in self.decoder_caches:
+            cross.project(z_row)
         self.running_sum = self.running_sum + e
         self.count += 1
         self._z[self.count - 1] = z_row

@@ -237,16 +237,16 @@ def composed_attention(q, k, v, n_heads, scale, mask=None):
 def composed_attention_call(attn, queries, memory, mask=None, cache=None):
     """Reference for MultiHeadAttention.__call__ over composed_attention;
     patch it in as the method to run a model on the unfused chain. A
-    streamed row [d] adds the keys and values of its new memory rows to the
-    KVCache by separate products, then runs the chain on Tensors over every
-    cached row."""
+    streamed self-attention row [d] adds its key and value to the KVCache by
+    separate products, a cross-attention row (memory None) reads the rows
+    StreamingEncoder.push projected; then the chain runs on Tensors over
+    every cached row."""
     if cache is None:
         q, k, v = attn.wq(queries), attn.wk(memory), attn.wv(memory)
         return attn.wo(composed_attention(q, k, v, attn.n_heads, attn.scale,
                                           mask))
-    new = memory[None] if memory.ndim == 1 else memory[len(cache):]
-    for key, value in zip(attn.wk(new), attn.wv(new)):
-        cache.append(key, value)
+    if memory is not None:
+        cache.append(attn.wk(memory[None])[0], attn.wv(memory[None])[0])
     c = len(cache)
     out = composed_attention(Tensor(attn.wq(queries)[None]),
                              Tensor(cache.k[:c]), Tensor(cache.v[:c]),
@@ -334,8 +334,10 @@ class ReferenceKV:
 def reference_attention(attn, queries, memory, cache):
     """Reference for a streamed MultiHeadAttention call: separate q, k and v
     products on Tensors [1, t, d], the new keys and values joined to a
-    ReferenceKV, and one T.attention op over all of them."""
-    k, v = cache.join(attn.wk(memory), attn.wv(memory))
+    ReferenceKV (none when memory is None), and one T.attention op over all
+    of them."""
+    k, v = ((cache.k, cache.v) if memory is None
+            else cache.join(attn.wk(memory), attn.wv(memory)))
     return attn.wo(T.attention(attn.wq(queries), k, v, attn.n_heads,
                                attn.scale))
 
@@ -372,9 +374,9 @@ def reference_decode_step(model, prefix_ids, stream):
     """Reference for IncrementalModel.decode_step before the row branches:
     the decoder row of prefix_ids[-1] over every source row the
     ReferenceStream stream has read, after the rows it holds, by ops on
-    Tensors under no_grad with separate q/k/v products; the encoder rows
-    its cross caches lack join them, and the last layer adds the bridge
-    row of the last source row read."""
+    Tensors under no_grad with separate q/k/v products; its cross caches
+    already hold every source row, and the last layer adds the bridge row
+    of the last source row read."""
     if stream.count == 0:
         raise ScheduleError("cannot decode an empty source")
     if stream.model is not model:
@@ -384,11 +386,9 @@ def reference_decode_step(model, prefix_ids, stream):
     if not prefix or cache.ids != prefix[:-1]:
         raise ScheduleError(f"a prefix of {len(prefix)} ids does not extend "
                             f"the {len(cache.ids)} held ids by one")
-    decoder, (z, f) = model.decoder, stream.states
+    decoder, (_, f) = model.decoder, stream.states
     with T.no_grad():
         x = reference_embed(decoder, np.array([prefix[-1:]]), len(cache.ids))
-        read = len(cache.layers[0][1])
-        memory = Tensor(z[None, read:])
         bridge = Tensor(f[None, None])
         last = len(decoder.layers) - 1
         for i, (layer, (own, other)) in enumerate(zip(decoder.layers,
@@ -396,7 +396,7 @@ def reference_decode_step(model, prefix_ids, stream):
             h = layer.ln1(x)
             x = T.add(x, reference_attention(layer.self_attn, h, h, own))
             h = layer.ln2(x)
-            y = reference_attention(layer.cross_attn, h, memory, other)
+            y = reference_attention(layer.cross_attn, h, None, other)
             if i == last:
                 attn = layer.cross_attn
                 y = T.add(y, T.linear(T.linear(bridge, attn.wv.w), attn.wo.w))
@@ -409,8 +409,9 @@ def reference_decode_step(model, prefix_ids, stream):
 
 class ReferenceStream:
     """Reference for StreamingEncoder before the row branches: push runs the
-    ops on Tensors under no_grad with separate q/k/v products, and decoder
-    holds the rows reference_decode_step writes."""
+    ops on Tensors under no_grad with separate q/k/v products and joins the
+    state row's keys and values to every decoder layer's cross ReferenceKV,
+    and decoder holds the rows reference_decode_step writes."""
 
     def __init__(self, model):
         self.model = model
@@ -432,6 +433,10 @@ class ReferenceStream:
                 x = T.add(x, reference_attention(layer.attn, h, h, cache))
                 x = T.add(x, layer.ff(layer.ln2(x)))
             z_row = enc.final_ln(x)
+            for layer, (_, cross) in zip(self.model.decoder.layers,
+                                         self.decoder.layers):
+                attn = layer.cross_attn
+                cross.join(attn.wk(z_row), attn.wv(z_row))
             self.running_sum = self.running_sum + e.values[0, 0]
             self.count += 1
             mean = Tensor((self.running_sum / self.count)[None, :])

@@ -8,11 +8,10 @@ Run once per tree and compare the printed lines:
 Each line is a name, a digest and the multiply-accumulates counted while it
 ran. It covers 60 joint train() steps and 60 + 60 pretrain_fixed_teacher
 steps, in three lines each: the trained parameters, the step and loss
-columns of the metric rows, and their grad_norm column (a BLAS dot whose
-rounding can move with its order and with the BLAS thread count, so compare
-it under one OPENBLAS_NUM_THREADS setting). It covers too the pushed state
-rows and the streamed logits over the 60 random models of
-test_array_mode.py, the tape entries of train_joint-shaped steps, the bytes
+columns of the metric rows, and their grad_norm column. It covers too the
+pushed state rows and the streamed logits over the 60 random models of
+test_array_mode.py, in one line, and the ids they emit, in another
+(decode_tokens), the tape entries of train_joint-shaped steps, the bytes
 the command line writes for a small copy-task run, those it writes
 generating a corpus and training and evaluating on its files, each public
 op of tensor.py on fixed inputs, recorded and not, the MAC count of
@@ -87,8 +86,10 @@ def training_digest(mode):
 
 def decode_digest():
     """The loop of test_streamed_and_reused_logits_equal_reference, without
-    the reference: each pushed state row and each streamed logit row."""
-    digest = Digest()
+    the reference: {"_suite": each pushed state row and each streamed logit
+    row, "_tokens": the ids the loop emits, which a refactor that moves the
+    logits' last bits may still leave identical}."""
+    digest, tokens = Digest(), Digest()
     for block in range(4):
         rng = np.random.default_rng(100 + block)
         for trial in range(15):
@@ -102,7 +103,8 @@ def decode_digest():
                 logits = model.decode_step(prefix, stream).values
                 digest.array(logits)
                 prefix.append(int(np.argmax(logits)))
-    return digest.hexdigest()
+            tokens.array(np.array(prefix))
+    return {"_suite": digest.hexdigest(), "_tokens": tokens.hexdigest()}
 
 
 def tape_entries():
@@ -281,7 +283,7 @@ def main():
     for name, run in (("train_joint", lambda: training_digest("joint")),
                       ("train_pretrain_fixed_teacher",
                        lambda: training_digest("pretrain_fixed_teacher")),
-                      ("decode_suite", decode_digest),
+                      ("decode", decode_digest),
                       ("tape_entries", tape_entries),
                       ("cli_outputs", cli_outputs_digest),
                       ("cli_data", cli_data_digest),

@@ -2,15 +2,17 @@
 row branches, against the Tensor-op code it replaces (ReferenceStream and
 reference_decode_step in conftest): the same logits, states and tokens bit
 for bit, the stacked single-row projections equal to the separate products,
-and decode_step's refusal of calls that do not add one row to a stream of
+a source row's cross-attention keys and values the same at every k, and
+decode_step's refusal of calls that do not add one row to a stream of
 its model that has read, and its input errors."""
 
 import numpy as np
 import pytest
 
 from waitkit import tensor as T
+from waitkit import transformer
 from waitkit.errors import LengthError, ScheduleError
-from waitkit.transformer import (IncrementalModel, KVCache, ModelConfig,
+from waitkit.transformer import (IncrementalModel, ModelConfig,
                                  MultiHeadAttention, _stacks_exactly)
 from waitkit.waitk import streaming_decode
 
@@ -88,38 +90,91 @@ def test_stacking_probe_is_sound():
 
 
 @pytest.mark.parametrize("d", [4, 8, 12, 16, 32, 64])
-def test_stacked_projection_equals_separate_linears(d):
-    """A streamed attention row through a cache with stacked projections
-    returns what it returns through a cache without them, in
-    self-attention and in cross-attention over memory rows that arrive
-    none, one or two at a time; the stacked q, k and v rows equal the
-    separate linears."""
+def test_stacked_projection_equals_separate_linears(d, monkeypatch):
+    """KVCache.project of a memory row, on a cache with stacked projections
+    and on one forced to a product per block, returns the separate wq's
+    query (an empty row in cross-attention) and caches the separate wk and
+    wv rows; a streamed attention row returns the same through either
+    cache, in self-attention and in cross-attention over memory rows that
+    arrive none, one or two at a time."""
     rng = np.random.default_rng(d)
     cfg = ModelConfig(n_layers=1, d_model=d, n_heads=2, d_ff=8, max_len=12)
     attn = MultiHeadAttention(rng, cfg)
     for p in attn.parameters():
         p.values += rng.normal(size=p.shape) * 0.1       # non-zero biases
-    stacked = {flag: attn.kv_cache(12, flag) for flag in (True, False)}
-    for flag, cache in stacked.items():
-        if cache.weight is None:
-            continue
-        x = rng.normal(size=d)
-        parts = [lin(x) for lin in (attn.wq, attn.wk, attn.wv)[
-            0 if flag else 1:]]
-        assert np.array_equal(x @ cache.weight.T + cache.bias,
-                              np.concatenate(parts))
-    plain = {flag: KVCache(12, d) for flag in (True, False)}
-    memory, seen = rng.normal(size=(12, d)), 0
+
+    def caches(stack):
+        """Empty self- and cross-attention caches, by flag; per-block
+        products unless stack."""
+        with monkeypatch.context() as patch:
+            if not stack:
+                patch.setattr(transformer, "_stacks_exactly",
+                              lambda d, blocks: False)
+            return {flag: attn.kv_cache(12, flag) for flag in (True, False)}
+
+    for stack in (True, False):
+        for flag, cache in caches(stack).items():
+            x = rng.normal(size=d)
+            q = cache.project(x)
+            assert np.array_equal(q, attn.wq(x) if flag else np.empty(0))
+            assert np.array_equal(cache.k[0], attn.wk(x))
+            assert np.array_equal(cache.v[0], attn.wv(x))
+    stacked, blocked = caches(True), caches(False)
+    memory, seen, queries = rng.normal(size=(12, d)), 0, []
     for _ in range(12):
         h = rng.normal(size=d)
-        seen = min(12, seen + int(rng.integers(0 if seen else 1, 3)))
-        got = (attn(h, h, cache=stacked[True]),
-               attn(h, memory[:seen], cache=stacked[False]))
-        want = (attn(h, h, cache=plain[True]),
-                attn(h, memory[:seen], cache=plain[False]))
+        new = min(12, seen + int(rng.integers(0 if seen else 1, 3)))
+        for held in (stacked, blocked):
+            for x in memory[seen:new]:
+                held[False].project(x)
+        seen = new
+        queries.append(h)
+        got, want = ((attn(h, h, cache=held[True]),
+                      attn(h, None, cache=held[False]))
+                     for held in (stacked, blocked))
         for a, b in zip(got, want):
             assert type(a) is np.ndarray and a.shape == (d,)
             assert np.array_equal(a, b)
+    for held in (stacked, blocked):
+        for flag, rows in ((True, queries), (False, memory[:seen])):
+            cache = held[flag]
+            assert len(cache) == len(rows)
+            for j, x in enumerate(rows):
+                assert np.array_equal(cache.k[j], attn.wk(x))
+                assert np.array_equal(cache.v[j], attn.wv(x))
+
+
+@pytest.mark.parametrize("d", [10, 16, 32, 64])
+def test_cross_cache_rows_do_not_depend_on_k(d):
+    """push projects each state row into every decoder cross-attention
+    cache when it reads it, so a row's cached keys and values are the bits
+    of the separate wk and wv products of that row, whatever k the stream
+    decodes at and however many rows it reads before a write."""
+    cfg = ModelConfig(n_layers=2, d_model=d, n_heads=2, d_ff=16,
+                      src_vocab=20, tgt_vocab=20, max_len=24)
+    model = IncrementalModel(cfg, seed=d)
+    src = np.random.default_rng(d).integers(4, 20, size=12).tolist()
+    n, cached = len(src), {}
+    for k in (1, 2, 3, 5):
+        stream, prefix = model.start_stream(), [1]
+        for s in range(1, n + 1):
+            while stream.count < min(k + s - 1, n):
+                stream.push(src[stream.count])
+            logits = model.decode_step(prefix, stream).values
+            prefix.append(int(np.argmax(logits)))
+        cached[k] = [(c.k[:len(c)].copy(), c.v[:len(c)].copy())
+                     for _, c in stream.decoder_caches]
+        z, _ = stream.states
+        for layer, (keys, values) in zip(model.decoder.layers, cached[k]):
+            attn = layer.cross_attn
+            assert len(keys) == n
+            for j in range(n):
+                assert np.array_equal(keys[j], attn.wk(z[j])), (k, j)
+                assert np.array_equal(values[j], attn.wv(z[j])), (k, j)
+    for k in (2, 3, 5):
+        for (keys1, values1), (keys, values) in zip(cached[1], cached[k]):
+            assert np.array_equal(keys1, keys), k
+            assert np.array_equal(values1, values), k
 
 
 @pytest.fixture

@@ -109,7 +109,9 @@ class TestMacCounts:
 class TestStreamingCost:
     def test_per_token_cost_closed_form(self):
         """Pushing token t costs the fixed projection/feed-forward work plus
-        attention over the t cached positions; there is no re-encoding term."""
+        attention over the t cached positions, and the keys and values of
+        its state row in every decoder layer's cross-attention cache; there
+        is no re-encoding term."""
         import numpy as np
 
         from waitkit import tensor as T
@@ -122,12 +124,46 @@ class TestStreamingCost:
         dk = d // h
         per_layer_fixed = 4 * d * d + 2 * d * dff
         bridge = d * d
+        cross_kv = cfg.n_layers * 2 * d * d
         rng = np.random.default_rng(0)
         for t in range(1, 41):
             T.mac_counter.count = 0
             stream.push(int(rng.integers(4, cfg.src_vocab)))
-            expected = cfg.n_layers * (per_layer_fixed + 2 * h * t * dk) + bridge
+            expected = (cfg.n_layers * (per_layer_fixed + 2 * h * t * dk)
+                        + bridge + cross_kv)
             assert T.mac_counter.count == expected
+
+    def test_per_emission_cost_closed_form(self):
+        """Writing target row t over c read rows costs, per decoder layer,
+        self-attention's four projections and its attention over t rows,
+        cross-attention's query and output projections and its attention
+        over c rows, and the feed-forward; then the bridge shift of the
+        last layer and the output projection. No term grows with the rows
+        read since the last write: push projected them."""
+        import numpy as np
+
+        from waitkit import tensor as T
+        from waitkit.transformer import IncrementalModel
+
+        cfg = bench_cfg()
+        model = IncrementalModel(cfg, seed=0)
+        d, dff, n_layers = cfg.d_model, cfg.d_ff, cfg.n_layers
+        src = np.random.default_rng(1).integers(4, cfg.src_vocab, 20)
+        for k in (1, 3):
+            stream, prefix = model.start_stream(), [1]
+            for t in range(1, 31):
+                while stream.count < min(k + t - 1, len(src)):
+                    stream.push(int(src[stream.count]))
+                c = stream.count
+                T.mac_counter.count = 0
+                logits = model.decode_step(prefix, stream).values
+                per_layer = (4 * d * d + 2 * t * d        # self-attention
+                             + 2 * d * d + 2 * c * d      # cross-attention
+                             + 2 * d * dff)               # feed-forward
+                expected = (n_layers * per_layer + 2 * d * d
+                            + cfg.tgt_vocab * d)
+                assert T.mac_counter.count == expected, (k, t)
+                prefix.append(int(np.argmax(logits)))
 
 
 class TestTiming:

@@ -600,6 +600,25 @@ class TestKMatrixCommand:
         assert lines[0] == "train_k,test_k=1,test_k=2"
         assert len(lines) == 3
 
+    def test_each_student_is_built_at_its_train_k(self, tmp_path,
+                                                  monkeypatch):
+        """A student's ModelConfig carries the k it was trained at, not
+        the config's k."""
+        students = {}
+        k_matrix = cli.k_matrix
+
+        def capture(trained, *args, **kwargs):
+            students.update(trained)
+            return k_matrix(trained, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "k_matrix", capture)
+        overrides = base_overrides(
+            tmp_path, train_ks="1,5", test_ks="1", k="3", max_steps=2,
+            train_count=16, test_count=4, early_stop_loss="0",
+        )
+        assert main(["k-matrix"] + overrides) == 0
+        assert {k: s.cfg.k for k, s in students.items()} == {1: 1, 5: 5}
+
 
 def flip_bit(rng, data):
     i = int(rng.integers(0, len(data)))

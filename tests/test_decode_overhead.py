@@ -397,8 +397,8 @@ def test_train_step_records_155_tape_entries(monkeypatch):
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_kv_cache_returns_concatenation_of_appends(lead, rows):
     """k[:c] and v[:c] are the c rows appended so far, in order, whether
-    they come one per read (self-attention) or several (a cross-attention
-    read of new memory rows); later appends write past them.
+    one or several are appended between reads of the cache; later appends
+    write past them.
 
     lead is the leading shape of the array a key and its value are views
     of: () for rows of their own, (2,) for the two halves of one [2, d]
@@ -407,7 +407,7 @@ def test_kv_cache_returns_concatenation_of_appends(lead, rows):
     copies."""
     rng = np.random.default_rng(rows)
     capacity, d = 10, 4
-    cache = KVCache(capacity, d)
+    cache = KVCache(capacity, d, np.zeros((2 * d, d)), np.zeros(2 * d))
     keys, values = rng.normal(size=(2, capacity, d))
     scratch = np.empty((*lead, d))
     held = []

@@ -1,5 +1,8 @@
 """Loss composition, optimizer behavior, synthetic tasks, corpus loading."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -613,6 +616,28 @@ class TestFlatAdam:
         params[0].grad[...] = 1.0
         second.step()
         assert second.t == 1
+
+    def test_grad_norm_does_not_depend_on_blas_threads(self):
+        """grad_norm of eight buffers the size of the train_joint pair's
+        gradients has the same bits on one BLAS thread and on two, each
+        computed in a child process that starts with that thread count. The
+        values span four decades, so a change of summation order shows."""
+        code = ("import numpy as np; from waitkit.training import grad_norm\n"
+                "for seed in range(8):\n"
+                "    rng = np.random.default_rng(seed)\n"
+                "    g = rng.normal(size=92992) * 10.0 ** rng.uniform("
+                "-4, 0, 92992)\n"
+                "    print(grad_norm(g).hex())")
+        norms = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            norms.append(proc.stdout)
+        assert norms[0] == norms[1]
 
 
 class TestMetricsCsv:
