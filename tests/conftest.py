@@ -1,11 +1,18 @@
 import math
+import multiprocessing
+import os
+import tempfile
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from waitkit import tensor as T
+from waitkit.checkpoint import load_models, save_models
 from waitkit.tensor import (Tensor, _broadcast_rule, _op, _softmax,
                             _softmax_grad)
+from waitkit.training import synthetic_vocab, train
 from waitkit.transformer import ModelConfig
 from waitkit.waitk import ScheduleError
 
@@ -130,6 +137,76 @@ def sign_test(challenger_right, champion_right):
     n = wins + losses
     p = sum(math.comb(n, i) for i in range(wins, n + 1)) / 2 ** n
     return wins, losses, p
+
+
+# Independent trainings in spawned processes. Training does not gain from a
+# second BLAS thread at the acceptance shape, but two processes halve a
+# fixture's wall time; parameters and metric rows keep their bits.
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def max_train_processes():
+    return min(2, os.cpu_count() or 1)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread variables to 1 for the processes started inside;
+    this process's BLAS, loaded already, keeps its threads."""
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
+def _train_saved(path, examples, model_cfg, train_cfg):
+    """train() one pair, save it to path, and return its metric rows."""
+    teacher, student, rows = train(examples, model_cfg, train_cfg)
+    save_models(path, teacher, student, synthetic_vocab(model_cfg.src_vocab),
+                synthetic_vocab(model_cfg.tgt_vocab))
+    return rows
+
+
+def train_runs(jobs):
+    """Run independent train(examples, model_cfg, train_cfg) jobs and return
+    one (teacher, student, metric rows) per job, in order.
+
+    The jobs run in at most max_train_processes() processes from a spawn
+    context, on one BLAS thread each, and every process has exited when
+    this returns. Each pair comes back through save_models/load_models
+    files in a temporary directory. With one job, one CPU, or a process
+    that cannot start, the jobs run in this process, through the same
+    files.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"run{i}.ckpt") for i in range(len(jobs))]
+        workers = min(max_train_processes(), len(jobs))
+        rows = None
+        if workers > 1:
+            with ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("spawn")
+            ) as pool:
+                try:
+                    with _one_blas_thread():
+                        # map submits every job, which starts the processes
+                        results = pool.map(_train_saved, paths,
+                                           *zip(*jobs))
+                except OSError:
+                    pool.shutdown(cancel_futures=True)
+                else:
+                    rows = list(results)
+        if rows is None:
+            rows = [_train_saved(path, *job) for path, job in zip(paths, jobs)]
+        return [(*load_models(path)[:2], run_rows)
+                for path, run_rows in zip(paths, rows)]
 
 
 def h_slice(z, f, i):

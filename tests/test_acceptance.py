@@ -28,7 +28,6 @@ from waitkit.training import (
     generate_synthetic,
     pad_batch,
     total_loss,
-    train,
 )
 from waitkit.transformer import (
     IncrementalModel,
@@ -44,8 +43,9 @@ from waitkit.waitk import (
     streaming_decode,
 )
 
-from conftest import (check_gradients, concat, full_h, masked_softmax, mul,
-                      reshape, sign_test, sub, transpose, tsum)
+from conftest import (BLAS_THREAD_VARS, check_gradients, concat, full_h,
+                      masked_softmax, mul, reshape, sign_test, sub, train_runs,
+                      transpose, tsum)
 
 
 def report(number, name, passed, detail=""):
@@ -79,7 +79,7 @@ def copy_run():
     train_cfg = TrainConfig(lambda_distill=0.1, lr=1e-3, max_steps=5000,
                             seed=0, k=3, batch_size=16, early_stop_loss=0.02)
     start = time.monotonic()
-    teacher, student, _ = train(examples, model_cfg, train_cfg)
+    [(teacher, student, _)] = train_runs([(examples, model_cfg, train_cfg)])
     test = generate_synthetic(COPY_TEST_SPEC, 200)
     rep = evaluate_model(student, test, 3, teacher=teacher)
     elapsed = time.monotonic() - start
@@ -92,14 +92,14 @@ def distill_runs():
     fixed step budget so the comparison sees identical training."""
     examples = generate_synthetic(LAG_SPEC, 2000)
     model_cfg = ModelConfig(k=1, **SMALL_MODEL)
-    runs = {}
-    for seed in (1, 2, 3):
-        for lam in (0.1, 0.0):
-            cfg = TrainConfig(lambda_distill=lam, lr=1e-3, max_steps=600,
-                              seed=seed, k=1, batch_size=16)
-            teacher, student, _ = train(examples, model_cfg, cfg)
-            runs[(seed, lam)] = (teacher, student)
-    return runs
+    keys = [(seed, lam) for seed in (1, 2, 3) for lam in (0.1, 0.0)]
+    runs = train_runs([
+        (examples, model_cfg,
+         TrainConfig(lambda_distill=lam, lr=1e-3, max_steps=600, seed=seed,
+                     k=1, batch_size=16))
+        for seed, lam in keys])
+    return {key: (teacher, student)
+            for key, (teacher, student, _) in zip(keys, runs)}
 
 
 @pytest.fixture(scope="module")
@@ -108,14 +108,14 @@ def mode_runs():
     both trained to saturation on a fixed generous budget."""
     examples = generate_synthetic(LAG_SPEC, 2000)
     model_cfg = ModelConfig(k=3, **SMALL_MODEL)
-    runs = {}
-    for seed in (1, 2, 3):
-        for mode in ("joint", "pretrain_fixed_teacher"):
-            cfg = TrainConfig(lambda_distill=0.1, lr=1e-3, max_steps=1800,
-                              seed=seed, k=3, batch_size=16, mode=mode)
-            _, student, _ = train(examples, model_cfg, cfg)
-            runs[(seed, mode)] = student
-    return runs
+    keys = [(seed, mode) for seed in (1, 2, 3)
+            for mode in ("joint", "pretrain_fixed_teacher")]
+    runs = train_runs([
+        (examples, model_cfg,
+         TrainConfig(lambda_distill=0.1, lr=1e-3, max_steps=1800, seed=seed,
+                     k=3, batch_size=16, mode=mode))
+        for seed, mode in keys])
+    return {key: student for key, (_, student, _) in zip(keys, runs)}
 
 
 @pytest.fixture(scope="module")
@@ -123,15 +123,14 @@ def kmatrix_models():
     """Criterion 12: one trained copy-task student per training k, and the
     step at which each one's training stopped."""
     examples = generate_synthetic(COPY_SPEC, 2000)
-    students = {}
-    stop_steps = {}
-    for k in (1, 3, 5):
-        model_cfg = ModelConfig(k=k, **SMALL_MODEL)
-        cfg = TrainConfig(lambda_distill=0.1, lr=1e-3, max_steps=2500,
-                          seed=0, k=k, batch_size=16, early_stop_loss=0.02)
-        _, student, rows = train(examples, model_cfg, cfg)
-        students[k] = student
-        stop_steps[k] = rows[-1][0]
+    ks = (1, 3, 5)
+    runs = train_runs([
+        (examples, ModelConfig(k=k, **SMALL_MODEL),
+         TrainConfig(lambda_distill=0.1, lr=1e-3, max_steps=2500, seed=0,
+                     k=k, batch_size=16, early_stop_loss=0.02))
+        for k in ks])
+    students = {k: student for k, (_, student, _) in zip(ks, runs)}
+    stop_steps = {k: rows[-1][0] for k, (_, _, rows) in zip(ks, runs)}
     return students, stop_steps
 
 
@@ -434,8 +433,8 @@ def test_criterion_6_complexity_separation():
     # other CPU stalls every threaded product, and the incremental times
     # then spread past 1.2 under a median or a minimum alike.
     start = time.monotonic()
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"),
+               PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-c", "import json, test_acceptance as t; "
          "print(json.dumps(t.complexity_timings()))"],
