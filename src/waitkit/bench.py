@@ -2,8 +2,8 @@
 
 Reports median wall time and the exact multiply-accumulate tally of one
 forward pass per variant, at matched model dimensions. Only matrix-product
-MACs are counted (the dominant term). To time one thread, start the process
-with OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1.
+MACs are counted (the dominant term). `waitkit bench` times on one BLAS
+thread, in a child if need be (see cli.cmd_bench).
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .transformer import IncrementalModel, TeacherModel, encode_waitk_recompute
 from .waitk import N_RESERVED, read_counts
 
 VARIANTS = ("baseline_bi", "incremental_ael", "offline")
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 MIN_SAMPLE_SECS = 0.02
 

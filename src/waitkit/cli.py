@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import os
+import subprocess
 import sys
 
 import numpy as np
 
 from . import config as cfgmod
-from .bench import scaling_sweep
+from .bench import BLAS_THREAD_VARS, scaling_sweep
 from .checkpoint import load_models, save_models
 from .errors import CheckpointError, ConfigError, WaitkitError
 from .evaluation import evaluate_model, k_matrix
@@ -135,8 +136,16 @@ def cmd_k_matrix(cfg):
     return EXIT_OK
 
 
-def cmd_bench(cfg):
+def cmd_bench(cfg, argv):
+    """Time on one BLAS thread: unless each of BLAS_THREAD_VARS is 1, rerun
+    `waitkit argv` in a child where they are (a loaded BLAS keeps its
+    threads), which writes to this process's stdout and stderr, and return
+    its exit code."""
     model_cfg = cfgmod.model_config(cfg)
+    if any(os.environ.get(name) != "1" for name in BLAS_THREAD_VARS):
+        env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+        return subprocess.run([sys.executable, "-m", "waitkit.cli", *argv],
+                              env=env).returncode
     results = scaling_sweep(cfg["bench_n"], cfg["bench_k"], model_cfg,
                             csv_path=cfg["bench_out"],
                             trials=cfg["bench_trials"])
@@ -149,21 +158,17 @@ def cmd_decode(cfg):
     k = cfg["test_k"] or student.cfg.k
     out = sys.stdout
     for line in sys.stdin:
-        words = line.split()
-        if not words:
-            out.write("\n")
-            out.flush()
-            continue
-        emitted = 0
+        sep = ""
 
         def emit(token):
-            nonlocal emitted
-            out.write(("" if emitted == 0 else " ") + tgt_vocab.tokens[token])
+            nonlocal sep
+            out.write(sep + tgt_vocab.tokens[token])
             out.flush()
-            emitted += 1
+            sep = " "
 
-        streaming_decode(student, iter(src_vocab.encode(words)), k,
-                         on_emit=emit)
+        if words := line.split():
+            streaming_decode(student, iter(src_vocab.encode(words)), k,
+                             on_emit=emit)
         out.write("\n")
         out.flush()
     return EXIT_OK
@@ -204,6 +209,8 @@ def main(argv=None):
     try:
         with np.errstate(all="ignore"):
             cfg = cfgmod.load_config(args.config, args.overrides)
+            if args.command == "bench":
+                return cmd_bench(cfg, sys.argv[1:] if argv is None else argv)
             return COMMANDS[args.command](cfg)
     except WaitkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 Eager tensor library: every operation computes its result immediately and,
 when a Tape records (outside no_grad), appends its backward rule to it.
-Replaying the tape in reverse sums one delta per tensor and adds only the
-leaves' into .grad. A tape holds only what backward reads (see Tape).
+Replaying the tape in reverse adds each leaf's deltas into its .grad as
+they come. A tape holds only what backward reads (see Tape).
 Every operation is a body over arrays under one scaffold, _op, which alone
 unwraps the operands, builds the Tensor and records; a body always returns
 its value and its backward rule, and _op drops the rule uncalled when
@@ -141,22 +141,22 @@ class Tape(_Context):
             raise GradientError(
                 f"backward target must be a scalar, got shape {loss.shape}"
             )
-        # Deltas are summed per ref. An intermediate's sum is complete when
-        # its own entry is replayed. Of what is left, the leaves' add into
-        # .grad in the order backward first reached them (0 + delta is
-        # exact); a key recorded on another tape names no leaf.
-        deltas = {_ref(loss): np.ones_like(loss.values)}
+        # A leaf's delta adds into its .grad as a rule returns it. An
+        # intermediate's are summed by key until its own entry replays.
+        if isinstance(ref := _ref(loss), Tensor):
+            ref.grad += 1.0         # a leaf loss: no entry to replay
+            return
+        deltas = {ref: np.ones_like(loss.values)}
         for key, refs, rule in reversed(self._entries):
             d = deltas.pop(key, None)
             if d is None:
                 continue
             for ref, dt in zip(refs, rule(d)):
-                if ref is not None:
+                if isinstance(ref, Tensor):
+                    ref.grad += dt
+                elif ref is not None:
                     prev = deltas.get(ref)
                     deltas[ref] = dt if prev is None else prev + dt
-        for ref, d in deltas.items():
-            if isinstance(ref, Tensor):
-                ref.grad += d
 
 
 class no_grad(_Context):

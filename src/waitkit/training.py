@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,10 +124,7 @@ def synthetic_vocab(vocab_size):
 
 
 def build_vocab(sentences):
-    counts = {}
-    for sent in sentences:
-        for w in sent:
-            counts[w] = counts.get(w, 0) + 1
+    counts = Counter(w for sent in sentences for w in sent)
     ordered = sorted(counts, key=lambda w: (-counts[w], w))
     return Vocabulary([*SHARED_TOKENS, "<unk>", *ordered])
 
@@ -184,14 +182,9 @@ def load_corpus(src_path, tgt_path, src_vocab=None, tgt_vocab=None):
             f"line counts differ: {len(src_lines)} in {src_path} vs "
             f"{len(tgt_lines)} in {tgt_path}"
         )
-    pairs = []
-    skipped = 0
-    for s, t in zip(src_lines, tgt_lines):
-        s_toks, t_toks = s.split(), t.split()
-        if not s_toks or not t_toks:
-            skipped += 1
-            continue
-        pairs.append((s_toks, t_toks))
+    pairs = [(s.split(), t.split()) for s, t in zip(src_lines, tgt_lines)]
+    pairs = [(s, t) for s, t in pairs if s and t]
+    skipped = len(src_lines) - len(pairs)
     if skipped:
         logger.warning("skipped %d empty line pair(s)", skipped)
     if not pairs:
@@ -241,19 +234,18 @@ def total_loss(student_logits, teacher_logits, targets, z_incr, z_ref,
 
 class Adam:
     """Adam over flat value and grad buffers whose views become each
-    parameter's values and grad. step() raises if one was rebound since (a
-    second Adam over the same tensors, say): it would train a stale copy.
+    parameter's values and grad. step() consumes the gradients it steps:
+    it leaves every grad zero, ready for the next backward. It raises if a
+    view was rebound since (a second Adam over the same tensors, say): it
+    would train a stale copy.
 
-    step() updates one block of ADAM_BLOCK values at a time through two
-    scratch rows of one block each, so for P values in blocks of B its
-    state is 4P + 2B float64 values (values, grads, m, v, scratch) where a
-    whole-buffer update held 6P. Each value goes through the same in-place
-    operations in the same order, so the result is the same bit for bit.
-    On a 2-vCPU Xeon VM with one BLAS thread, whole buffer -> blocks of
-    32,768, a step took 0.80 -> 0.67-0.78 ms at P = 93k, 78 -> 42-46 ms at
-    P = 4M and 353 -> 190 ms at P = 2^24 (MAX_MODEL_VALUES), where the
-    scratch fell from 268 MB to 0.5 MB. Blocks of 16k to 64k values timed
-    within 10% of each other; blocks of 4,096 are slower (1.01 ms at 93k).
+    step() updates one block of ADAM_BLOCK values at a time, writing the
+    update into the block's grads through one scratch row of one block, so
+    for P values in blocks of B its state is 4P + B float64 values
+    (values, grads, m, v, scratch) where a whole-buffer update held 6P,
+    with the same bits. On a 2-vCPU Xeon VM with one BLAS thread, blocks
+    of 16k to 64k values timed within 10% of each other; blocks of 4,096
+    were slower (1.01 ms at P = 93k, against 0.67-0.78 ms for 32,768).
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.98, eps=1e-9):
@@ -266,7 +258,7 @@ class Adam:
         self._values = np.concatenate([p.values.ravel() for p in self.params])
         self._grads = np.zeros(self._values.size)
         self._m, self._v = np.zeros((2, self._values.size))
-        self._scratch = np.zeros((2, min(ADAM_BLOCK, self._values.size)))
+        self._scratch = np.zeros(min(ADAM_BLOCK, self._values.size))
         cuts = np.cumsum([p.values.size for p in self.params])[:-1]
         for p, v, g in zip(self.params, np.split(self._values, cuts),
                            np.split(self._grads, cuts)):
@@ -290,19 +282,17 @@ class Adam:
             # In place, in the operation order of
             # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
             # values -= lr (m / bias1) / (sqrt(v / bias2) + eps).
-            a, b = self._scratch[:, :x.size]
+            a = self._scratch[:x.size]
             m *= b1
             m += np.multiply(1.0 - b1, g, out=a)
             v *= b2
             np.multiply(1.0 - b2, g, out=a)
             v += np.multiply(a, g, out=a)
-            np.multiply(self.lr, np.divide(m, bias1, out=a), out=a)
-            np.sqrt(np.divide(v, bias2, out=b), out=b)
-            b += self.eps
-            x -= np.divide(a, b, out=a)
-
-    def zero_grad(self):
-        self._grads.fill(0.0)
+            np.multiply(self.lr, np.divide(m, bias1, out=g), out=g)
+            np.sqrt(np.divide(v, bias2, out=a), out=a)
+            a += self.eps
+            x -= np.divide(g, a, out=g)
+            g.fill(0.0)
 
 
 def grad_norm(grads):
@@ -372,7 +362,6 @@ def _update(optimizer, objective):
     if not np.isfinite(norm):
         raise NumericalError(f"non-finite grad_norm: {norm}")
     optimizer.step()
-    optimizer.zero_grad()
     return record
 
 

@@ -8,6 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from waitkit import bench
 from waitkit import tensor as T
 from waitkit.checkpoint import load_models, save_models
 from waitkit.tensor import (Tensor, _broadcast_rule, _op, _softmax,
@@ -143,9 +144,6 @@ def sign_test(challenger_right, champion_right):
 # second BLAS thread at the acceptance shape, but two processes halve a
 # fixture's wall time; parameters and metric rows keep their bits.
 
-BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS")
-
 
 def max_train_processes():
     return min(2, os.cpu_count() or 1)
@@ -154,9 +152,12 @@ def max_train_processes():
 @contextmanager
 def _one_blas_thread():
     """Set the BLAS thread variables to 1 for the processes started inside;
-    this process's BLAS, loaded already, keeps its threads."""
-    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    this process's BLAS, loaded already, keeps its threads. The names are
+    read here, not at import: equivalence_digest.py imports this module
+    (through test_array_mode) against trees that predate them."""
+    names = bench.BLAS_THREAD_VARS
+    saved = {name: os.environ.get(name) for name in names}
+    os.environ.update(dict.fromkeys(names, "1"))
     try:
         yield
     finally:
@@ -231,10 +232,11 @@ def full_h(z, f):
 
 
 def eager_backward(tape, loss):
-    """Reference for Tape.backward: the eager-grad replay it replaced, which
-    adds every delta into .grad as soon as it reaches a leaf, and sums an
-    intermediate's deltas in the per-call delta dict. (It wrote the
-    intermediates' .grad too, when a tape entry held its output.)"""
+    """Reference for Tape.backward, written apart from it: every delta
+    that reaches a leaf adds into its .grad at once, a leaf loss's unit
+    delta included, and an intermediate's deltas are summed in a per-call
+    dict. (It wrote the intermediates' .grad too, when a tape entry held
+    its output.)"""
     if loss.values.size != 1:
         raise T.GradientError(
             f"backward target must be a scalar, got shape {loss.shape}"
@@ -529,7 +531,8 @@ class ReferenceStream:
 
 class EagerAdam:
     """Reference for training.Adam: one m/v pair and one update per
-    parameter array, reading and writing each parameter's own buffers."""
+    parameter array, reading and writing each parameter's own buffers; a
+    step leaves each grad zero."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.98, eps=1e-9):
         self.params = list(params)
@@ -553,10 +556,7 @@ class EagerAdam:
             v *= b2
             v += (1.0 - b2) * g * g
             p.values -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad[...] = 0.0
+            g[...] = 0.0
 
     @property
     def _grads(self):

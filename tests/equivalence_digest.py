@@ -280,6 +280,12 @@ def cli_data_digest():
 
 
 def main():
+    # With these all 1, `waitkit bench` runs in this process rather than
+    # in a one-thread child, so cli_outputs counts its MACs on every tree
+    # (older ones ignore them). The names are spelled out because older
+    # trees do not define waitkit.bench.BLAS_THREAD_VARS.
+    os.environ.update(dict.fromkeys(
+        ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
     for name, run in (("train_joint", lambda: training_digest("joint")),
                       ("train_pretrain_fixed_teacher",
                        lambda: training_digest("pretrain_fixed_teacher")),

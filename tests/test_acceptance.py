@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from waitkit import tensor as T
-from waitkit.bench import bench_forward
+from waitkit.bench import BLAS_THREAD_VARS, bench_forward
 from waitkit.evaluation import (
     corpus_bleu,
     evaluate_model,
@@ -43,9 +43,8 @@ from waitkit.waitk import (
     streaming_decode,
 )
 
-from conftest import (BLAS_THREAD_VARS, check_gradients, concat, full_h,
-                      masked_softmax, mul, reshape, sign_test, sub, train_runs,
-                      transpose, tsum)
+from conftest import (check_gradients, concat, full_h, masked_softmax, mul,
+                      reshape, sign_test, sub, train_runs, transpose, tsum)
 
 
 def report(number, name, passed, detail=""):

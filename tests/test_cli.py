@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from waitkit import cli
+from waitkit.bench import BLAS_THREAD_VARS
 from waitkit.cli import main
 from waitkit.config import (KEYS, _bool, _int_list, default_config,
                             load_config, model_config, train_config)
@@ -587,6 +588,58 @@ class TestBenchCommand:
         lines = (tmp_path / "bench.csv").read_text().splitlines()
         assert lines[0] == "variant,n,T,k,median_secs,mac_count"
         assert len(lines) == 1 + 2 * 3
+
+    @staticmethod
+    def _record_children(monkeypatch):
+        """The (args, env) of each process cli starts; each still runs."""
+        started, run = [], subprocess.run
+
+        def recording(args, **kwargs):
+            started.append((args, kwargs["env"]))
+            return run(args, **kwargs)
+
+        monkeypatch.setattr(cli.subprocess, "run", recording)
+        return started
+
+    def test_bench_reruns_itself_on_one_blas_thread(self, tmp_path, capfd,
+                                                    monkeypatch):
+        """With a BLAS thread variable other than 1, bench reruns the same
+        command in a child with all three at 1, which writes to this
+        process's stdout and stderr, and returns the child's exit code."""
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.setenv("MKL_NUM_THREADS", "1")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        started = self._record_children(monkeypatch)
+        argv = ["bench"] + base_overrides(tmp_path, bench_n="8",
+                                          bench_k="1", bench_trials="1")
+        assert main(argv) == 0
+        [(args, env)] = started
+        assert args[1:] == ["-m", "waitkit.cli", *argv]
+        assert all(env[name] == "1" for name in BLAS_THREAD_VARS)
+        out = capfd.readouterr()
+        assert out.out == f"3 rows at {tmp_path / 'bench.csv'}\n"
+        assert out.err == ""
+        assert len((tmp_path / "bench.csv").read_text().splitlines()) == 4
+
+    def test_bench_grid_past_max_seq_len_exits_2_from_the_child(
+            self, tmp_path, capfd, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        started = self._record_children(monkeypatch)
+        assert main(["bench"] + base_overrides(
+            tmp_path, bench_n="8,32", bench_k="1", bench_trials="1",
+            max_seq_len="16")) == 2
+        err = capfd.readouterr().err.splitlines()
+        assert len(started) == 1
+        assert err == ["error: sequence length 32 exceeds maximum 16"]
+
+    def test_bench_on_one_blas_thread_starts_no_child(self, tmp_path,
+                                                      monkeypatch):
+        for name in BLAS_THREAD_VARS:
+            monkeypatch.setenv(name, "1")
+        started = self._record_children(monkeypatch)
+        assert main(["bench"] + base_overrides(
+            tmp_path, bench_n="8", bench_k="1", bench_trials="1")) == 0
+        assert started == []
 
 
 class TestKMatrixCommand:

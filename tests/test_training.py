@@ -260,6 +260,36 @@ class TestAdamAndSteps:
         assert len(tape) == 155 and loss.values.size == 1
         assert kept <= 7 * 2 ** 20, kept
 
+    def test_backward_holds_no_second_copy_of_the_grads(self):
+        """One backward on a train_joint batch (16 copy sentences of 12
+        tokens, d32 L2 H2 k3) whose grads are Adam's views peaks less than
+        P float64 values above what the tape held when it started: each
+        leaf delta adds into .grad as it comes. Holding every leaf delta
+        until the replay ended peaked at 1.16 MB, above P's 0.74 MB."""
+        cfg = ModelConfig(n_layers=2, d_model=32, n_heads=2, d_ff=64,
+                          src_vocab=32, tgt_vocab=32, max_len=64, k=3)
+        teacher, student = TeacherModel(cfg, 0), IncrementalModel(cfg, 1)
+        optimizer = Adam(teacher.parameters() + student.parameters())
+        size = optimizer._grads.size
+        src, tgt_in, tgt_out, mask = pad_batch(
+            _copy_examples(16, vocab=32, lo=12, hi=12, seed=12))
+        tracemalloc.start()
+        try:
+            with T.Tape() as tape:
+                t_logits, z_full = teacher.forward(src, tgt_in)
+                s_logits, z_incr = student.forward(src, tgt_in, 3)
+                loss, _ = total_loss(s_logits, t_logits, tgt_out, z_incr,
+                                     z_full, 0.1, mask)
+            del t_logits, z_full, s_logits, z_incr
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert size == 92_992 and optimizer._grads.any()
+        assert peak < size * 8, peak
+
     def test_mode_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(mode="nonsense")
@@ -525,12 +555,12 @@ class TestFlatAdam:
             assert np.array_equal(got, np.concatenate(
                 [w.ravel() for w in want]))
 
-    def test_train_joint_pair_holds_4p_plus_2b(self):
+    def test_train_joint_pair_holds_4p_plus_b(self):
         """Building Adam over the train_joint pair (d32 L2 H2, vocab 32)
-        and stepping it peaks at (4P + 2B) float64 values plus 256 KiB by
-        tracemalloc: values, grads, m, v and two scratch rows of one block,
-        plus about 85 kB of per-parameter views; whole-buffer scratch rows
-        made it 6P, 1 MB more."""
+        and stepping it peaks at (4P + B) float64 values plus 256 KiB by
+        tracemalloc: values, grads, m, v and one scratch row of one block,
+        plus about 85 kB of per-parameter views; a second scratch row made
+        it 4P + 2B, whole-buffer scratch rows 6P."""
         cfg = ModelConfig(n_layers=2, d_model=32, n_heads=2, d_ff=64,
                           src_vocab=32, tgt_vocab=32, max_len=64, k=3)
         params = (TeacherModel(cfg, 0).parameters()
@@ -544,14 +574,14 @@ class TestFlatAdam:
         finally:
             tracemalloc.stop()
         assert size > 2 * ADAM_BLOCK
-        assert peak <= (4 * size + 2 * ADAM_BLOCK) * 8 + 256 * 2 ** 10, peak
+        assert peak <= (4 * size + ADAM_BLOCK) * 8 + 256 * 2 ** 10, peak
 
-    def test_building_over_a_fresh_train_joint_pair_holds_4p_plus_2b(self):
+    def test_building_over_a_fresh_train_joint_pair_holds_4p_plus_b(self):
         """Building Adam over a train_joint pair whose grads were never read
-        peaks at (4P + 2B) float64 values plus 256 KiB by tracemalloc:
-        values, grads, m, v and two scratch rows. Reading each lazy grad to
+        peaks at (4P + B) float64 values plus 256 KiB by tracemalloc:
+        values, grads, m, v and one scratch row. Reading each lazy grad to
         copy it into the buffer allocated P zeros more (4.32 MB, where the
-        bound is 3.76 MB)."""
+        bound is 3.50 MB)."""
         cfg = ModelConfig(n_layers=2, d_model=32, n_heads=2, d_ff=64,
                           src_vocab=32, tgt_vocab=32, max_len=64, k=3)
         params = (TeacherModel(cfg, 0).parameters()
@@ -565,7 +595,34 @@ class TestFlatAdam:
         finally:
             tracemalloc.stop()
         assert size == 92_992 and ADAM_BLOCK == 32_768
-        assert peak <= (4 * size + 2 * ADAM_BLOCK) * 8 + 256 * 2 ** 10, peak
+        assert peak <= (4 * size + ADAM_BLOCK) * 8 + 256 * 2 ** 10, peak
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_train_step_leaves_every_grad_zero(self, small_model_cfg, mode,
+                                               monkeypatch):
+        """A step consumes the gradients it steps: Adam.step returns with
+        the flat grad buffer all 0.0, and train_step makes no zeroing call
+        after it."""
+        teacher = TeacherModel(small_model_cfg, seed=0)
+        student = IncrementalModel(small_model_cfg, seed=1)
+        trained = student.parameters()
+        if mode == "joint":
+            trained = teacher.parameters() + trained
+        opt = Adam(trained)
+        step, left = Adam.step, []
+
+        def recording(optimizer):
+            step(optimizer)
+            left.append(np.count_nonzero(optimizer._grads))
+
+        monkeypatch.setattr(Adam, "step", recording)
+        for seed in (7, 8):
+            record = train_step(teacher, student,
+                                _copy_examples(8, lo=5, hi=5, seed=seed),
+                                opt, TrainConfig(mode=mode, k=2))
+            assert record["grad_norm"] > 0.0
+            assert not any(p.grad.any() for p in trained)
+        assert left == [0, 0]
 
     def test_grad_set_before_building_is_kept(self, small_model_cfg):
         """A grad assigned before Adam is built keeps its values, now in the
@@ -589,7 +646,7 @@ class TestFlatAdam:
             assert np.shares_memory(p.grad, opt._grads)
             assert np.array_equal(p.values, old)
         assert np.all(params[0].grad == 1.5)   # pending grads are kept
-        opt.zero_grad()
+        opt.step()                             # and consumed by a step
         assert not any(p.grad.any() for p in params)
 
     def test_step_raises_after_values_rebound(self, small_model_cfg):
