@@ -96,8 +96,8 @@ def bench_forward(variant, n, k, cfg, t_steps=None, trials=5, seed=0):
         macs0 = T.mac_counter.count
         run()
         macs = T.mac_counter.count - macs0
-        times = [_timed_sample(run) for _ in range(trials)]
-        T.mac_counter.count = macs0 + macs
+        with T._uncounted():
+            times = [_timed_sample(run) for _ in range(trials)]
     return BenchResult(
         variant=variant,
         n=n,

@@ -134,5 +134,5 @@ def model_config(cfg, src_vocab_size=None, tgt_vocab_size=None):
         raise ConfigError(f"model config: {exc}") from None
 
 
-def train_config(cfg, k=None):
-    return _from_config(TrainConfig, cfg, k=cfg["k"] if k is None else k)
+def train_config(cfg):
+    return _from_config(TrainConfig, cfg)

@@ -13,11 +13,13 @@ hardware-independent costs. Multi-head attention is one operation with one
 tape entry, not a chain. The streamed decode does not come here: it runs
 one row at a time on plain arrays (transformer.py), through the cores the
 ops share, _product, _attend and _row_norm, which count MACs as the ops
-do.
+do. _product multiplies a single row as w.dot(x), the BLAS call and bits of
+x @ w.T without matmul's per-call dispatch.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -52,6 +54,16 @@ class _MacCounter:
 
 
 mac_counter = _MacCounter()
+
+
+@contextlib.contextmanager
+def _uncounted():
+    """Products made inside leave mac_counter as they found it."""
+    count = mac_counter.count
+    try:
+        yield
+    finally:
+        mac_counter.count = count
 
 
 class Tensor:
@@ -323,8 +335,12 @@ def matmul(a, b):
 
 
 def _product(x, w, b=None):
-    """x @ w.T (+ b) on arrays, its MACs counted: linear's forward."""
-    out = x @ w.T
+    """x @ w.T (+ b) on arrays, its MACs counted: linear's forward.
+
+    A single row x [in] is multiplied as w.dot(x): the same BLAS gemv, with
+    the same bits, as x @ w.T, without the matmul gufunc's dispatch, which
+    costs about as much as a 64-wide row's arithmetic."""
+    out = w.dot(x) if x.ndim == 1 else x @ w.T
     mac_counter.count += out.size * x.shape[-1]
     return out if b is None else out + b
 

@@ -190,13 +190,16 @@ def _stacks_exactly(d, blocks):
     the rows of a short last group differently from the same rows in a
     full group (OpenBLAS: the last d % 4 rows of each block). That depends
     on shapes only, so it is probed once per shape, on inputs whose wide
-    range makes any change of summation order show."""
+    range makes any change of summation order show. It multiplies through
+    T._product, the call KVCache.project makes, and its products are not
+    counted as MACs."""
     rng = np.random.default_rng(0)
     w = rng.normal(size=(blocks * d, d))
     rows = rng.normal(size=(8, d)) * 10.0 ** rng.uniform(-8, 8, d)
-    return all(np.array_equal(x @ w.T, np.concatenate(
-        [x @ w[i * d:(i + 1) * d].T for i in range(blocks)]))
-        for x in rows)
+    with T._uncounted():
+        return all(np.array_equal(T._product(x, w), np.concatenate(
+            [T._product(x, w[i * d:(i + 1) * d]) for i in range(blocks)]))
+            for x in rows)
 
 
 class MultiHeadAttention(Module):

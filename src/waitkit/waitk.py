@@ -118,7 +118,7 @@ def streaming_decode(model, source, k, max_len=None, eos_id=EOS_ID,
                 if not exhausted:
                     stream.push(token)
             logits = model.decode_step([BOS_ID] + tokens, stream)
-            next_id = int(np.argmax(logits.values))
+            next_id = int(logits.values.argmax())
             if next_id == eos_id:
                 break
             tokens.append(next_id)

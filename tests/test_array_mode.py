@@ -2,9 +2,10 @@
 row branches, against the Tensor-op code it replaces (ReferenceStream and
 reference_decode_step in conftest): the same logits, states and tokens bit
 for bit, the stacked single-row projections equal to the separate products,
-a source row's cross-attention keys and values the same at every k, and
-decode_step's refusal of calls that do not add one row to a stream of
-its model that has read, and its input errors."""
+a single row's product equal to the batched linear's, a source row's
+cross-attention keys and values the same at every k, and decode_step's
+refusal of calls that do not add one row to a stream of its model that has
+read, and its input errors."""
 
 import numpy as np
 import pytest
@@ -72,8 +73,9 @@ def test_streamed_tokens_equal_reference(monkeypatch):
 
 def test_stacking_probe_is_sound():
     """Wherever the probe allows a stack, one row [d] times the stacked
-    weights equals the separate products for random rows and weights. A
-    width of 1 is one product per output, exact on any BLAS."""
+    weights equals the separate products for random rows and weights,
+    each through T._product as KVCache.project makes them. A width of 1 is
+    one product per output, exact on any BLAS."""
     rng = np.random.default_rng(3)
     assert _stacks_exactly(1, 3) and _stacks_exactly(1, 2)
     for d in range(1, 70):
@@ -83,10 +85,39 @@ def test_stacking_probe_is_sound():
             for _ in range(20):
                 x = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3, d)
                 w = rng.normal(size=(blocks * d, d))
-                stacked = x @ w.T
+                stacked = T._product(x, w)
                 for i in range(blocks):
                     assert np.array_equal(stacked[i * d:(i + 1) * d],
-                                          x @ w[i * d:(i + 1) * d].T)
+                                          T._product(x, w[i * d:(i + 1) * d]))
+
+
+def test_stacking_probe_counts_no_macs():
+    """Probing a shape for the first time leaves the MAC tally as it was:
+    a stream's first cache counts the MACs of its model only."""
+    _stacks_exactly.cache_clear()
+    before = T.mac_counter.count
+    _stacks_exactly(64, 3)
+    assert T.mac_counter.count == before
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_row_product_equals_the_batched_linear(bias):
+    """T._product of one row [d], as the stream multiplies it, equals row
+    0 of the batched T.linear over [1, 1, d] bit for bit: widths 1-70,
+    outputs d, 2d, 3d and an odd feed-forward width, on rows whose entries
+    span 1e-8 to 1e8. The streamed decode's parity with the batched
+    forward rests on this; a numpy or BLAS that breaks it fails here by
+    name."""
+    rng = np.random.default_rng(11)
+    for d in range(1, 71):
+        for n_out in (d, 2 * d, 3 * d, 37):
+            w = rng.normal(size=(n_out, d))
+            b = rng.normal(size=n_out) if bias else None
+            for _ in range(4):
+                row = rng.normal(size=d) * 10.0 ** rng.uniform(-8, 8, d)
+                want = T.linear(row[None, None], w, b).values[0, 0]
+                assert np.array_equal(T._product(row, w, b), want), \
+                    (d, n_out)
 
 
 @pytest.mark.parametrize("d", [4, 8, 12, 16, 32, 64])

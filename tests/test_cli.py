@@ -166,7 +166,7 @@ class TestConfigFile:
             early_stop_loss=0.25)
         assert train_config(cfg) == expected
         expected.k = 2
-        assert train_config(cfg, k=2) == expected
+        assert train_config({**cfg, "k": 2}) == expected
 
     def test_bad_boolean(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
