@@ -18,7 +18,7 @@ import numpy as np
 from . import config as cfgmod
 from .bench import BLAS_THREAD_VARS, scaling_sweep
 from .checkpoint import load_models, save_models
-from .errors import CheckpointError, ConfigError, WaitkitError
+from .errors import CheckpointError, ConfigError, LengthError, WaitkitError
 from .evaluation import evaluate_model, k_matrix
 from .training import (SyntheticTaskSpec, generate_synthetic, load_corpus,
                        synthetic_vocab, train)
@@ -63,6 +63,23 @@ def _data(cfg, split, vocabs=None):
     return examples, vocab, vocab
 
 
+def _check_run(cfg, *outputs):
+    """Refuse a training run before it draws data or takes a step: the
+    directory of each output path key in outputs must exist, or the OSError
+    that opening the file would raise is raised now; and a synthetic task
+    may not draw a sentence train() would refuse."""
+    for key in outputs:
+        try:
+            os.stat(os.path.join(os.path.dirname(cfg[key]) or ".", ""))
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, cfg[key]) from None
+    if cfg["task"] != "files" and cfg["max_len"] + 1 > cfg["max_seq_len"]:
+        raise LengthError(
+            f"synthetic sentences of up to {cfg['max_len']} tokens (target "
+            f"length {cfg['max_len']} plus bos) exceed maximum "
+            f"{cfg['max_seq_len']}")
+
+
 def cmd_gen_data(cfg):
     if cfg["task"] == "files":
         raise ConfigError("gen-data only applies to synthetic tasks")
@@ -84,6 +101,7 @@ def cmd_gen_data(cfg):
 
 
 def cmd_train(cfg):
+    _check_run(cfg, "checkpoint", "metrics")
     examples, src_vocab, tgt_vocab = _data(cfg, "train")
     model_cfg = cfgmod.model_config(cfg, len(src_vocab), len(tgt_vocab))
     train_cfg = cfgmod.train_config(cfg)
@@ -122,6 +140,7 @@ def cmd_eval(cfg):
 def cmd_k_matrix(cfg):
     if cfg["task"] == "files":
         raise ConfigError("k-matrix runs on synthetic tasks")
+    _check_run(cfg, "matrix_out")
     examples, vocab, _ = _data(cfg, "train")
     test_examples = _data(cfg, "test")[0]
     students = {}

@@ -142,44 +142,47 @@ class LayerNorm(Module):
 
 
 class KVCache:
-    """Projected keys k and values v of the memory rows one attention has
-    attended, in order, written one row at a time into buffers
-    [capacity, d]: k[:len(cache)] and v[:len(cache)] hold them.
+    """The memory rows one attention has attended, projected, in order.
 
-    weight and bias are copies of the attention's projections stacked
-    (MultiHeadAttention.kv_cache): [Wq;Wk;Wv] for self-attention, whose
-    query is its memory row, or [Wk;Wv] for cross-attention. project takes
-    one product over them, or one per block where _stacks_exactly says
-    stacking changes the bits: the bits of the separate products either
-    way. The rows are plain arrays, for inference only.
+    Row j of rows [capacity, len(weight)] holds memory row j times weight,
+    this cache's copy of the attention's projections stacked: [Wq;Wk;Wv]
+    for self-attention, whose query is its memory row, or [Wk;Wv] for
+    cross-attention. Its last 2d columns are the key k[j] and the value
+    v[j]; kt [h, dk, capacity] and vh [h, capacity, dk] view them split
+    into heads. project takes one product over the stacked weights, or one
+    per block where _stacks_exactly says stacking changes the bits: the
+    bits of the separate products either way. The rows are plain arrays,
+    for inference only.
     """
 
-    def __init__(self, capacity, d, weight, bias):
-        self.k, self.v = np.empty((capacity, d)), np.empty((capacity, d))
+    def __init__(self, attn, capacity, self_attention):
+        stack = (attn.wq, attn.wk, attn.wv)[0 if self_attention else 1:]
+        self.weight = np.concatenate([p.w.values for p in stack])
+        self.bias = np.concatenate([p.b.values for p in stack])
+        d, h = attn.wq.w.shape[1], attn.n_heads
+        self.rows = np.empty((capacity, len(self.weight)))
+        self.k, self.v = self.rows[:, -2 * d:-d], self.rows[:, -d:]
+        self.kt = self.k.reshape(capacity, h, d // h).transpose(1, 2, 0)
+        self.vh = self.v.reshape(capacity, h, d // h).transpose(1, 0, 2)
         self._n = 0
-        self.weight, self.bias = weight, bias
-        self._blocks = (None if _stacks_exactly(d, len(weight) // d)
-                        else range(0, len(weight), d))
+        self._blocks = (None if _stacks_exactly(d, len(stack))
+                        else range(0, len(self.weight), d))
 
     def __len__(self):
         return self._n
 
-    def append(self, key, value):
-        """Add the key and value [d] of one memory row."""
-        self.k[self._n] = key
-        self.v[self._n] = value
-        self._n += 1
-
     def project(self, row):
-        """Add the key and value of one memory row [d]; returns its query
-        [d] for self-attention, an empty row for cross-attention."""
+        """Write the projections of one memory row [d] at row len(self);
+        returns its query [d] for self-attention, an empty row for
+        cross-attention."""
         w, b, d = self.weight, self.bias, len(row)
+        out = self.rows[self._n]
         if self._blocks is None:
-            out = T._product(row, w, b)
+            out[:] = T._product(row, w, b)
         else:
-            out = np.concatenate([T._product(row, w[i:i + d], b[i:i + d])
-                                  for i in self._blocks])
-        self.append(out[-2 * d:-d], out[-d:])
+            for i in self._blocks:
+                out[i:i + d] = T._product(row, w[i:i + d], b[i:i + d])
+        self._n += 1
         return out[:-2 * d]
 
 
@@ -231,21 +234,10 @@ class MultiHeadAttention(Module):
             return self.wo(T.attention(q, k, v, self.n_heads, self.scale,
                                        mask))
         q = self.wq(queries) if memory is None else cache.project(memory)
-        c, h, d = len(cache), self.n_heads, len(queries)
-        o, _ = T._attend(q.reshape(h, 1, d // h),
-                         cache.k[:c].reshape(c, h, d // h).transpose(1, 2, 0),
-                         cache.v[:c].reshape(c, h, d // h).transpose(1, 0, 2),
-                         self.scale, None)
-        return self.wo(o.reshape(d))
-
-    def kv_cache(self, capacity, self_attention):
-        """An empty KVCache of capacity rows holding stacked copies of this
-        attention's projections; with self_attention the query must be the
-        memory row."""
-        stack = (self.wq, self.wk, self.wv)[0 if self_attention else 1:]
-        return KVCache(capacity, self.wq.w.shape[1],
-                       np.concatenate([p.w.values for p in stack]),
-                       np.concatenate([p.b.values for p in stack]))
+        c = len(cache)
+        o, _ = T._attend(q.reshape(self.n_heads, 1, -1), cache.kt[..., :c],
+                         cache.vh[:, :c], self.scale, None)
+        return self.wo(o.reshape(-1))
 
     def attend_rows(self, queries, memory, mask, bridge, cache=None):
         """Attention where query row t attends over bridge[t] + memory[j].
@@ -555,14 +547,14 @@ class StreamingEncoder:
         cfg = model.cfg
         self.count = 0
         self.running_sum = np.zeros(cfg.d_model)
-        self._caches = [layer.attn.kv_cache(cfg.max_len, True)
+        self._caches = [KVCache(layer.attn, cfg.max_len, True)
                         for layer in model.encoder.layers]
         self._z = np.zeros((cfg.max_len, cfg.d_model))
         self._f = None
         self.ids = []
         self.decoder_caches = [
-            (layer.self_attn.kv_cache(cfg.max_len, True),
-             layer.cross_attn.kv_cache(cfg.max_len, False))
+            (KVCache(layer.self_attn, cfg.max_len, True),
+             KVCache(layer.cross_attn, cfg.max_len, False))
             for layer in model.decoder.layers]
 
     def push(self, token_id):

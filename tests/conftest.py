@@ -316,16 +316,18 @@ def composed_attention(q, k, v, n_heads, scale, mask=None):
 def composed_attention_call(attn, queries, memory, mask=None, cache=None):
     """Reference for MultiHeadAttention.__call__ over composed_attention;
     patch it in as the method to run a model on the unfused chain. A
-    streamed self-attention row [d] adds its key and value to the KVCache by
-    separate products, a cross-attention row (memory None) reads the rows
-    StreamingEncoder.push projected; then the chain runs on Tensors over
-    every cached row."""
+    streamed self-attention row [d] takes a row of the KVCache from project
+    and writes its key and value there by separate products, a
+    cross-attention row (memory None) reads the rows StreamingEncoder.push
+    projected; then the chain runs on Tensors over every cached row."""
     if cache is None:
         q, k, v = attn.wq(queries), attn.wk(memory), attn.wv(memory)
         return attn.wo(composed_attention(q, k, v, attn.n_heads, attn.scale,
                                           mask))
     if memory is not None:
-        cache.append(attn.wk(memory[None])[0], attn.wv(memory[None])[0])
+        cache.project(memory)
+        cache.k[len(cache) - 1] = attn.wk(memory[None])[0]
+        cache.v[len(cache) - 1] = attn.wv(memory[None])[0]
     c = len(cache)
     out = composed_attention(Tensor(attn.wq(queries)[None]),
                              Tensor(cache.k[:c]), Tensor(cache.v[:c]),

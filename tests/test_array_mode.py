@@ -13,7 +13,7 @@ import pytest
 from waitkit import tensor as T
 from waitkit import transformer
 from waitkit.errors import LengthError, ScheduleError
-from waitkit.transformer import (IncrementalModel, ModelConfig,
+from waitkit.transformer import (IncrementalModel, KVCache, ModelConfig,
                                  MultiHeadAttention, _stacks_exactly)
 from waitkit.waitk import streaming_decode
 
@@ -141,7 +141,7 @@ def test_stacked_projection_equals_separate_linears(d, monkeypatch):
             if not stack:
                 patch.setattr(transformer, "_stacks_exactly",
                               lambda d, blocks: False)
-            return {flag: attn.kv_cache(12, flag) for flag in (True, False)}
+            return {flag: KVCache(attn, 12, flag) for flag in (True, False)}
 
     for stack in (True, False):
         for flag, cache in caches(stack).items():

@@ -161,8 +161,8 @@ def test_train_steps_bit_identical_to_composed_chain(cfg4, mode,
 
 
 def test_cached_decode_matches_composed_chain(cfg4, monkeypatch):
-    """The cache holds projected rows and the op splits the heads of the
-    whole cache on each call; streamed tokens equal the composed chain's."""
+    """The cache holds projected rows, split into heads by views made once;
+    streamed tokens equal the composed chain's."""
     rng = np.random.default_rng(7)
     for trial in range(6):
         model = IncrementalModel(cfg4, seed=trial)

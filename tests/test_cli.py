@@ -1,8 +1,10 @@
 """End-to-end command line runs, exit codes, and file outputs."""
 
+import errno
 import hashlib
 import io
 import math
+import os
 import subprocess
 import sys
 
@@ -532,16 +534,63 @@ def test_checkpoint_over_the_size_bound(trained, capsys):
 
 
 def test_over_length_example_found_before_the_first_step(tmp_path, capsys):
-    """Of 8 copy sentences of length 5 to 70, three (64, 66 and 67) do not
+    """Of 8 sentence pairs of length 5 to 67, three (64, 66 and 67) do not
     fit max_seq_len=64 with bos. The run is refused before its first step,
     whichever batches its 2 steps would draw, and saves no checkpoint."""
-    overrides = base_overrides(tmp_path, train_count=8, max_steps=2,
-                               min_len=5, max_len=70)
+    lengths = [5, 9, 64, 12, 66, 20, 67, 7]
+    lines = "".join(" ".join(f"w{i % 9}" for i in range(n)) + "\n"
+                    for n in lengths)
+    for name in ("src.txt", "tgt.txt"):
+        (tmp_path / name).write_text(lines)
+    overrides = base_overrides(tmp_path, task="files", max_steps=2,
+                               src_file=tmp_path / "src.txt",
+                               tgt_file=tmp_path / "tgt.txt")
     assert main(["train"] + overrides) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: training example 3 of 8 (source length 64, target length "
         "64 plus bos) exceeds maximum 64"]
     assert not (tmp_path / "model.ckpt").exists()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the run went past its checks")
+
+
+@pytest.mark.parametrize("command, key", [
+    ("train", "checkpoint"), ("train", "metrics"),
+    ("k-matrix", "matrix_out")])
+@pytest.mark.parametrize("parent", ["a regular file", "missing"])
+def test_output_directory_checked_before_training(tmp_path, capsys,
+                                                  monkeypatch, command, key,
+                                                  parent):
+    """An output path under a regular file, or under a directory that does
+    not exist, ends the run with exit 3 and the one line that opening the
+    file would print, before any data is drawn or model trained."""
+    monkeypatch.setattr(cli, "generate_synthetic", _refuse)
+    monkeypatch.setattr(cli, "train", _refuse)
+    (tmp_path / "a regular file").write_text("")
+    path = str(tmp_path / parent / "out")
+    error = (NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                path) if parent == "a regular file"
+             else FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                    path))
+    assert main([command] + base_overrides(tmp_path, **{key: path})) == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+
+
+@pytest.mark.parametrize("command", ["train", "k-matrix"])
+def test_synthetic_max_len_checked_before_drawing(tmp_path, capsys,
+                                                  monkeypatch, command):
+    """A synthetic sentence of max_len tokens fits max_seq_len=64 with bos
+    only if max_len <= 63: max_len=64 is refused with exit 2 before a
+    sentence is drawn, and max_len=63 goes on to draw."""
+    monkeypatch.setattr(cli, "generate_synthetic", _refuse)
+    assert main([command] + base_overrides(tmp_path, max_len=64)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: synthetic sentences of up to 64 tokens (target length 64 "
+        "plus bos) exceed maximum 64"]
+    with pytest.raises(AssertionError, match="past its checks"):
+        main([command] + base_overrides(tmp_path, max_len=63))
 
 
 def test_non_finite_gradient_norm_is_one_line(tmp_path):

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from waitkit import tensor as T
+from waitkit import transformer
 from waitkit.tensor import Tensor
 from waitkit.training import (Adam, SyntheticTaskSpec, TrainConfig,
                               generate_synthetic, train_step)
 from waitkit.transformer import (IncrementalModel, KVCache, LayerNorm,
-                                 ModelConfig, TeacherModel)
+                                 ModelConfig, MultiHeadAttention,
+                                 TeacherModel)
 
 import conftest
 from conftest import (REFERENCE_OPS, concat, masked_softmax, mul,
@@ -393,40 +395,50 @@ def test_train_step_records_155_tape_entries(monkeypatch):
     assert lengths == [155]
 
 
-@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("self_attention", [True, False])
+@pytest.mark.parametrize("blocked", [False, True])
+@pytest.mark.parametrize("d", [8, 9])
 @pytest.mark.parametrize("rows", [1, 2, 3])
-def test_kv_cache_returns_concatenation_of_appends(lead, rows):
-    """k[:c] and v[:c] are the c rows appended so far, in order, whether
-    one or several are appended between reads of the cache; later appends
-    write past them.
+def test_kv_cache_project_writes_each_row_in_place(rows, d, blocked,
+                                                   self_attention,
+                                                   monkeypatch):
+    """project writes memory row j at row j = len(cache): k[j] and v[j] are
+    the separate wk and wv products of that row, and the row never moves,
+    whether one or several rows are projected between reads of the cache.
+    kt[:, :, j] and vh[:, j] are k[j] and v[j] split into heads.
 
-    lead is the leading shape of the array a key and its value are views
-    of: () for rows of their own, (2,) for the two halves of one [2, d]
-    scratch array, as the stacked [Wk;Wv] product hands them over. The
-    scratch is overwritten after each append, so the cache must keep
-    copies."""
+    d=8 takes the stacked product where this BLAS allows it, and d=9, odd,
+    a product per block (_stacks_exactly); blocked forces the per-block
+    path at either width."""
+    if blocked:
+        monkeypatch.setattr(transformer, "_stacks_exactly",
+                            lambda d, blocks: False)
+    h = 2 if d % 2 == 0 else 3
     rng = np.random.default_rng(rows)
-    capacity, d = 10, 4
-    cache = KVCache(capacity, d, np.zeros((2 * d, d)), np.zeros(2 * d))
-    keys, values = rng.normal(size=(2, capacity, d))
-    scratch = np.empty((*lead, d))
+    capacity = 10
+    attn = MultiHeadAttention(rng, ModelConfig(d_model=d, n_heads=h, d_ff=8))
+    for p in attn.parameters():
+        p.values += rng.normal(size=p.shape) * 0.1       # non-zero biases
+    cache = KVCache(attn, capacity, self_attention)
+    memory = rng.normal(size=(capacity, d))
     held = []
     while len(cache) < capacity:
-        c = len(cache)
-        for i in range(c, min(c + rows, capacity)):
-            if lead:
-                scratch[0], scratch[1] = keys[i], values[i]
-                cache.append(scratch[0], scratch[1])
-                scratch[:] = np.nan
-            else:
-                cache.append(keys[i], values[i])
+        for x in memory[len(cache):len(cache) + rows]:
+            c = len(cache)
+            q = cache.project(x)
+            assert len(cache) == c + 1
+            assert np.array_equal(q, attn.wq(x) if self_attention
+                                  else np.empty(0))
+            assert np.array_equal(cache.k[c], attn.wk(x))
+            assert np.array_equal(cache.v[c], attn.wv(x))
         c = len(cache)
         held.append((c, cache.k[:c].copy(), cache.v[:c].copy()))
-        assert np.array_equal(cache.k[:c], keys[:c])
-        assert np.array_equal(cache.v[:c], values[:c])
     for c, k, v in held:
         assert np.array_equal(cache.k[:c], k)
         assert np.array_equal(cache.v[:c], v)
+    for j in range(capacity):
+        assert np.array_equal(cache.kt[:, :, j], cache.k[j].reshape(h, -1))
+        assert np.array_equal(cache.vh[:, j], cache.v[j].reshape(h, -1))
 
 
 def test_cached_decode_refuses_a_recording_tape():
