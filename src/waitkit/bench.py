@@ -15,7 +15,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError
-from .evaluation import write_csv
 from .tensor import no_grad
 from .transformer import IncrementalModel, TeacherModel, encode_waitk_recompute
 from .waitk import N_RESERVED, read_counts
@@ -109,18 +108,8 @@ def bench_forward(variant, n, k, cfg, t_steps=None, trials=5, seed=0):
     )
 
 
-def scaling_sweep(n_values, k_values, cfg, csv_path=None, trials=5):
-    """BenchResult rows for all variants over the n x k grid (t_steps = n)."""
-    results = []
-    for n in n_values:
-        for k in k_values:
-            for variant in VARIANTS:
-                results.append(
-                    bench_forward(variant, n, k, cfg, trials=trials)
-                )
-    if csv_path is not None:
-        write_csv(csv_path, ["variant", "n", "T", "k", "median_secs",
-                             "mac_count"],
-                  [[r.variant, r.n, r.t_steps, r.k, f"{r.median_secs:.6f}",
-                    r.mac_count] for r in results])
-    return results
+def scaling_sweep(n_values, k_values, cfg, trials=5):
+    """BenchResult rows for all variants over the n x k grid (t_steps = n),
+    n outermost, then k, then VARIANTS order."""
+    return [bench_forward(variant, n, k, cfg, trials=trials)
+            for n in n_values for k in k_values for variant in VARIANTS]

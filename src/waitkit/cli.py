@@ -1,14 +1,17 @@
 """Command line entry point.
 
 Subcommands: gen-data, train, eval, k-matrix, bench, decode. Every command
-takes --config plus trailing key=value overrides. Exit codes: 0 success,
-2 usage or configuration error, 3 I/O error, 4 numeric failure; a
-WaitkitError carries its own (see errors.py).
+takes --config plus trailing key=value overrides, checks the directory of
+each output path before it works, and writes its files from what the
+library functions return. Exit codes: 0 success, 2 usage or
+configuration error, 3 I/O error, 4 numeric failure; a WaitkitError
+carries its own (see errors.py).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import subprocess
 import sys
@@ -20,8 +23,8 @@ from .bench import BLAS_THREAD_VARS, scaling_sweep
 from .checkpoint import load_models, save_models
 from .errors import CheckpointError, ConfigError, LengthError, WaitkitError
 from .evaluation import evaluate_model, k_matrix
-from .training import (SyntheticTaskSpec, generate_synthetic, load_corpus,
-                       synthetic_vocab, train)
+from .training import (METRICS_HEADER, SyntheticTaskSpec, generate_synthetic,
+                       load_corpus, synthetic_vocab, train)
 from .waitk import streaming_decode
 
 EXIT_OK = 0
@@ -63,21 +66,35 @@ def _data(cfg, split, vocabs=None):
     return examples, vocab, vocab
 
 
-def _check_run(cfg, *outputs):
-    """Refuse a training run before it draws data or takes a step: the
-    directory of each output path key in outputs must exist, or the OSError
-    that opening the file would raise is raised now; and a synthetic task
-    may not draw a sentence train() would refuse."""
-    for key in outputs:
+def _check_outputs(cfg, *keys):
+    """Raise now the OSError that opening the output path cfg[key] of each
+    of keys would raise because its directory is missing or not a
+    directory; an empty path (traces=) names no file."""
+    for path in filter(None, (cfg[key] for key in keys)):
         try:
-            os.stat(os.path.join(os.path.dirname(cfg[key]) or ".", ""))
+            os.stat(os.path.join(os.path.dirname(path) or ".", ""))
         except OSError as exc:
-            raise type(exc)(exc.errno, exc.strerror, cfg[key]) from None
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+
+
+def _check_run(cfg, *outputs):
+    """Refuse a training run before it draws data or takes a step: check
+    the output path keys in outputs, and refuse a synthetic task that may
+    draw a sentence train() would refuse."""
+    _check_outputs(cfg, *outputs)
     if cfg["task"] != "files" and cfg["max_len"] + 1 > cfg["max_seq_len"]:
         raise LengthError(
             f"synthetic sentences of up to {cfg['max_len']} tokens (target "
             f"length {cfg['max_len']} plus bos) exceed maximum "
             f"{cfg['max_seq_len']}")
+
+
+def _write_csv(path, header, rows):
+    """Write the header row, then rows, to the CSV file path."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_gen_data(cfg):
@@ -105,9 +122,9 @@ def cmd_train(cfg):
     examples, src_vocab, tgt_vocab = _data(cfg, "train")
     model_cfg = cfgmod.model_config(cfg, len(src_vocab), len(tgt_vocab))
     train_cfg = cfgmod.train_config(cfg)
-    teacher, student, rows = train(
-        examples, model_cfg, train_cfg, metrics_path=cfg["metrics"]
-    )
+    teacher, student, rows = train(examples, model_cfg, train_cfg)
+    _write_csv(cfg["metrics"], METRICS_HEADER,
+               [(row[0], *(f"{v:.6f}" for v in row[1:])) for row in rows])
     meta = {"train_k": train_cfg.k, "mode": train_cfg.mode,
             "seed": train_cfg.seed, "task": cfg["task"]}
     save_models(cfg["checkpoint"], teacher, student, src_vocab, tgt_vocab,
@@ -117,6 +134,7 @@ def cmd_train(cfg):
 
 
 def cmd_eval(cfg):
+    _check_outputs(cfg, "report", "traces")
     teacher, student, src_vocab, tgt_vocab, meta = load_models(cfg["checkpoint"])
     if cfg["task"] != meta.get("task", cfg["task"]):
         raise CheckpointError(
@@ -125,11 +143,14 @@ def cmd_eval(cfg):
         )
     examples = _data(cfg, "test", (src_vocab, tgt_vocab))[0]
     k = cfg["test_k"] or student.cfg.k
-    report = evaluate_model(
-        student, examples, k, teacher=teacher,
-        trace_path=cfg["traces"] or None,
-    )
-    report.to_csv(cfg["report"])
+    report = evaluate_model(student, examples, k, teacher=teacher)
+    if cfg["traces"]:
+        with open(cfg["traces"], "w", encoding="utf-8") as fh:
+            fh.writelines(trace.to_json_line() + "\n"
+                          for trace in report.traces)
+    _write_csv(cfg["report"], report.FIELDS, [[
+        *(f"{getattr(report, name):.4f}" for name in report.FIELDS[:4]),
+        f"{report.mean_hidden_l2:.6f}", report.sentences]])
     print(
         f"BLEU {report.corpus_bleu:.2f}  AL {report.mean_al:.2f}  "
         f"sentences {report.sentences}  report at {cfg['report']}"
@@ -149,8 +170,11 @@ def cmd_k_matrix(cfg):
         model_cfg = cfgmod.model_config(run_cfg, len(vocab), len(vocab))
         _, student, _ = train(examples, model_cfg, cfgmod.train_config(run_cfg))
         students[train_k] = student
-    matrix = k_matrix(students, cfg["test_ks"], test_examples,
-                      csv_path=cfg["matrix_out"])
+    matrix = k_matrix(students, cfg["test_ks"], test_examples)
+    _write_csv(cfg["matrix_out"],
+               ["train_k"] + [f"test_k={k}" for k in cfg["test_ks"]],
+               [[train_k] + [f"{v:.4f}" for v in row]
+                for train_k, row in zip(students, matrix)])
     print(f"{matrix.shape[0]}x{matrix.shape[1]} matrix at {cfg['matrix_out']}")
     return EXIT_OK
 
@@ -159,15 +183,19 @@ def cmd_bench(cfg, argv):
     """Time on one BLAS thread: unless each of BLAS_THREAD_VARS is 1, rerun
     `waitkit argv` in a child where they are (a loaded BLAS keeps its
     threads), which writes to this process's stdout and stderr, and return
-    its exit code."""
+    its exit code. bench_out is checked before the child starts."""
+    _check_outputs(cfg, "bench_out")
     model_cfg = cfgmod.model_config(cfg)
     if any(os.environ.get(name) != "1" for name in BLAS_THREAD_VARS):
         env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
         return subprocess.run([sys.executable, "-m", "waitkit.cli", *argv],
                               env=env).returncode
     results = scaling_sweep(cfg["bench_n"], cfg["bench_k"], model_cfg,
-                            csv_path=cfg["bench_out"],
                             trials=cfg["bench_trials"])
+    _write_csv(cfg["bench_out"],
+               ["variant", "n", "T", "k", "median_secs", "mac_count"],
+               [[r.variant, r.n, r.t_steps, r.k, f"{r.median_secs:.6f}",
+                 r.mac_count] for r in results])
     print(f"{len(results)} rows at {cfg['bench_out']}")
     return EXIT_OK
 

@@ -7,9 +7,8 @@ distance between a model pair, and the train-k vs test-k BLEU matrix.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,33 +22,18 @@ BLEU_MAX_ORDER = 4
 
 @dataclass
 class EvalReport:
+    """The report's FIELDS, plus each sentence's DecodeTrace in traces."""
+
     corpus_bleu: float
     mean_al: float
     absent_1gram: float
     present_1gram: float
     mean_hidden_l2: float
     sentences: int
+    traces: list = field(repr=False)
 
     FIELDS = ("corpus_bleu", "mean_al", "absent_1gram", "present_1gram",
               "mean_hidden_l2", "sentences")
-
-    def to_csv(self, path):
-        write_csv(path, self.FIELDS, [[
-            f"{self.corpus_bleu:.4f}",
-            f"{self.mean_al:.4f}",
-            f"{self.absent_1gram:.4f}",
-            f"{self.present_1gram:.4f}",
-            f"{self.mean_hidden_l2:.6f}",
-            self.sentences,
-        ]])
-
-
-def write_csv(path, header, rows):
-    """Write the header row, then rows, to the CSV file path."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _ngram_counts(tokens, order):
@@ -155,8 +139,9 @@ def hidden_distance_stats(student, teacher, dataset):
     return total / len(dataset)
 
 
-def evaluate_model(student, dataset, k, teacher=None, trace_path=None):
-    """Streaming-decode every sentence and aggregate the report.
+def evaluate_model(student, dataset, k, teacher=None):
+    """Streaming-decode every sentence and return the EvalReport, which
+    holds each decode's DecodeTrace in dataset order.
 
     Absent/present unigram accuracies are pooled over the corpus and only
     computed when oracle alignments are present: each decode's tokens are
@@ -182,11 +167,7 @@ def evaluate_model(student, dataset, k, teacher=None, trace_path=None):
             pr_total += len(present)
             ab_match += _clipped_matches(absent, ex.tgt)
             ab_total += len(absent)
-    if trace_path is not None:
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            for trace in traces:
-                fh.write(trace.to_json_line() + "\n")
-    report = EvalReport(
+    return EvalReport(
         corpus_bleu=corpus_bleu(candidates, references),
         mean_al=float(np.mean(al_values)) if al_values else float("nan"),
         absent_1gram=ab_match / ab_total if ab_total else float("nan"),
@@ -194,25 +175,19 @@ def evaluate_model(student, dataset, k, teacher=None, trace_path=None):
         mean_hidden_l2=(hidden_distance_stats(student, teacher, dataset)
                         if teacher is not None else float("nan")),
         sentences=len(dataset),
+        traces=traces,
     )
-    return report
 
 
-def k_matrix(students_by_k, test_ks, dataset, csv_path=None):
+def k_matrix(students_by_k, test_ks, dataset):
     """BLEU for every trained model evaluated at every test k.
 
     students_by_k maps training-time k to a trained student model. Returns
-    a [train x test] array in the key order given.
+    a [train x test] array, rows in the key order given, columns in
+    test_ks order.
     """
-    train_ks = list(students_by_k)
-    matrix = np.zeros((len(train_ks), len(test_ks)))
-    for i, train_k in enumerate(train_ks):
-        model = students_by_k[train_k]
+    matrix = np.zeros((len(students_by_k), len(test_ks)))
+    for i, model in enumerate(students_by_k.values()):
         for j, test_k in enumerate(test_ks):
-            report = evaluate_model(model, dataset, test_k)
-            matrix[i, j] = report.corpus_bleu
-    if csv_path is not None:
-        write_csv(csv_path, ["train_k"] + [f"test_k={k}" for k in test_ks],
-                  [[train_k] + [f"{v:.4f}" for v in row]
-                   for train_k, row in zip(train_ks, matrix)])
+            matrix[i, j] = evaluate_model(model, dataset, test_k).corpus_bleu
     return matrix

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, IngestionError, LengthError, NumericalError
-from .evaluation import write_csv
 from .tensor import Tape, no_grad
 from .transformer import IncrementalModel, TeacherModel
 from .waitk import (BOS_ID, EOS_ID, FILLER_ID, N_RESERVED, PAD_ID,
@@ -404,16 +403,15 @@ def _batch_stream(examples, batch_size, rng):
             yield batch
 
 
-def train(examples, model_cfg, cfg, metrics_path=None):
+def train(examples, model_cfg, cfg):
     """Train a (teacher, student) pair on parallel examples.
 
     joint mode updates both models every step. pretrain_fixed_teacher first
     trains the teacher alone for max_steps, then the student for max_steps
     with the teacher bit-frozen. Each phase stops early once its watched
     loss converges. Fully deterministic under cfg.seed. Returns (teacher,
-    student, metrics rows), a row holding the METRICS_HEADER values, nan
-    for a loss its phase does not compute; they are also written to the
-    CSV file metrics_path unless it is None.
+    student, metrics rows), one row per step holding the METRICS_HEADER
+    values, nan for a loss its phase does not compute.
 
     Every example is checked before the first step: its source, and its
     target after pad_batch's bos, must fit model_cfg.max_len. No examples
@@ -452,9 +450,6 @@ def train(examples, model_cfg, cfg, metrics_path=None):
             recent.append(record[watched])
             if _converged(recent, cfg.early_stop_loss):
                 break
-    if metrics_path is not None:
-        write_csv(metrics_path, METRICS_HEADER,
-                  [(row[0], *(f"{v:.6f}" for v in row[1:])) for row in rows])
     return teacher, student, rows
 
 

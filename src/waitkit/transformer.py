@@ -421,9 +421,16 @@ def average_embedding_bridge(inputs, weight):
 
 class _Model(Module):
     """An encoder and a decoder; causal says whether encoder position i
-    attends to positions <= i only."""
+    attends to positions <= i only. seed is what np.random.default_rng
+    takes; a Generator is drawn from in place."""
 
     causal: bool
+
+    def __init__(self, cfg, seed=0):
+        rng = np.random.default_rng(seed)
+        self.cfg = cfg
+        self.encoder = Encoder(rng, cfg, cfg.src_vocab)
+        self.decoder = Decoder(rng, cfg)
 
     def _encode_one(self, ids):
         """(states, inputs) [n, d] of one sentence (see Encoder.forward)."""
@@ -444,12 +451,6 @@ class TeacherModel(_Model):
 
     causal = False
 
-    def __init__(self, cfg, seed=0):
-        rng = np.random.default_rng(seed)
-        self.cfg = cfg
-        self.encoder = Encoder(rng, cfg, cfg.src_vocab)
-        self.decoder = Decoder(rng, cfg)
-
     def forward(self, src_ids, tgt_ids):
         """Teacher-forced pass over batches [b, n] and [b, t].
 
@@ -466,10 +467,8 @@ class IncrementalModel(_Model):
     causal = True
 
     def __init__(self, cfg, seed=0):
-        rng = np.random.default_rng(seed)
-        self.cfg = cfg
-        self.encoder = Encoder(rng, cfg, cfg.src_vocab)
-        self.decoder = Decoder(rng, cfg)
+        rng = np.random.default_rng(seed)   # encoder, decoder, then bridge
+        super().__init__(cfg, rng)
         bound = 1.0 / math.sqrt(cfg.d_model)
         self.bridge_w = uniform_init(rng, (cfg.d_model, cfg.d_model), bound)
 

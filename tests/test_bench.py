@@ -2,7 +2,9 @@
 
 import pytest
 
-from waitkit.bench import VARIANTS, BenchResult, bench_forward, scaling_sweep
+from waitkit.bench import (BLAS_THREAD_VARS, VARIANTS, BenchResult,
+                           bench_forward, scaling_sweep)
+from waitkit.cli import main
 from waitkit.errors import ScheduleError
 from waitkit.training import ConfigError
 from waitkit.transformer import ModelConfig
@@ -191,11 +193,22 @@ class TestTiming:
         with pytest.raises(ConfigError):
             bench_forward("offline", 8, 1, bench_cfg(), trials=0)
 
-    def test_sweep_csv(self, tmp_path):
-        cfg = bench_cfg()
-        path = tmp_path / "bench.csv"
-        results = scaling_sweep([8], [1, 3], cfg, csv_path=path, trials=1)
+    def test_sweep_csv(self, tmp_path, monkeypatch):
+        """scaling_sweep returns a row per variant, n and k; `waitkit bench`
+        at bench_cfg's size writes them, median_secs aside, on one BLAS
+        thread in this process."""
+        results = scaling_sweep([8], [1, 3], bench_cfg(), trials=1)
         assert len(results) == 6
+        for name in BLAS_THREAD_VARS:
+            monkeypatch.setenv(name, "1")
+        path = tmp_path / "bench.csv"
+        assert main(["bench", "vocab_size=24", "d_model=16", "d_ff=32",
+                     "max_seq_len=80", "k=1", "bench_n=8", "bench_k=1,3",
+                     "bench_trials=1", f"bench_out={path}"]) == 0
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "variant,n,T,k,median_secs,mac_count"
         assert len(lines) == 7
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[:4] + row[5:] for row in rows] == [
+            [r.variant, str(r.n), str(r.t_steps), str(r.k), str(r.mac_count)]
+            for r in results]

@@ -1,10 +1,13 @@
 """End-to-end command line runs, exit codes, and file outputs."""
 
+import ast
 import errno
 import hashlib
 import io
+import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -314,6 +317,20 @@ class TestTrainEvalDecode:
         main(["eval"] + overrides)
         assert (tmp_path / "eval.csv").read_bytes() == first
 
+    def test_eval_writes_a_trace_line_per_sentence(self, trained):
+        """traces= names a file of one JSON record per test sentence, in
+        the format README documents."""
+        tmp_path, overrides = trained
+        path = tmp_path / "traces.jsonl"
+        assert main(["eval"] + overrides + [f"traces={path}"]) == 0
+        records = [json.loads(line) for line in
+                   path.read_text(encoding="utf-8").splitlines()]
+        assert len(records) == 12                       # test_count
+        for record in records:
+            assert list(record) == ["g", "src_len", "tgt_len", "tokens"]
+            assert len(record["g"]) == record["tgt_len"] == len(
+                record["tokens"])
+
     def test_decode_respects_schedule(self, trained):
         tmp_path, overrides = trained
         proc = subprocess.run(
@@ -558,16 +575,20 @@ def _refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("command, key", [
     ("train", "checkpoint"), ("train", "metrics"),
-    ("k-matrix", "matrix_out")])
+    ("k-matrix", "matrix_out"), ("eval", "report"), ("eval", "traces"),
+    ("bench", "bench_out")])
 @pytest.mark.parametrize("parent", ["a regular file", "missing"])
 def test_output_directory_checked_before_training(tmp_path, capsys,
                                                   monkeypatch, command, key,
                                                   parent):
     """An output path under a regular file, or under a directory that does
-    not exist, ends the run with exit 3 and the one line that opening the
-    file would print, before any data is drawn or model trained."""
-    monkeypatch.setattr(cli, "generate_synthetic", _refuse)
-    monkeypatch.setattr(cli, "train", _refuse)
+    not exist, ends the command with exit 3 and the one line that opening
+    the file would print, before it draws data, trains, loads a
+    checkpoint, times a forward or starts a child."""
+    for name in ("generate_synthetic", "train", "load_models",
+                 "scaling_sweep"):
+        monkeypatch.setattr(cli, name, _refuse)
+    monkeypatch.setattr(cli.subprocess, "run", _refuse)
     (tmp_path / "a regular file").write_text("")
     path = str(tmp_path / parent / "out")
     error = (NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
@@ -576,6 +597,24 @@ def test_output_directory_checked_before_training(tmp_path, capsys,
                                     path))
     assert main([command] + base_overrides(tmp_path, **{key: path})) == 3
     assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+
+
+def test_only_the_command_line_writes_files():
+    """cli.py opens every output file; checkpoint.save_models, to which
+    perfbench passes a path, is the one other writer. A call of open with a
+    mode that is not a constant, or that holds w, a, x or +, writes."""
+    writers = set()
+    for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "open"):
+                continue
+            mode = ([kw.value for kw in node.keywords if kw.arg == "mode"]
+                    + node.args[1:2] + [ast.Constant("r")])[0]
+            if not isinstance(mode, ast.Constant) or set(mode.value) & set(
+                    "wax+"):
+                writers.add(path.name)
+    assert writers == {"cli.py", "checkpoint.py"}
 
 
 @pytest.mark.parametrize("command", ["train", "k-matrix"])

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from waitkit.cli import main
 from waitkit.evaluation import (
     _clipped_matches,
     corpus_bleu,
@@ -260,14 +261,18 @@ class TestEvaluateAndMatrix:
         assert report.present_1gram == match[0] / total[0]
         assert report.absent_1gram == match[1] / total[1]
 
-    def test_traces_written(self, tiny_cfg, tmp_path):
+    def test_traces_written(self, tiny_cfg):
+        """The report holds each sentence's DecodeTrace in dataset order,
+        the one streaming_decode returns; `waitkit eval` writes their JSON
+        lines (test_cli)."""
         student = IncrementalModel(tiny_cfg, seed=31)
         spec = SyntheticTaskSpec(kind="copy", vocab_size=20, min_len=3,
                                  max_len=5, seed=6)
         dataset = generate_synthetic(spec, 4)
-        path = tmp_path / "traces.jsonl"
-        evaluate_model(student, dataset, 2, trace_path=path)
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = [trace.to_json_line() for trace in
+                 evaluate_model(student, dataset, 2).traces]
+        assert lines == [streaming_decode(student, ex.src, 2)[1].to_json_line()
+                         for ex in dataset]
         assert len(lines) == 4
         assert all('"g":' in line for line in lines)
 
@@ -292,13 +297,20 @@ class TestEvaluateAndMatrix:
         assert hidden_distance_stats(student, teacher, dataset) > 0.0
 
     def test_matrix_shape_and_csv(self, tiny_cfg, tmp_path):
+        """k_matrix returns [train x test] BLEU; `waitkit k-matrix` writes
+        it under a train_k column and one column per test k."""
         students = {k: IncrementalModel(tiny_cfg, seed=40 + k) for k in (1, 3)}
         spec = SyntheticTaskSpec(kind="copy", vocab_size=20, min_len=3,
                                  max_len=5, seed=9)
         dataset = generate_synthetic(spec, 5)
-        path = tmp_path / "matrix.csv"
-        matrix = k_matrix(students, [1, 3, 5], dataset, csv_path=path)
+        matrix = k_matrix(students, [1, 3, 5], dataset)
         assert matrix.shape == (2, 3)
+        path = tmp_path / "matrix.csv"
+        assert main([
+            "k-matrix", "task=copy", "vocab_size=20", "min_len=3",
+            "max_len=5", "train_count=8", "test_count=5", "d_model=16",
+            "d_ff=32", "max_seq_len=40", "max_steps=1", "batch_size=8",
+            "train_ks=1,3", "test_ks=1,3,5", f"matrix_out={path}"]) == 0
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "train_k,test_k=1,test_k=3,test_k=5"
         assert len(lines) == 3

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from waitkit import tensor as T
+from waitkit.cli import main as cli_main
 from waitkit.tensor import Tensor
 from waitkit.training import (
     ADAM_BLOCK,
@@ -697,39 +698,46 @@ class TestFlatAdam:
         assert norms[0] == norms[1]
 
 
+def _cli_metrics(tmp_path, name, *overrides):
+    """The metrics file `waitkit train` writes for a 32-sentence copy task
+    at small_model_cfg's size, seed 3, k=2, batch 8."""
+    path = tmp_path / f"{name}.csv"
+    assert cli_main([
+        "train", "task=copy", "vocab_size=16", "min_len=3", "max_len=6",
+        "train_count=32", "n_layers=1", "d_model=16", "d_ff=32",
+        "max_seq_len=32", "k=2", "seed=3", "batch_size=8",
+        f"metrics={path}", f"checkpoint={tmp_path / name}.ckpt",
+        *overrides]) == 0
+    return path.read_text(encoding="utf-8")
+
+
 class TestMetricsCsv:
-    def test_header_and_determinism(self, small_model_cfg, tmp_path):
-        examples = _copy_examples(32, seed=8)
-        cfg = TrainConfig(max_steps=5, seed=3, k=2, batch_size=8)
-        p1 = tmp_path / "m1.csv"
-        p2 = tmp_path / "m2.csv"
-        train(examples, small_model_cfg, cfg, metrics_path=p1)
-        train(examples, small_model_cfg, cfg, metrics_path=p2)
-        text = p1.read_text(encoding="utf-8")
+    def test_header_and_determinism(self, tmp_path):
+        text = _cli_metrics(tmp_path, "m1", "max_steps=5")
         assert text.splitlines()[0] == (
             "step,loss_student,loss_teacher,loss_distill,grad_norm"
         )
-        assert text == p2.read_text(encoding="utf-8")
+        assert text == _cli_metrics(tmp_path, "m2", "max_steps=5")
 
     def test_absent_loss_columns_are_nan(self, small_model_cfg, tmp_path):
-        """A pretrain_fixed_teacher run writes nan exactly where a phase
+        """A pretrain_fixed_teacher run returns nan exactly where a phase
         computes no such loss: loss_student and loss_distill on the
-        teacher's rows, loss_teacher on the student's. The returned rows
-        hold the same layout."""
+        teacher's rows, loss_teacher on the student's. `waitkit train`
+        writes the same layout under METRICS_HEADER."""
         steps = 4
-        path = tmp_path / "metrics.csv"
         cfg = TrainConfig(mode="pretrain_fixed_teacher", max_steps=steps,
                           seed=3, k=2, batch_size=8)
-        _, _, rows = train(_copy_examples(32, seed=8), small_model_cfg, cfg,
-                           metrics_path=path)
-        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        _, _, rows = train(_copy_examples(32, seed=8), small_model_cfg, cfg)
+        header, *lines = _cli_metrics(
+            tmp_path, "metrics", "mode=pretrain_fixed_teacher",
+            f"max_steps={steps}").splitlines()
         cells = np.array([[float(v) for v in line.split(",")]
                           for line in lines])
         assert header.split(",") == list(METRICS_HEADER)
-        assert np.array_equal(cells[:, 0], np.arange(1, 2 * steps + 1))
-        absent = np.zeros(cells.shape, dtype=bool)
+        absent = np.zeros((2 * steps, len(METRICS_HEADER)), dtype=bool)
         absent[:steps, [1, 3]] = True       # teacher phase
         absent[steps:, 2] = True            # student phase
-        assert np.array_equal(np.isnan(cells), absent)
-        assert np.array_equal(np.isnan(np.array(rows, dtype=float)), absent)
-        assert np.isfinite(cells[~absent]).all()
+        for table in (np.array(rows, dtype=float), cells):
+            assert np.array_equal(table[:, 0], np.arange(1, 2 * steps + 1))
+            assert np.array_equal(np.isnan(table), absent)
+            assert np.isfinite(table[~absent]).all()
